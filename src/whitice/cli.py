@@ -282,15 +282,16 @@ def verify_statement_b(args) -> int:
     top = _parse_parts(args.l, "--l")
     bot = _parse_parts(args.m, "--m")
     mode = _mode(args)
+    try:
+        transfer.check_two_row_boundary(top, bot, None)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     ks = [args.k] if args.k is not None else _feasible_mid_sums(top, bot)
     counter = None
     results = []
     for k in ks:
         if args.route == "coefficient":
-            try:
-                left, right = transfer.coefficient_pair(top, bot, k, mode)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
+            left, right = transfer.coefficient_pair(top, bot, k, mode)
         else:
             left, right = patterns.statement_b_sums(top, bot, k, mode,
                                                     convention=args.convention)

@@ -1,4 +1,4 @@
-"""Square-ice grids: boundaries, admissible states, charges, weight tables.
+"""Square-ice grids: boundaries, admissible states, the row kernel.
 
 Geometry conventions
 --------------------
@@ -17,7 +17,7 @@ and vertex row k carries -, with ``layers[0]`` the top boundary and
 ``layers[r+1]`` the (empty) bottom boundary.  Horizontal spins are never
 stored; each row's horizontal edges are forced from the vertical spins by the
 even-parity rule (an admissible vertex has an even number of + among its four
-edges), so they are recomputed on demand by :func:`fill_row`.
+edges).
 
 Vertex configurations are keyed (N, S, W, E).  Of the eight even-parity
 configurations the two "crossing" ones, (+,-,+,-) and (-,+,-,+), are
@@ -25,11 +25,28 @@ inadmissible; the remaining six receive weights from the gamma or delta
 table.  The charge argument of a g/h weight counts + spins strictly east of
 the vertex in its row (gamma) or - spins strictly west of it (delta), reduced
 mod n at evaluation time.
+
+The row kernel
+--------------
+Every lattice weight in the package is built from one row transfer matrix.
+:func:`row_fills` walks one row below a given top layer and returns, for each
+bottom layer that admits a fill, the (kind, raw charge) of its g/h vertices
+left to right and its z-exponent.  The result does not depend on n or on the
+coefficient mode; :func:`fill_weight` folds such factors into a coefficient
+of a mode, and is the only place a weight kind becomes ``mode.g`` or
+``mode.h``.  Enumeration, contraction, two-row slabs, functional equations
+and the Yang-Baxter vertex weights all go through these functions.
+
+:func:`fill_row`, :func:`row_configs` and :func:`row_charges` recompute one
+row from both of its layers by a direct per-vertex count.  They share no
+code with the kernel and serve as the reference it is checked against
+(``partition.weight_grid``, ``weyl.charge_duality_check``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 PLUS = 1
@@ -134,8 +151,6 @@ def boundary_from_lambda(lam) -> Boundary:
         raise ValueError("lam must end with the part 0")
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError("lam must be weakly decreasing")
-    if lam[-1] < 0:
-        raise ValueError("lam parts must be nonnegative")
     r = len(lam) - 1
     # entry lam_j of the paper indexing is lam[r - j]; top - at lam_j + j
     top = tuple(sorted((lam[r - j] + j for j in range(r + 1)), reverse=True))
@@ -163,6 +178,72 @@ class IceState:
         """Yield (row index from the top, layer above, layer below)."""
         for k in range(self.boundary.rows):
             yield k, self.layers[k], self.layers[k + 1]
+
+
+Factors = tuple[tuple[str, int], ...]  # (kind, raw charge) of each g/h vertex
+Fill = tuple[Factors, int]  # (factors left to right, z-exponent)
+
+
+def row_fills(top: tuple[int, ...], columns: int, family: str) -> dict[tuple[int, ...], Fill]:
+    """The row kernel: every admissible fill of one row below `top`.
+
+    Returns {bottom layer: (factors, z-exponent)}, where the factors are the
+    (kind, raw charge) of the row's g/h vertices left to right.  Both layers
+    force the horizontal spins, so a fill is unique once the bottom layer is
+    fixed.  The walk goes left to right from the + boundary, branching on the
+    bottom spin; parity forces the east spin, and a walk dies on a crossing
+    configuration or when it does not end on -.  Bottom layers come out in
+    the walk's order (+ branch first).
+    """
+    table = weight_table(family)
+    gamma = family == "gamma"
+    mark = PLUS if gamma else MINUS  # the spin a charge counts
+    north = [MINUS if columns - 1 - p in top else PLUS for p in range(columns)]
+    fills: dict[tuple[int, ...], Fill] = {}
+    bottom: list[int] = []
+    factors: list[tuple[str, int]] = []  # (kind, marks on edges 0..p)
+
+    def walk(p: int, west: int, marks: int, zexp: int) -> None:
+        if p == columns:
+            if west == MINUS:
+                # gamma: marks is now the row's + count, and the charge counts
+                # the + edges east of the vertex; delta counts - edges west
+                fills[tuple(bottom)] = (
+                    tuple((kind, marks - m) for kind, m in factors) if gamma
+                    else tuple(factors), zexp)
+            return
+        nsp = north[p]
+        marks += west == mark
+        for ssp in (PLUS, MINUS):
+            east = nsp * ssp * west
+            entry = table.get((nsp, ssp, west, east))
+            if entry is None:
+                continue
+            kind, inc = entry
+            if ssp == MINUS:
+                bottom.append(columns - 1 - p)
+            if kind != "1":
+                factors.append((kind, marks))
+            walk(p + 1, east, marks, zexp + inc)
+            if kind != "1":
+                factors.pop()
+            if ssp == MINUS:
+                bottom.pop()
+
+    walk(0, PLUS, 0, 0)
+    return fills
+
+
+def fill_weight(factors, mode):
+    """Coefficient of a fill: the product, left to right, of g(charge) or
+    h(charge) over its factors; factors of kind "1" contribute 1."""
+    coeff = mode.one
+    for kind, charge in factors:
+        if kind != "1":
+            coeff = coeff * (mode.g(charge) if kind == "g" else mode.h(charge))
+            if mode.is_zero(coeff):
+                break
+    return coeff
 
 
 def fill_row(top: tuple[int, ...], bot: tuple[int, ...], columns: int):
@@ -231,43 +312,22 @@ def row_charges(edges: tuple[int, ...], family: str) -> list[int]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def edge_labels(edges: tuple[int, ...], family: str) -> list[int]:
-    """Incremental charge labels on the row's horizontal edges.
-
-    gamma labels count + spins at the edge and east of it (so the label of a
-    vertex's east edge is its charge, the right boundary edge is labeled 0 and
-    the label grows by one exactly when an edge carries +, moving west).
-    delta labels count - spins at the edge and west of it.
-    """
-    columns = len(edges) - 1
-    if family == "gamma":
-        labels = [0] * (columns + 1)
-        acc = 0
-        for i in range(columns, -1, -1):
-            if edges[i] == PLUS:
-                acc += 1
-            labels[i] = acc
-        return labels
-    if family == "delta":
-        labels = []
-        acc = 0
-        for i in range(columns + 1):
-            if edges[i] == MINUS:
-                acc += 1
-            labels.append(acc)
-        return labels
-    raise ValueError(f"unknown family {family!r}")
+def row_vertices(top: tuple[int, ...], bot: tuple[int, ...], columns: int,
+                 family: str):
+    """(kind, z-exponent, raw charge) of each vertex of one row, left to
+    right, counted directly from both layers; None if the row has no fill."""
+    configs = row_configs(top, bot, columns)
+    if configs is None:
+        return None
+    table = weight_table(family)
+    charges = row_charges(fill_row(top, bot, columns), family)
+    return [table[config] + (charge,) for config, charge in zip(configs, charges)]
 
 
-def charges_from_labels(labels: list[int], family: str) -> list[int]:
-    """Vertex charges read off the edge labels (vertex p sits between edges
-    p and p+1)."""
-    columns = len(labels) - 1
-    if family == "gamma":
-        return [labels[p + 1] for p in range(columns)]
-    if family == "delta":
-        return [labels[p] for p in range(columns)]
-    raise ValueError(f"unknown family {family!r}")
+def direct_fill(vertices) -> Fill:
+    """The :func:`row_fills` entry of a row, from its :func:`row_vertices`."""
+    return (tuple((kind, charge) for kind, _, charge in vertices if kind != "1"),
+            sum(zexp for _, zexp, _ in vertices))
 
 
 def strict_interleavings(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -312,8 +372,10 @@ def enumerate_states(boundary: Boundary) -> list[IceState]:
 
 
 def count_states(boundary: Boundary) -> int:
-    """Number of admissible states, by direct recursion on the layers."""
+    """Number of admissible states, by recursion on the layers, memoised on
+    the layer for the duration of one call."""
 
+    @lru_cache(maxsize=None)
     def rec(upper: tuple[int, ...]) -> int:
         if len(upper) <= 1:
             return 1

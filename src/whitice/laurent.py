@@ -17,7 +17,7 @@ exponents.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .coeffs import Mode
 
@@ -145,16 +145,6 @@ class LaurentPoly:
                             for key, val in self.terms.items()}
         return result
 
-    def map_coeffs(self, fn: Callable) -> "LaurentPoly":
-        out = {}
-        for key, val in self.terms.items():
-            new = fn(val)
-            if not self.mode.is_zero(new):
-                out[key] = new
-        result = LaurentPoly(self.nvars, self.mode)
-        result.terms = out
-        return result
-
     # -- variable moves --------------------------------------------------------
 
     def permute_vars(self, perm: Iterable[int]) -> "LaurentPoly":
@@ -203,13 +193,6 @@ class LaurentPoly:
 
     def coeff(self, exponents: Iterable[int]):
         return self.terms.get(tuple(exponents), self.mode.zero)
-
-    def homogeneous_degree(self) -> int | None:
-        """Common total degree of all monomials, or None if inhomogeneous/zero."""
-        degrees = {sum(key) for key in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
 
     def sorted_terms(self) -> list[tuple[Exponents, object]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0])

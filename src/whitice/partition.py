@@ -8,8 +8,9 @@ delta systems z_1..z_{r+1}.
 
 The integer part of a state's weight -- the list of (kind, raw charge)
 factors plus the per-variable exponent vector -- is independent of n and of
-the coefficient mode, so it is computed once per boundary ("profile") and
-cached; evaluating Z under a new (n, q) is then a cheap table walk.
+the coefficient mode, so it is computed once per boundary ("profile") by a
+depth-first walk over the row kernel and cached; evaluating Z under a new
+(n, q) is then a cheap table walk.
 
 The same weight factors as g/h statistics of the state's pattern times a
 monomial in row-sum differences; ``matching_check`` verifies that
@@ -24,9 +25,9 @@ from functools import lru_cache
 
 from .coeffs import Mode, NumericMode, SymCoeff, SymbolicMode
 from .gauss import gauss_table
-from .lattice import (Boundary, IceState, boundary_from_lambda,
-                      enumerate_states, fill_row, row_charges, row_configs,
-                      row_variable, weight_table)
+from .lattice import (Boundary, IceState, boundary_from_lambda, direct_fill,
+                      enumerate_states, fill_weight, row_fills, row_variable,
+                      row_vertices)
 from .laurent import LaurentPoly
 from .patterns import (delta_exponents, delta_weight, gamma_exponents,
                        gamma_weight, pattern_from_state)
@@ -49,30 +50,26 @@ Profile = tuple[tuple[tuple[str, int], ...], tuple[int, ...]]
 
 
 def weight_grid(state: IceState, family: str, mode: Mode) -> list[list[LaurentPoly]]:
-    """Per-vertex weights as (r+1)-variable polynomials, row-major."""
-    boundary = state.boundary
+    """Per-vertex weights as (r+1)-variable polynomials, row-major.
+
+    The vertices are counted directly (:func:`.lattice.row_vertices`), and
+    each row must agree with the row kernel's fill."""
+    columns = state.boundary.columns
     r = state.rank
     nvars = r + 1
-    table = weight_table(family)
     grid: list[list[LaurentPoly]] = []
     for row, top, bot in state.vertex_rows():
-        configs = row_configs(top, bot, boundary.columns)
-        edges = fill_row(top, bot, boundary.columns)
-        if configs is None or edges is None:
+        vertices = row_vertices(top, bot, columns, family)
+        if vertices is None:
             raise ValueError("state has no admissible horizontal completion")
-        charges = row_charges(edges, family)
+        if direct_fill(vertices) != row_fills(top, columns, family).get(bot):
+            raise RuntimeError("row kernel disagrees with the direct vertex count")
         var = row_variable(family, row, r)
         row_polys = []
-        for p, config in enumerate(configs):
-            kind, zexp = table[config]
-            if kind == "1":
-                coeff = mode.one
-            elif kind == "g":
-                coeff = mode.g(charges[p])
-            else:
-                coeff = mode.h(charges[p])
+        for kind, zexp, charge in vertices:
             exps = [0] * nvars
             exps[var] = zexp
+            coeff = fill_weight(((kind, charge),), mode)
             row_polys.append(LaurentPoly.monomial(nvars, mode, exps, coeff))
         grid.append(row_polys)
     return grid
@@ -81,48 +78,55 @@ def weight_grid(state: IceState, family: str, mode: Mode) -> list[list[LaurentPo
 def state_weight(state: IceState, family: str, mode: Mode):
     """(coefficient, exponent vector) of the state's one-term weight."""
     factors, exponents = profile_of(state, family)
-    coeff = mode.one
-    for kind, charge in factors:
-        coeff = coeff * (mode.g(charge) if kind == "g" else mode.h(charge))
-    return coeff, exponents
+    return fill_weight(factors, mode), exponents
 
 
 def profile_of(state: IceState, family: str) -> Profile:
     """((kind, raw charge) factors, per-variable exponents) of one state."""
-    boundary = state.boundary
+    columns = state.boundary.columns
     r = state.rank
-    table = weight_table(family)
-    factors: list[tuple[str, int]] = []
+    factors: tuple[tuple[str, int], ...] = ()
     exponents = [0] * (r + 1)
     for row, top, bot in state.vertex_rows():
-        configs = row_configs(top, bot, boundary.columns)
-        edges = fill_row(top, bot, boundary.columns)
-        if configs is None or edges is None:
+        fill = row_fills(top, columns, family).get(bot)
+        if fill is None:
             raise ValueError("state has no admissible horizontal completion")
-        charges = row_charges(edges, family)
-        var = row_variable(family, row, r)
-        for p, config in enumerate(configs):
-            kind, zexp = table[config]
-            exponents[var] += zexp
-            if kind != "1":
-                factors.append((kind, charges[p]))
-    return tuple(factors), tuple(exponents)
+        factors += fill[0]
+        exponents[row_variable(family, row, r)] += fill[1]
+    return factors, tuple(exponents)
 
 
 @lru_cache(maxsize=None)
 def boundary_profiles(boundary: Boundary, family: str) -> tuple[Profile, ...]:
-    """Profiles of every state of the boundary, in enumeration order."""
-    return tuple(profile_of(s, family) for s in enumerate_states(boundary))
+    """Profiles of every state of the boundary, in enumeration order.
+
+    A depth-first walk over the row kernel, children in ascending layer
+    order; the fills below a layer are computed once per call."""
+    r = boundary.rank
+    fills: dict[tuple[int, ...], list] = {}
+    exponents = [0] * (r + 1)
+    profiles: list[Profile] = []
+
+    def walk(row: int, layer: tuple[int, ...], factors: tuple) -> None:
+        if row == boundary.rows:
+            profiles.append((factors, tuple(exponents)))
+            return
+        if layer not in fills:
+            fills[layer] = sorted(row_fills(layer, boundary.columns, family).items())
+        var = row_variable(family, row, r)
+        for bot, (row_factors, zexp) in fills[layer]:
+            exponents[var] += zexp
+            walk(row + 1, bot, factors + row_factors)
+            exponents[var] -= zexp
+
+    walk(0, boundary.top_minus, ())
+    return tuple(profiles)
 
 
 def evaluate_profiles(profiles, mode: Mode, nvars: int) -> LaurentPoly:
     terms: dict[tuple[int, ...], object] = {}
     for factors, exponents in profiles:
-        coeff = mode.one
-        for kind, charge in factors:
-            coeff = coeff * (mode.g(charge) if kind == "g" else mode.h(charge))
-            if mode.is_zero(coeff):
-                break
+        coeff = fill_weight(factors, mode)
         if mode.is_zero(coeff):
             continue
         if exponents in terms:
@@ -155,8 +159,9 @@ def pattern_side_weight(state: IceState, family: str, mode: Mode):
 
 
 def matching_check(boundary: Boundary, family: str, mode: Mode | None = None):
-    """Compare the lattice weight of every state against its pattern-side
-    factorization.  Returns a list of offending states (empty = pass).
+    """Compare the lattice weight of every state, read from its profile in
+    :func:`boundary_profiles`, against its pattern-side factorization.
+    Returns a list of offending states (empty = pass).
 
     With the default raw-charge symbolic mode the comparison is exact formal
     identity, so it pins the charge arguments as integers, not just their
@@ -165,10 +170,10 @@ def matching_check(boundary: Boundary, family: str, mode: Mode | None = None):
     if mode is None:
         mode = raw_symbolic_mode()
     bad = []
-    for state in enumerate_states(boundary):
-        lhs = state_weight(state, family, mode)
-        rhs = pattern_side_weight(state, family, mode)
-        if lhs[1] != rhs[1] or not mode.close(lhs[0], rhs[0]):
+    for state, (factors, exponents) in zip(enumerate_states(boundary),
+                                           boundary_profiles(boundary, family)):
+        coeff, pattern_exponents = pattern_side_weight(state, family, mode)
+        if exponents != pattern_exponents or not mode.close(fill_weight(factors, mode), coeff):
             bad.append(state)
     return bad
 

@@ -4,98 +4,27 @@ The one-row transfer operator of width C is conceptually a 2^C x 2^C matrix
 V(alpha, beta) holding the weight of the unique admissible horizontal
 completion of a row with vertical spins alpha on top and beta below (zero if
 none exists).  It is never materialized: applying it to a supported layer
-vector walks each alpha across the columns, branching on the bottom spin and
-carrying just the forced horizontal spin and the running charge label, so the
-cost is proportional to support size times columns times branching.
+vector asks the row kernel (:func:`.lattice.row_fills`) for the fills below
+each alpha and folds their factors into coefficients with
+:func:`.lattice.fill_weight`.  This module has no row walker of its own.
 
 Contraction sweeps a full system top to bottom, merging layer vectors as it
 goes; many enumeration paths share layers, which is the speedup over direct
 state enumeration.  Two-row systems (a gamma row above a delta row or the
 reverse, top boundary carrying two more - spins than the bottom) use the same
-walker with explicit per-row (family, variable) assignments.
+kernel with explicit per-row (family, variable) assignments.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from .coeffs import Mode
-from .lattice import (MINUS, PLUS, Boundary, row_variable, weight_table)
+from .lattice import Boundary, fill_weight, row_fills, row_variable
 from .laurent import LaurentPoly
 
 Layer = tuple[int, ...]
 LayerVector = dict[Layer, LaurentPoly]
-
-
-def row_completions(top: Layer, columns: int, family: str,
-                    mode: Mode) -> Iterator[tuple[Layer, object, int]]:
-    """Yield (bottom layer, coefficient, z-exponent) for every admissible
-    one-row completion below the given top layer.
-
-    gamma rows are walked right to left (their charge counts + spins to the
-    east, so the label is known on arrival); delta rows left to right.  The
-    horizontal spin ahead of the walk is forced by parity at each step, and
-    walks die as soon as they hit an inadmissible configuration.
-    """
-    table = weight_table(family)
-    topset = frozenset(top)
-    n = mode.n
-    if family == "gamma":
-        positions = range(columns - 1, -1, -1)  # start at the - right boundary
-        start_spin = MINUS
-    else:
-        positions = range(columns)  # start at the + left boundary
-        start_spin = PLUS
-    order = list(positions)
-
-    def walk(step: int, ahead: int, label: int, minus_cols: list[int],
-             coeff, zexp: int):
-        if step == len(order):
-            if family == "gamma":
-                if ahead == PLUS:  # left boundary reached
-                    yield tuple(sorted(minus_cols, reverse=True)), coeff, zexp
-            else:
-                if ahead == MINUS:  # right boundary reached
-                    yield tuple(sorted(minus_cols, reverse=True)), coeff, zexp
-            return
-        p = order[step]
-        c = columns - 1 - p
-        nsp = MINUS if c in topset else PLUS
-        for ssp in (PLUS, MINUS):
-            if family == "gamma":
-                west = nsp * ssp * ahead
-                config = (nsp, ssp, west, ahead)
-            else:
-                east = nsp * ssp * ahead
-                config = (nsp, ssp, ahead, east)
-            entry = table.get(config)
-            if entry is None:
-                continue
-            kind, inc = entry
-            if kind == "1":
-                factor = None
-            elif kind == "g":
-                factor = mode.g(label)
-            else:
-                factor = mode.h(label)
-            if factor is not None and mode.is_zero(factor):
-                continue
-            new_coeff = coeff if factor is None else coeff * factor
-            if family == "gamma":
-                new_ahead = west
-                new_label = (label + (1 if west == PLUS else 0)) % n
-            else:
-                new_ahead = east
-                new_label = (label + (1 if east == MINUS else 0)) % n
-            if ssp == MINUS:
-                minus_cols.append(c)
-            yield from walk(step + 1, new_ahead, new_label, minus_cols,
-                            new_coeff, zexp + inc)
-            if ssp == MINUS:
-                minus_cols.pop()
-
-    yield from walk(0, start_spin, 0, [], mode.one, 0)
 
 
 def apply_row(support: LayerVector, family: str, var_index: int,
@@ -103,7 +32,10 @@ def apply_row(support: LayerVector, family: str, var_index: int,
     """One transfer step: w(beta) = sum_alpha v(alpha) * V(alpha, beta)."""
     out: LayerVector = {}
     for alpha, acc in support.items():
-        for beta, coeff, zexp in row_completions(alpha, columns, family, mode):
+        for beta, (factors, zexp) in row_fills(alpha, columns, family).items():
+            coeff = fill_weight(factors, mode)
+            if mode.is_zero(coeff):
+                continue
             shift = [0] * nvars
             shift[var_index] = zexp
             term = acc.mul_monomial(shift, coeff)
@@ -150,6 +82,8 @@ def check_two_row_boundary(top: Layer, bottom: Layer, columns: int | None) -> in
     for row in (top, bottom):
         if any(a <= b for a, b in zip(row, row[1:])):
             raise ValueError("boundary - positions must be strictly decreasing")
+    if any(c < 0 for c in top + bottom):
+        raise ValueError("boundary - positions must be nonnegative")
     if len(top) != len(bottom) + 2:
         raise ValueError("top boundary must carry two more - spins than the bottom")
     if columns is None:
@@ -169,19 +103,18 @@ def slab_middle_values(top: Layer, bottom: Layer,
     (fam1, var1), (fam2, var2) = rows
     bottom = tuple(bottom)
     out: dict[Layer, LaurentPoly] = {}
-    for mid, coeff1, zexp1 in row_completions(tuple(top), columns, fam1, mode):
-        for low, coeff2, zexp2 in row_completions(mid, columns, fam2, mode):
-            if low != bottom:
-                continue
-            exps = [0, 0]
-            exps[var1] += zexp1
-            exps[var2] += zexp2
-            term = LaurentPoly.monomial(2, mode, exps, coeff1 * coeff2)
-            if mid in out:
-                out[mid] = out[mid] + term
-            else:
-                out[mid] = term
-    return {key: val for key, val in out.items() if not val.is_zero()}
+    for mid, (factors1, zexp1) in row_fills(tuple(top), columns, fam1).items():
+        lower = row_fills(mid, columns, fam2).get(bottom)
+        if lower is None:
+            continue
+        factors2, zexp2 = lower
+        exps = [0, 0]
+        exps[var1] += zexp1
+        exps[var2] += zexp2
+        term = LaurentPoly.monomial(2, mode, exps, fill_weight(factors1 + factors2, mode))
+        if not term.is_zero():
+            out[mid] = term
+    return out
 
 
 def two_row_middle_values(top: Layer, bottom: Layer, order: str, mode: Mode,
@@ -238,29 +171,7 @@ def random_two_row_boundary(rng: random.Random, max_width: int = 8,
         bottom = tuple(sorted(rng.sample(range(columns), size - 2), reverse=True))
         if not require_states:
             return top, bottom, columns
-        mode_probe = _PROBE
-        if any(low == bottom
-               for mid, _, _ in row_completions(top, columns, "gamma", mode_probe)
-               for low, _, _ in row_completions(mid, columns, "delta", mode_probe)):
+        if any(bottom in row_fills(mid, columns, "delta")
+               for mid in row_fills(top, columns, "gamma")):
             return top, bottom, columns
     return top, bottom, columns
-
-
-class _CountingMode:
-    """Cheap stand-in coefficient mode for existence probes."""
-
-    name = "symbolic"
-    n = 1
-    one = 1
-
-    def g(self, b):
-        return 1
-
-    def h(self, b):
-        return 1
-
-    def is_zero(self, c):
-        return c == 0
-
-
-_PROBE = _CountingMode()

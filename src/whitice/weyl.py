@@ -21,28 +21,31 @@ is not settled; nothing here asserts such a completion (for n = 1 the
 completion is pinned and verified in the ybe module).
 
 Charge/monomial duality underlies the slab computation: in every gamma row
-the z-exponent plus the left-edge charge label equals the number of columns,
-hence a_i - a_{i+1} = c_{i+1} - c_i for the left-edge labels c.
+the z-exponent plus the left-edge charge label (the number of + horizontal
+edges) equals the number of columns, hence a_i - a_{i+1} = c_{i+1} - c_i for
+the left-edge labels c.  The slab class c_top - c_bot is therefore read off
+the z-exponents of the slab's monomials; ``verify charges``
+(:func:`charge_duality_check`) checks the duality row by row against a direct
+count that shares no code with the row kernel.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .coeffs import Mode
 from .lattice import (
+    FAMILIES,
+    PLUS,
     Boundary,
     boundary_from_lambda,
-    charges_from_labels,
-    edge_labels,
+    direct_fill,
+    enumerate_states,
     fill_row,
-    row_charges,
-    row_configs,
-    weight_table,
+    row_fills,
+    row_vertices,
 )
 from .laurent import LaurentPoly
 from .partition import partition_function
-from .transfer import check_two_row_boundary
+from .transfer import check_two_row_boundary, slab_middle_values
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +65,6 @@ def decompose(z: LaurentPoly, i: int, n: int) -> dict[int, LaurentPoly]:
         j = (exps[i - 1] - exps[i]) % n
         buckets[j][exps] = coeff
     return {j: LaurentPoly(z.nvars, z.mode, terms) for j, terms in buckets.items()}
-
-
-def recombine(parts: dict[int, LaurentPoly], nvars: int, mode: Mode) -> LaurentPoly:
-    total = LaurentPoly.zero(nvars, mode)
-    for part in parts.values():
-        total = total + part
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +101,6 @@ def clearing_factor(n: int, mode: Mode, nvars: int, x: int, y: int) -> LaurentPo
             - LaurentPoly.monomial(nvars, mode, ye, mode.u))
 
 
-def factor_pq(j: int, n: int, mode: Mode, nvars: int = 2,
-              x: int = 1, y: int = 0) -> dict[str, LaurentPoly]:
-    """Cleared numerators p, q and their shared denominator x^n - u*y^n."""
-    return {
-        "p": p_poly(j, n, mode, nvars, x, y),
-        "q": q_poly(j, n, mode, nvars, x, y),
-        "denominator": clearing_factor(n, mode, nvars, x, y),
-    }
-
-
 # ---------------------------------------------------------------------------
 #  Functional equation on a full system
 # ---------------------------------------------------------------------------
@@ -147,31 +133,42 @@ def functional_eq_check(lam, i: int, j: int, n: int, mode: Mode,
 # ---------------------------------------------------------------------------
 
 def charge_duality_check(boundary: Boundary):
-    """Per-state consistency of charge labels with z-exponents.
+    """Per-state check of the row kernel against a direct count, and of the
+    charge/monomial duality.
 
-    For every state and both families, the charge sequence read off the
-    running edge labels must equal the directly counted charges; and in each
-    gamma row, z-exponent + left-edge label = number of columns, which forces
-    a_i - a_{i+1} = c_{i+1} - c_i across adjacent rows.  Returns
-    (ok, failures) where failures lists (layers, row, reason).
+    For every state and both families, each row's kernel fill (factors and
+    z-exponent) must equal the one counted vertex by vertex from both layers;
+    and in each gamma row, the kernel's z-exponent plus the left-edge label
+    (the number of + horizontal edges) must equal the number of columns,
+    which forces a_i - a_{i+1} = c_{i+1} - c_i across adjacent rows.  A row's
+    verdict depends only on its two layers, so each distinct row is checked
+    once per call.  Returns (ok, failures) where failures lists
+    (layers, row, reason).
     """
-    from .lattice import enumerate_states
-
     columns = boundary.columns
-    table = weight_table("gamma")
+    fills: dict[tuple, dict] = {}  # (layer, family) -> the kernel's fills below it
+    verdicts: dict[tuple, list[str]] = {}  # (layer, layer below) -> failed checks
+
+    def row_verdict(top, bot) -> list[str]:
+        failed = []
+        for family in FAMILIES:
+            if (top, family) not in fills:
+                fills[top, family] = row_fills(top, columns, family)
+            fill = fills[top, family].get(bot)
+            if fill != direct_fill(row_vertices(top, bot, columns, family)):
+                failed.append(f"{family} kernel/direct count mismatch")
+            if family == "gamma" and (
+                    fill is None
+                    or fill[1] + fill_row(top, bot, columns).count(PLUS) != columns):
+                failed.append("gamma exponent/label duality")
+        return failed
+
     failures = []
     for state in enumerate_states(boundary):
         for k, top, bot in state.vertex_rows():
-            edges = fill_row(top, bot, columns)
-            configs = row_configs(top, bot, columns)
-            for family in ("gamma", "delta"):
-                labels = edge_labels(edges, family)
-                if charges_from_labels(labels, family) != row_charges(edges, family):
-                    failures.append((state.layers, k, f"{family} label/charge mismatch"))
-            zexp = sum(table[c][1] for c in configs)
-            left_label = edge_labels(edges, "gamma")[0]
-            if zexp + left_label != columns:
-                failures.append((state.layers, k, "gamma exponent/label duality"))
+            if (top, bot) not in verdicts:
+                verdicts[top, bot] = row_verdict(top, bot)
+            failures.extend((state.layers, k, reason) for reason in verdicts[top, bot])
     return not failures, failures
 
 
@@ -205,57 +202,14 @@ def rvertex_allminus_weight(n: int, mode: Mode, d_i: int = 0,
     return clearing_factor(n, mode, 2, x=1, y=0)
 
 
-def _gamma_row_data(topset, botset, columns: int, mode: Mode):
-    """(coefficient, z-exponent, left-edge label) of one gamma row, or None."""
-    edges = fill_row(topset, botset, columns)
-    if edges is None:
-        return None
-    configs = row_configs(topset, botset, columns)
-    labels = edge_labels(edges, "gamma")
-    charges = charges_from_labels(labels, "gamma")
-    table = weight_table("gamma")
-    coeff = mode.one
-    zexp = 0
-    for p, config in enumerate(configs):
-        kind, ze = table[config]
-        zexp += ze
-        if kind == "g":
-            coeff = coeff * mode.g(charges[p])
-        elif kind == "h":
-            coeff = coeff * mode.h(charges[p])
-        if mode.is_zero(coeff):
-            return None
-    return coeff, zexp, labels[0]
-
-
-def slab_states(top, bottom, mode: Mode, columns: int | None = None):
-    """All states of a two-gamma-row slab, top row carrying variable 1.
-
-    Yields (coefficient, (exp_z1, exp_z2), class) where the class is
-    (c_top - c_bot) computed from left-edge charge labels.
-    """
-    columns = check_two_row_boundary(top, bottom, columns)
-    topset = frozenset(top)
-    botset = frozenset(bottom)
-    for mid in combinations(range(columns), len(top) - 1):
-        midset = frozenset(mid)
-        upper = _gamma_row_data(topset, midset, columns, mode)
-        if upper is None:
-            continue
-        lower = _gamma_row_data(midset, botset, columns, mode)
-        if lower is None:
-            continue
-        c1, e1, label1 = upper
-        c2, e2, label2 = lower
-        yield c1 * c2, (e2, e1), label1 - label2
-
-
 def fe_via_rvertex_two_row(top, bottom, j: int, n: int, mode: Mode,
                            tol: float = 1e-8, columns: int | None = None):
-    """Attach the partial crossing vertex to a two-gamma-row slab.
+    """Attach the partial crossing vertex to a two-gamma-row slab, top row
+    carrying z2 and bottom row z1.
 
     Left attachment: each state of the slab is weighted by the all-+ entry
-    whose inner class is the state's label difference c_top - c_bot.  Right
+    whose inner class is the state's label difference c_top - c_bot, which
+    by the charge duality is exp_z1 - exp_z2 of its monomial.  Right
     attachment: the all-- entry (charges forced to zero at the right
     boundary) times the class-j part of the slab partition function with the
     two variables exchanged.  The two must agree; returns (ok, left, right).
@@ -263,12 +217,15 @@ def fe_via_rvertex_two_row(top, bottom, j: int, n: int, mode: Mode,
     """
     if n % 2 == 0:
         raise ValueError("partial crossing vertex requires odd n")
+    columns = check_two_row_boundary(top, bottom, columns)
+    slab = slab_middle_values(tuple(top), tuple(bottom), (("gamma", 1), ("gamma", 0)),
+                              mode, columns)
     left = LaurentPoly.zero(2, mode)
     z = LaurentPoly.zero(2, mode)
-    for coeff, exps, jstate in slab_states(top, bottom, mode, columns):
-        monomial = LaurentPoly.monomial(2, mode, exps, coeff)
+    for monomial in slab.values():  # one state per middle layer
+        (exps,) = monomial.terms
         z = z + monomial
-        left = left + rvertex_allplus_weight(j, jstate, n, mode) * monomial
+        left = left + rvertex_allplus_weight(j, exps[0] - exps[1], n, mode) * monomial
     zj = decompose(z, 1, n)[j % n]
     right = rvertex_allminus_weight(n, mode) * zj.swap_vars(0, 1)
     return left.equal(right, tol), left, right

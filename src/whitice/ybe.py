@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import product
 
 from .coeffs import Mode, SymbolicMode
-from .lattice import MINUS, PLUS, boundary_from_lambda, weight_table
+from .lattice import MINUS, PLUS, boundary_from_lambda, fill_weight, weight_table
 from .laurent import LaurentPoly
 from .partition import partition_function
 
@@ -101,15 +101,9 @@ def vertex_poly(family: str, config, charge: int, var_index: int,
     if entry is None:
         return LaurentPoly.zero(nvars, mode)
     kind, zexp = entry
-    if kind == "1":
-        coeff = mode.one
-    elif kind == "g":
-        coeff = mode.g(charge)
-    else:
-        coeff = mode.h(charge)
     exps = [0] * nvars
     exps[var_index] = zexp
-    return LaurentPoly.monomial(nvars, mode, exps, coeff)
+    return LaurentPoly.monomial(nvars, mode, exps, fill_weight(((kind, charge),), mode))
 
 
 SPINS = (PLUS, MINUS)
@@ -219,15 +213,3 @@ def commutation_check(lam, i: int, family: str = "gamma",
     lhs = plus_factor * z
     rhs = minus_factor * z.swap_vars(i - 1, i)
     return lhs.equal(rhs, tol=1e-10), lhs, rhs
-
-
-def train_row_swap_report(lam, i: int, mode: Mode | None = None) -> dict:
-    """Endpoint identity of sliding R through rows i, i+1: both sides as
-    rendered polynomials plus the verdict."""
-    ok, lhs, rhs = commutation_check(lam, i, "gamma", mode)
-    return {
-        "rows": [i, i + 1],
-        "all_plus_entry_times_Z": str(lhs),
-        "all_minus_entry_times_swapped_Z": str(rhs),
-        "equal": ok,
-    }

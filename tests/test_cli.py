@@ -126,6 +126,17 @@ def test_verify_two_row(capsys):
     assert code == 0 and obj["pass"] is True
 
 
+def test_two_row_rejects_negative_positions(capsys):
+    # a - spin left of column 0 lies outside the lattice; it must not pass
+    # vacuously with both sides zero
+    code, obj = run_json(capsys, "verify", "two-row", "--l", "3,1,-1", "--m", "1")
+    assert code == 2
+    assert obj["error"] == "config"
+    code, obj = run_json(capsys, "verify", "statement-b", "--l", "3,1,-1", "--m", "1")
+    assert code == 2
+    assert obj["error"] == "config"
+
+
 def test_verify_functional_eq(capsys):
     code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "0,0",
                          "--coeff", "numeric", "--n", "2", "--q", "5")

@@ -16,16 +16,17 @@ from whitice.lattice import (
     PLUS,
     Boundary,
     boundary_from_lambda,
-    charges_from_labels,
     count_states,
-    edge_labels,
+    direct_fill,
     enumerate_states,
     fill_row,
     is_admissible,
     lambda_of,
     row_charges,
     row_configs,
+    row_fills,
     row_variable,
+    row_vertices,
     strict_interleavings,
     weight_table,
 )
@@ -97,6 +98,8 @@ def test_state_count_pins():
     assert count_states(boundary_from_lambda((0, 0))) == 2
     assert count_states(boundary_from_lambda((3, 2, 0))) == 41
     assert count_states(Boundary(columns=3, top_minus=(2, 0))) == 3
+    assert count_states(boundary_from_lambda((8, 6, 4, 2, 0))) == 941_663
+    assert count_states(boundary_from_lambda((10, 8, 6, 4, 2, 0))) == 891_619_506
 
 
 def test_enumerate_states_structure():
@@ -138,16 +141,38 @@ def test_strict_interleavings_pin():
 @settings(max_examples=50, deadline=None)
 @given(st.sets(st.integers(0, 7), min_size=1, max_size=4))
 def test_charge_labels_match_direct_counts(top_cols):
-    # label-based charges agree with direct per-vertex spin counts on every row
+    # the row kernel's factors and z-exponent agree with the direct per-vertex
+    # count (fill_row, row_configs, row_charges) on every row, and the kernel
+    # reaches exactly the bottom layers that admit a fill
     columns = max(top_cols) + 1
     top = tuple(sorted(top_cols, reverse=True))
-    for bot in strict_interleavings(top):
-        edges = fill_row(top, bot, columns)
-        if edges is None:
-            continue
-        for family in ("gamma", "delta"):
-            labels = edge_labels(edges, family)
-            assert charges_from_labels(labels, family) == row_charges(edges, family)
+    for family in ("gamma", "delta"):
+        table = weight_table(family)
+        fills = row_fills(top, columns, family)
+        fillable = set()
+        for size in range(columns + 1):
+            for bot in itertools.combinations(range(columns - 1, -1, -1), size):
+                edges = fill_row(top, bot, columns)
+                if edges is None:
+                    continue
+                fillable.add(bot)
+                configs = row_configs(top, bot, columns)
+                charges = row_charges(edges, family)
+                factors = tuple((table[c][0], q) for c, q in zip(configs, charges)
+                                if table[c][0] != "1")
+                assert fills[bot] == (factors, sum(table[c][1] for c in configs))
+                assert fills[bot] == direct_fill(row_vertices(top, bot, columns, family))
+        assert set(fills) == fillable
+        assert fillable == set(strict_interleavings(top))
+
+
+def test_row_fills_worked_example():
+    # rows of the worked example (5,3,0) / (3,1) / (3,) / (), gamma family
+    assert row_fills((5, 3, 0), 6, "gamma")[(3, 1)] == ((("h", 1),), 4)
+    assert row_fills((3, 1), 6, "gamma")[(3,)] == ((("g", 2),), 1)
+    assert row_fills((3,), 6, "gamma") == {(): ((), 3)}
+    assert row_fills((3,), 6, "delta") == {(): ((), 3)}
+    assert len(row_fills((5, 3, 0), 6, "delta")) == 11
 
 
 def test_gamma_charge_counts_plus_to_the_east():

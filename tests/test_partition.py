@@ -4,17 +4,23 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitice.coeffs import SymCoeff, SymbolicMode
 from whitice.lattice import boundary_from_lambda, enumerate_states
-from whitice.patterns import GTPattern, state_from_pattern
+from whitice.laurent import LaurentPoly
+from whitice.patterns import (GTPattern, delta_exponents, delta_weight, enumerate_patterns,
+                              gamma_exponents, gamma_weight, state_from_pattern)
 from whitice.partition import (
+    boundary_profiles,
     dirichlet_series_string,
     matching_check,
     numeric_mode,
     parse_dirichlet_series,
     partition_function,
     pattern_side_weight,
+    profile_of,
     raw_symbolic_mode,
     spin_vector_of_exponents,
     state_weight,
@@ -102,6 +108,40 @@ def test_partition_strategies_agree():
             an = partition_function(boundary, family, num, strategy="enumerate")
             bn = partition_function(boundary, family, num, strategy="transfer")
             assert an.equal(bn, TOL)
+
+
+dominant_weights = st.integers(0, 3).flatmap(
+    lambda rank: st.lists(st.integers(0, 3), min_size=rank, max_size=rank)).map(
+    lambda parts: tuple(sorted(parts, reverse=True)) + (0,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dominant_weights)
+def test_transfer_enumerate_and_patterns_agree(lam):
+    # Z by contraction, by state enumeration and by summing the pattern-side
+    # weights (which share no row code with the lattice) are one polynomial
+    raw = raw_symbolic_mode()
+    boundary = boundary_from_lambda(lam)
+    nvars = boundary.rank + 1
+    for family in ("gamma", "delta"):
+        weight, exponents = ((gamma_weight, gamma_exponents) if family == "gamma"
+                             else (delta_weight, delta_exponents))
+        terms: dict = {}
+        for t in enumerate_patterns(boundary.top_minus):
+            terms[exponents(t)] = terms.get(exponents(t), raw.zero) + weight(t, raw)
+        by_patterns = LaurentPoly(nvars, raw, terms)
+        by_transfer = partition_function(boundary, family, raw, strategy="transfer")
+        by_enumeration = partition_function(boundary, family, raw, strategy="enumerate")
+        assert by_transfer == by_enumeration == by_patterns
+
+
+def test_boundary_profiles_follow_enumeration_order():
+    # matching_check pairs profiles with enumerate_states by position
+    for lam in ((0,), (2, 0), (3, 2, 0), (2, 1, 1, 0)):
+        boundary = boundary_from_lambda(lam)
+        for family in ("gamma", "delta"):
+            assert boundary_profiles(boundary, family) == tuple(
+                profile_of(state, family) for state in enumerate_states(boundary))
 
 
 def test_unknown_strategy_rejected():

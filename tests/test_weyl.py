@@ -3,20 +3,20 @@ from __future__ import annotations
 
 import pytest
 
+from whitice import weyl
 from whitice.coeffs import SymbolicMode
 from whitice.gauss import gauss_table
-from whitice.lattice import boundary_from_lambda
+from whitice.lattice import boundary_from_lambda, row_fills
+from whitice.laurent import LaurentPoly
 from whitice.partition import numeric_mode, partition_function
 from whitice.weyl import (
     charge_duality_check,
     clearing_factor,
     decompose,
-    factor_pq,
     fe_via_rvertex_two_row,
     functional_eq_check,
     p_poly,
     q_poly,
-    recombine,
     rvertex_allminus_weight,
     rvertex_allplus_weight,
 )
@@ -32,7 +32,10 @@ def test_decompose_recombine_round_trip():
     for i in (1, 2):
         parts = decompose(z, i, 2)
         assert set(parts) == {0, 1}
-        assert recombine(parts, z.nvars, mode) == z
+        total = LaurentPoly.zero(z.nvars, mode)
+        for part in parts.values():
+            total = total + part
+        assert total == z
         # classes are supported on disjoint exponent residues
         for j, part in parts.items():
             for exps in part.terms:
@@ -54,9 +57,6 @@ def test_pq_factor_pins():
     assert str(q_poly(0, 2, mode, 2, 1, 0)) == "u*z1^2 - u*z2^2"
     assert str(q_poly(1, 2, mode, 2, 1, 0)) == "-g1*z1^2 + g1*z2^2"
     assert str(clearing_factor(2, mode, 2, 1, 0)) == "-u*z1^2 + z2^2"
-    parts = factor_pq(1, 2, mode)
-    assert str(parts["p"]) == "(1 - u)*z1*z2"
-    assert str(parts["denominator"]) == "-u*z1^2 + z2^2"
 
 
 def test_functional_equation_reduces_to_commutation_at_n1():
@@ -101,6 +101,24 @@ def test_charge_duality():
     for lam in ((2, 0), (3, 2, 0), (2, 1, 0)):
         ok, failures = charge_duality_check(boundary_from_lambda(lam))
         assert ok and failures == []
+
+
+def test_charge_duality_catches_a_shifted_kernel_charge(monkeypatch):
+    # negative control: a kernel that miscounts one charge by one must fail
+    def shifted(top, columns, family):
+        fills = row_fills(top, columns, family)
+        out = {}
+        for bot, (factors, zexp) in fills.items():
+            if factors:
+                (kind, charge), *rest = factors
+                factors = ((kind, charge + 1), *rest)
+            out[bot] = (factors, zexp)
+        return out
+
+    monkeypatch.setattr(weyl, "row_fills", shifted)
+    ok, failures = charge_duality_check(boundary_from_lambda((3, 2, 0)))
+    assert not ok
+    assert any("kernel/direct count mismatch" in reason for _, _, reason in failures)
 
 
 def test_crossing_vertex_weights():

@@ -14,7 +14,6 @@ from whitice.ybe import (
     perturbed,
     rmatrix_n1,
     solve_mixed_assignment,
-    train_row_swap_report,
     ybe_check,
     ybe_sides,
 )
@@ -106,10 +105,3 @@ def test_commutation_rejects_bad_row_index():
         commutation_check((2, 0), 0)
     with pytest.raises(ValueError):
         commutation_check((2, 0), 2)
-
-
-def test_swap_report_shape():
-    report = train_row_swap_report((0, 0), 1)
-    assert report["equal"] is True
-    assert report["rows"] == [1, 2]
-    assert report["all_plus_entry_times_Z"] == report["all_minus_entry_times_swapped_Z"]
