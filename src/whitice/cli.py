@@ -46,12 +46,7 @@ class ConfigError(Exception):
     """Bad flag combination or invalid mathematical configuration."""
 
 
-def _parse_lambda(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--lambda must be comma-separated integers: {exc}")
-    return parts
+NO_STATE = "the boundary admits no state"
 
 
 def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
@@ -62,7 +57,7 @@ def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _lambda_arg(args) -> tuple[int, ...]:
-    lam = _parse_lambda(args.lam)
+    lam = _parse_parts(args.lam, "--lambda")
     if getattr(args, "rank", None) is not None and args.rank != len(lam) - 1:
         raise ConfigError(
             f"--rank {args.rank} inconsistent with --lambda of {len(lam)} parts")
@@ -248,8 +243,16 @@ def verify_two_row(args) -> int:
     if args.l is not None or args.m is not None:
         if args.l is None or args.m is None:
             raise ConfigError("two-row needs both --l and --m")
-        triples.append((_parse_parts(args.l, "--l"),
-                        _parse_parts(args.m, "--m"), args.columns))
+        top = _parse_parts(args.l, "--l")
+        bottom = _parse_parts(args.m, "--m")
+        try:
+            columns = transfer.check_two_row_boundary(top, bottom, args.columns)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        if not any(transfer.two_row_has_states(top, bottom, columns, order)
+                   for order in transfer.TWO_ROW_ORDERS):
+            raise ConfigError(NO_STATE)
+        triples.append((top, bottom, args.columns))
     if args.random:
         rng = Random(args.seed)
         for _ in range(args.random):
@@ -286,7 +289,10 @@ def verify_statement_b(args) -> int:
         transfer.check_two_row_boundary(top, bot, None)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    ks = [args.k] if args.k is not None else _feasible_mid_sums(top, bot)
+    ks = [k for k in _feasible_mid_sums(top, bot) if args.k in (None, k)]
+    if not ks:
+        raise ConfigError(NO_STATE + ("" if args.k is None else
+                                      f" with middle row sum {args.k}"))
     counter = None
     results = []
     for k in ks:

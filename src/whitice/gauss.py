@@ -7,9 +7,13 @@ let chi be the character sending w^k to exp(2*pi*i*k/n).  The table stores
     h(b) = (1/q) * sum_t chi(t)^b                        (t over F_q*)
 
 indexed by b mod n.  Expected identities (all verified in the test suite):
-h(b) = 0 unless n | b, h(0) = 1 - 1/q, g(0) = -1/q, |g(b)|^2 = 1/q and
-g(b) * g(n - b) = 1/q for b not divisible by n.  The condition 2n | q - 1
-makes chi(-1) = 1, which the pairing identity needs.
+h(0) = 1 - 1/q, g(0) = -1/q, |g(b)|^2 = 1/q and g(b) * g(n - b) = 1/q for b
+not divisible by n.  The condition 2n | q - 1 makes chi(-1) = 1, which the
+pairing identity needs.
+
+For n not dividing b, h(b) sums a nontrivial character, so it is 0 by
+theorem and stored as an exact 0j; the direct sum must still come out as 0
+up to rounding, or the table is refused.
 """
 
 from __future__ import annotations
@@ -94,6 +98,8 @@ def gauss_table(n: int, q: int) -> GaussTable:
             chi_b = zeta_n[(b * dlog[t]) % n]
             gs += chi_b * zeta_q[t]
             hs += chi_b
+        if b and abs(hs) > 1e-9 * q:
+            raise RuntimeError(f"h({b}) at n = {n}, q = {q} sums to {hs}, not 0")
         gvals.append(gs / q)
-        hvals.append(hs / q)
+        hvals.append(0j if b else hs / q)
     return GaussTable(n=n, q=q, root=w, gvals=tuple(gvals), hvals=tuple(hvals))

@@ -5,10 +5,12 @@ A polynomial in variables z1..z{nvars} is a dict mapping exponent vectors
 
     LaurentPoly.terms = { (4, 1, 3): <coeff>, ... }
 
-The zero polynomial is the empty dict.  Coefficients follow the polynomial's
-mode object (symbolic: exact, zero terms dropped; numeric: complex, terms
-relatively smaller than REL_FLOOR times the largest magnitude are dropped so
-that cancellation noise never accumulates).
+The zero polynomial is the empty dict, and a stored coefficient is never
+zero.  Zero tests and comparisons defer to the polynomial's mode object
+(:mod:`whitice.coeffs`): a term is dropped only when its coefficient is
+exactly zero, and ``equal`` is the mode's one comparator.  Arithmetic here
+never floors a numeric coefficient; the mode's relative floor is applied
+once to each finished partition function, not per operation.
 
 Partition functions of ice systems are honest polynomials (all exponents
 nonnegative); the representation itself does not care about signs of
@@ -23,8 +25,6 @@ from .coeffs import Mode
 
 Exponents = tuple[int, ...]
 
-REL_FLOOR = 1e-14
-
 
 class LaurentPoly:
     __slots__ = ("nvars", "mode", "terms")
@@ -37,7 +37,6 @@ class LaurentPoly:
             for key, val in terms.items():
                 if not mode.is_zero(val):
                     self.terms[key] = val
-            self._prune()
 
     # -- constructors --------------------------------------------------------
 
@@ -62,19 +61,6 @@ class LaurentPoly:
         exps[index] = power
         return cls(nvars, mode, {tuple(exps): mode.one})
 
-    # -- canonical form -------------------------------------------------------
-
-    def _prune(self) -> None:
-        if self.mode.name != "numeric" or not self.terms:
-            return
-        top = max(abs(c) for c in self.terms.values())
-        if top == 0:
-            self.terms.clear()
-            return
-        floor = REL_FLOOR * top
-        for key in [k for k, c in self.terms.items() if abs(c) < floor]:
-            del self.terms[key]
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other: "LaurentPoly") -> None:
@@ -95,7 +81,6 @@ class LaurentPoly:
                 out[key] = val
         result = LaurentPoly(self.nvars, self.mode)
         result.terms = out
-        result._prune()
         return result
 
     def __neg__(self) -> "LaurentPoly":
@@ -122,7 +107,6 @@ class LaurentPoly:
                     out[key] = v1 * v2
         result = LaurentPoly(self.nvars, self.mode)
         result.terms = out
-        result._prune()
         return result
 
     def scale(self, coeff) -> "LaurentPoly":
@@ -132,17 +116,13 @@ class LaurentPoly:
         result.terms = {key: coeff * val for key, val in self.terms.items()}
         return result
 
-    def mul_monomial(self, exponents: Iterable[int], coeff=None) -> "LaurentPoly":
+    def mul_monomial(self, exponents: Iterable[int], coeff) -> "LaurentPoly":
         shift = tuple(exponents)
         result = LaurentPoly(self.nvars, self.mode)
-        if coeff is None:
-            result.terms = {tuple(a + b for a, b in zip(key, shift)): val
-                            for key, val in self.terms.items()}
-        else:
-            if self.mode.is_zero(coeff):
-                return result
-            result.terms = {tuple(a + b for a, b in zip(key, shift)): coeff * val
-                            for key, val in self.terms.items()}
+        if self.mode.is_zero(coeff):
+            return result
+        result.terms = {tuple(a + b for a, b in zip(key, shift)): coeff * val
+                        for key, val in self.terms.items()}
         return result
 
     # -- variable moves --------------------------------------------------------
@@ -169,27 +149,13 @@ class LaurentPoly:
 
     # -- queries ----------------------------------------------------------------
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if not self.terms:
-            return True
-        if self.mode.name == "numeric" and tol > 0:
-            return all(abs(c) <= tol for c in self.terms.values())
-        return False
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def equal(self, other: "LaurentPoly", tol: float = 1e-9) -> bool:
-        """Exact equality in symbolic mode; in numeric mode the largest
-        per-monomial difference must stay below tol * (1 + largest magnitude)."""
+        """The mode's comparator on the two term maps (:meth:`agree`)."""
         self._check(other)
-        if self.mode.name == "symbolic":
-            return self.terms == other.terms
-        mags = [abs(c) for c in self.terms.values()] + [abs(c) for c in other.terms.values()]
-        bound = tol * (1 + (max(mags) if mags else 0.0))
-        for key in self.terms.keys() | other.terms.keys():
-            a = self.terms.get(key, 0j)
-            b = other.terms.get(key, 0j)
-            if abs(a - b) > bound:
-                return False
-        return True
+        return self.mode.agree(self.terms, other.terms, tol)
 
     def coeff(self, exponents: Iterable[int]):
         return self.terms.get(tuple(exponents), self.mode.zero)

@@ -14,9 +14,9 @@ depth-first walk over the row kernel and cached; evaluating Z under a new
 
 The same weight factors as g/h statistics of the state's pattern times a
 monomial in row-sum differences; ``matching_check`` verifies that
-factorization state by state.  Whittaker tables convert each monomial of Z
-into its integer spin vector k and accumulate coefficients; the table renders
-as a Dirichlet series string whose grammar round-trips losslessly.
+factorization state by state.  Whittaker tables re-key each monomial of Z by
+its integer spin vector k; the table renders as a Dirichlet series string
+whose grammar round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def evaluate_profiles(profiles, mode: Mode, nvars: int) -> LaurentPoly:
             terms[exponents] = terms[exponents] + coeff
         else:
             terms[exponents] = coeff
-    return LaurentPoly(nvars, mode, terms)
+    return LaurentPoly(nvars, mode, mode.settle(terms))
 
 
 def partition_function(boundary: Boundary, family: str, mode: Mode,
@@ -209,30 +209,13 @@ def spin_vector_of_exponents(exponents, boundary: Boundary, family: str) -> tupl
     raise ValueError(f"unknown family {family!r}")
 
 
-ZERO_FLOOR = 1e-12
-
-
 def whittaker_table(boundary: Boundary, family: str, mode: Mode,
                     strategy: str = "enumerate") -> dict[tuple[int, ...], object]:
-    """Map from spin vectors k to accumulated coefficients H(k)."""
+    """Map from spin vectors k to coefficients H(k): the terms of Z re-keyed
+    (exponent vectors and spin vectors determine each other)."""
     z = partition_function(boundary, family, mode, strategy)
-    table: dict[tuple[int, ...], object] = {}
-    for exponents, coeff in z.terms.items():
-        k = spin_vector_of_exponents(exponents, boundary, family)
-        if k in table:
-            table[k] = table[k] + coeff
-        else:
-            table[k] = coeff
-    if mode.name == "numeric":
-        return {k: c for k, c in table.items() if abs(c) > ZERO_FLOOR}
-    return {k: c for k, c in table.items() if c}
-
-
-def tables_equal(a: dict, b: dict, mode: Mode, tol: float = 1e-9) -> bool:
-    for k in a.keys() | b.keys():
-        if not mode.close(a.get(k, mode.zero), b.get(k, mode.zero), tol):
-            return False
-    return True
+    return {spin_vector_of_exponents(exponents, boundary, family): coeff
+            for exponents, coeff in z.terms.items()}
 
 
 def statement_a_check(lam, mode: Mode, tol: float = 1e-9):
@@ -242,7 +225,7 @@ def statement_a_check(lam, mode: Mode, tol: float = 1e-9):
     boundary = boundary_from_lambda(lam)
     gt = whittaker_table(boundary, "gamma", mode)
     dt = whittaker_table(boundary, "delta", mode)
-    return tables_equal(gt, dt, mode, tol), gt, dt
+    return mode.agree(gt, dt, tol), gt, dt
 
 
 def statement_a_symbolic_report(lam, n: int,

@@ -56,7 +56,8 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
     for row in range(r + 1):
         var = row_variable(family, row, r)
         support = apply_row(support, family, var, boundary.columns, mode, nvars)
-    return support.get((), LaurentPoly.zero(nvars, mode))
+    z = support.get((), LaurentPoly.zero(nvars, mode))
+    return LaurentPoly(nvars, mode, mode.settle(z.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,14 @@ def check_two_row_boundary(top: Layer, bottom: Layer, columns: int | None) -> in
     if bottom and bottom[0] >= columns:
         raise ValueError("bottom - position out of range")
     return columns
+
+
+def two_row_has_states(top: Layer, bottom: Layer, columns: int,
+                       order: str = "gamma-delta") -> bool:
+    """Whether the two-row system in this order admits a state."""
+    (fam1, _), (fam2, _) = two_row_rows(order)
+    return any(tuple(bottom) in row_fills(mid, columns, fam2)
+               for mid in row_fills(tuple(top), columns, fam1))
 
 
 def slab_middle_values(top: Layer, bottom: Layer,
@@ -169,9 +178,6 @@ def random_two_row_boundary(rng: random.Random, max_width: int = 8,
             continue
         top = tuple(sorted(rng.sample(range(columns), size), reverse=True))
         bottom = tuple(sorted(rng.sample(range(columns), size - 2), reverse=True))
-        if not require_states:
-            return top, bottom, columns
-        if any(bottom in row_fills(mid, columns, "delta")
-               for mid in row_fills(top, columns, "gamma")):
+        if not require_states or two_row_has_states(top, bottom, columns):
             return top, bottom, columns
     return top, bottom, columns

@@ -137,6 +137,19 @@ def test_two_row_rejects_negative_positions(capsys):
     assert obj["error"] == "config"
 
 
+def test_two_row_rejects_boundaries_without_states(capsys):
+    # no middle row interleaves 5,4,3 above 0, so there is nothing to compare
+    for check in ("two-row", "statement-b"):
+        code, obj = run_json(capsys, "verify", check, "--l", "5,4,3", "--m", "0",
+                             "--n", "1")
+        assert code == 2
+        assert obj["error"] == "config"
+    code, obj = run_json(capsys, "verify", "statement-b", "--l", "5,3,0", "--m", "4",
+                         "--n", "1", "--k", "99")
+    assert code == 2
+    assert obj["error"] == "config"
+
+
 def test_verify_functional_eq(capsys):
     code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "0,0",
                          "--coeff", "numeric", "--n", "2", "--q", "5")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from whitice import gauss
 from whitice.gauss import GaussTable, gauss_table, is_prime, primitive_root
 
 TOL = 1e-12
@@ -29,9 +30,16 @@ def test_invariants(n, q):
     assert abs(t.g(0) - (-1 / q)) < TOL
     assert abs(t.h(0) - (1 - 1 / q)) < TOL
     for b in range(1, n):
-        assert abs(t.h(b)) < TOL
+        assert t.h(b) == 0j  # a structural zero, stored exactly
         assert abs(abs(t.g(b)) ** 2 - 1 / q) < TOL
         assert abs(t.g(b) * t.g(n - b) - 1 / q) < TOL
+
+
+def test_nonvanishing_character_sum_is_refused(monkeypatch):
+    # 4 generates only the squares mod 5, so the character sums go wrong
+    monkeypatch.setattr(gauss, "primitive_root", lambda q: 4)
+    with pytest.raises(RuntimeError):
+        gauss_table(2, 5)
 
 
 @pytest.mark.parametrize("n,q", GRID)

@@ -26,7 +26,6 @@ from whitice.partition import (
     state_weight,
     statement_a_check,
     statement_a_symbolic_report,
-    tables_equal,
     weight_grid,
     whittaker_table,
 )
@@ -135,6 +134,24 @@ def test_transfer_enumerate_and_patterns_agree(lam):
         assert by_transfer == by_enumeration == by_patterns
 
 
+@settings(max_examples=30, deadline=None)
+@given(dominant_weights, st.sampled_from([(1, 61), (2, 5), (3, 7)]),
+       st.sampled_from(["gamma", "delta"]), st.sampled_from(["enumerate", "transfer"]))
+def test_numeric_support_follows_exact_support(lam, nq, family, strategy):
+    # numeric Z carries no monomial the reduced exact Z lacks, and it drops
+    # none whose value is well above the settle floor
+    n, q = nq
+    b = boundary_from_lambda(lam)
+    num = numeric_mode(n, q)
+    z = partition_function(b, family, num, strategy)
+    exact = partition_function(b, family, SymbolicMode(n), strategy)
+    reduced = {e: c.reduce(n, "hg") for e, c in exact.terms.items()}
+    values = {e: c.evaluate(num.table) for e, c in reduced.items() if c}
+    assert set(z.terms) <= set(values)
+    top = max(abs(v) for v in values.values())
+    assert {e for e, v in values.items() if abs(v) > 1e-13 * top} <= set(z.terms)
+
+
 def test_boundary_profiles_follow_enumeration_order():
     # matching_check pairs profiles with enumerate_states by position
     for lam in ((0,), (2, 0), (3, 2, 0), (2, 1, 1, 0)):
@@ -211,9 +228,9 @@ def test_statement_a_symbolic_relation_ladder():
 def test_tables_equal_tolerance():
     num = numeric_mode(2, 5)
     a = {(0,): 1.0, (1,): 0.5}
-    assert tables_equal(a, {(0,): 1.0, (1,): 0.5 + 1e-12}, num)
-    assert not tables_equal(a, {(0,): 1.0, (1,): 0.6}, num)
-    assert not tables_equal(a, {(0,): 1.0}, num)
+    assert num.agree(a, {(0,): 1.0, (1,): 0.5 + 1e-12})
+    assert not num.agree(a, {(0,): 1.0, (1,): 0.6})
+    assert not num.agree(a, {(0,): 1.0})
 
 
 def test_dirichlet_series_round_trip():
