@@ -48,6 +48,9 @@ class ConfigError(Exception):
 
 NO_STATE = "the boundary admits no state"
 
+#: largest state count `enumerate` lists; larger boundaries take --count-only
+MAX_LISTED_STATES = 100_000
+
 
 def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
     try:
@@ -99,9 +102,13 @@ def _emit(obj) -> None:
 
 def cmd_enumerate(args) -> int:
     boundary = _boundary(args)
+    count = count_states(boundary)
     if args.count_only:
-        _emit({"columns": boundary.columns, "count": count_states(boundary)})
+        _emit({"columns": boundary.columns, "count": count})
         return 0
+    if count > MAX_LISTED_STATES:
+        raise ConfigError(f"the boundary has {count} states, more than the "
+                          f"{MAX_LISTED_STATES} enumerate lists; use --count-only")
     states = list(enumerate_states(boundary))
     _emit({
         "columns": boundary.columns,
@@ -398,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lambda_flags(p)
     p.add_argument("--ice", choices=("gamma", "delta"), default="gamma",
                    help="row order recorded in the JSON dump")
-    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--count-only", action="store_true",
+                   help=f"print only the count (required above {MAX_LISTED_STATES} states)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("partition", help="partition function of a boundary")

@@ -3,15 +3,30 @@
 Weights of lattice configurations live in one of two interchangeable
 coefficient domains:
 
-* symbolic -- exact elements of the ring Q[u][g_1, .., g_{n-1}, h_1, .., h_{n-1}]
-  where u is a formal parameter (numerically 1/q) and g_a, h_a are formal
-  Gauss-sum symbols indexed by a charge class mod n.  A coefficient is stored
-  as a dict mapping a monomial key to a rational number::
+* symbolic -- exact polynomials over Q in a formal parameter u (numerically
+  1/q) and formal Gauss-sum symbols g_a, h_a indexed by a charge class
+  a = 1..n-1.  A coefficient is stored as a dict mapping a monomial key to an
+  exact number::
 
-      SymCoeff.terms = { (gpart, hpart, upow): Fraction, ... }
+      SymCoeff.terms = { (gpart, hpart, upow): int | Fraction, ... }
 
   with gpart/hpart sorted tuples of (symbol index, power) pairs and upow the
-  power of u.  Zero terms are never stored, so equality is dict equality.
+  power of u.  A number is an ``int`` whenever it is integral (every lattice
+  weight is) and a ``Fraction`` otherwise.  Zero terms are never stored.
+
+  Every coefficient belongs to a :class:`Ring`.  Exact mode computes in the
+  reduced ring of its n, Q[u][g_1, .., g_{n-1}] / (h_a, g_a*g_{n-a} - u):
+  the relations the Gauss sums satisfy for n not dividing a, applied to
+  every product, so a key is always in normal form (no h symbol, no pair
+  g_a*g_{n-a} left) and equality is dict equality.  The free ring
+  Q[u][g_a, h_a], with no relation, serves only raw-charge matching and the
+  relation-level report of statement A.  ``reduce(n, "hg")`` maps a free
+  coefficient to the reduced ring with the same pairing rule.
+
+  Mixing rings: an int or Fraction joins the coefficient's ring, while
+  arithmetic between coefficients of two different rings raises ValueError
+  (map a free coefficient over with ``reduce`` first).  ``==`` compares the
+  stored terms and never raises.
 
 * numeric -- plain ``complex`` values, with g_a and h_a drawn from a table of
   Gauss sums over a finite field (see :mod:`whitice.gauss`).
@@ -34,6 +49,7 @@ every admissible table.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Union
 
 SymPart = tuple[tuple[int, int], ...]
@@ -48,41 +64,126 @@ def _norm_part(pairs: Iterable[tuple[int, int]]) -> SymPart:
     return tuple(sorted((i, p) for i, p in acc.items() if p != 0))
 
 
+def _pair(powers: dict[int, int], n: int) -> tuple[SymPart, int]:
+    """Normal form of the g-monomial with these powers modulo
+    g_a * g_{n-a} = u: (remaining g-part, power of u split off)."""
+    shift = 0
+    for a in sorted(powers):
+        b = (n - a) % n
+        if b == a:
+            shift += powers[a] // 2
+            powers[a] %= 2
+        elif a < b and b in powers:
+            m = min(powers[a], powers[b])
+            powers[a] -= m
+            powers[b] -= m
+            shift += m
+    return tuple(sorted((i, p) for i, p in powers.items() if p)), shift
+
+
+def _integral(terms: dict) -> dict:
+    """Store every integral Fraction of `terms` as an int, in place."""
+    if Fraction in set(map(type, terms.values())):
+        for key, val in terms.items():
+            if type(val) is Fraction and val.denominator == 1:
+                terms[key] = val.numerator
+    return terms
+
+
+class Ring:
+    """The ring a SymCoeff lives in: the free ring (``modulus`` None) or the
+    reduced ring of one modulus n.  A reduced ring memoises the normal form
+    of each product of two g-parts."""
+
+    __slots__ = ("modulus", "products")
+
+    def __init__(self, modulus: int | None):
+        self.modulus = modulus
+        #: (g-part, g-part) -> (normal g-part of the product, power of u)
+        self.products: dict[tuple[SymPart, SymPart], tuple[SymPart, int]] = {}
+
+    def normal(self, key: TermKey) -> TermKey | None:
+        """The key's normal form, or None when the monomial is 0."""
+        if self.modulus is None:
+            return key
+        gpart, hpart, upow = key
+        if hpart:
+            return None  # every formal h_a has n not dividing a
+        gpart, shift = _pair(dict(gpart), self.modulus)
+        return gpart, (), upow + shift
+
+    def g_product(self, g1: SymPart, g2: SymPart) -> tuple[SymPart, int]:
+        """Normal form of g1 * g2 in a reduced ring, stored in ``products``."""
+        powers = dict(g1)
+        for idx, power in g2:
+            powers[idx] = powers.get(idx, 0) + power
+        found = self.products[(g1, g2)] = _pair(powers, self.modulus)
+        return found
+
+    def __repr__(self):
+        return "free ring" if self.modulus is None else f"reduced ring (n={self.modulus})"
+
+
+#: the free ring Q[u][g_a, h_a]
+FREE = Ring(None)
+
+
+@lru_cache(maxsize=None)
+def reduced_ring(n: int) -> Ring:
+    """The reduced ring of modulus n; one object per n."""
+    return Ring(n)
+
+
 class SymCoeff:
-    """Exact symbolic coefficient: rational polynomial in u and Gauss symbols."""
+    """Exact symbolic coefficient: rational polynomial in u and Gauss symbols,
+    an element of ``ring``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "ring")
 
-    def __init__(self, terms: dict[TermKey, Fraction] | None = None):
-        self.terms: dict[TermKey, Fraction] = {}
-        if terms:
-            for key, val in terms.items():
-                if val != 0:
-                    self.terms[key] = Fraction(val)
-
-    @classmethod
-    def from_fraction(cls, value) -> "SymCoeff":
-        return cls({((), (), 0): Fraction(value)})
-
-    @classmethod
-    def u_power(cls, k: int, coeff=1) -> "SymCoeff":
-        return cls({((), (), k): Fraction(coeff)})
+    def __init__(self, terms: dict[TermKey, object] | None = None, ring: Ring = FREE):
+        self.ring = ring
+        acc: dict[TermKey, Union[int, Fraction]] = {}
+        for key, val in (terms or {}).items():
+            key = ring.normal(key)
+            if key is not None:
+                acc[key] = acc.get(key, 0) + (val if type(val) is int else Fraction(val))
+        self.terms = {key: val for key, val in _integral(acc).items() if val != 0}
 
     @classmethod
-    def symbol(cls, kind: str, index: int) -> "SymCoeff":
+    def _make(cls, terms: dict, ring: Ring) -> "SymCoeff":
+        """Wrap terms already in normal form with no zero entry."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        result.ring = ring
+        return result
+
+    @classmethod
+    def from_fraction(cls, value, ring: Ring = FREE) -> "SymCoeff":
+        return cls({((), (), 0): value}, ring)
+
+    @classmethod
+    def u_power(cls, k: int, coeff=1, ring: Ring = FREE) -> "SymCoeff":
+        return cls({((), (), k): coeff}, ring)
+
+    @classmethod
+    def symbol(cls, kind: str, index: int, ring: Ring = FREE) -> "SymCoeff":
         if kind == "g":
-            return cls({(((index, 1),), (), 0): Fraction(1)})
+            return cls({(((index, 1),), (), 0): 1}, ring)
         if kind == "h":
-            return cls({((), ((index, 1),), 0): Fraction(1)})
+            return cls({((), ((index, 1),), 0): 1}, ring)
         raise ValueError(f"unknown symbol kind {kind!r}")
 
     # -- ring operations ---------------------------------------------------
 
     def _coerced(self, other) -> "SymCoeff":
+        """`other` as an element of this ring (module docstring, "Mixing")."""
         if isinstance(other, SymCoeff):
+            if other.ring is not self.ring:
+                raise ValueError(f"cannot combine coefficients of the {self.ring} "
+                                 f"and the {other.ring}")
             return other
         if isinstance(other, (int, Fraction)):
-            return SymCoeff.from_fraction(other)
+            return SymCoeff.from_fraction(other, self.ring)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "SymCoeff":
@@ -91,21 +192,17 @@ class SymCoeff:
             return NotImplemented
         out = dict(self.terms)
         for key, val in other.terms.items():
-            new = out.get(key, Fraction(0)) + val
-            if new == 0:
-                out.pop(key, None)
-            else:
+            new = out.get(key, 0) + val
+            if new:
                 out[key] = new
-        result = SymCoeff()
-        result.terms = out
-        return result
+            else:
+                del out[key]
+        return SymCoeff._make(_integral(out), self.ring)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymCoeff":
-        result = SymCoeff()
-        result.terms = {key: -val for key, val in self.terms.items()}
-        return result
+        return SymCoeff._make({key: -val for key, val in self.terms.items()}, self.ring)
 
     def __sub__(self, other) -> "SymCoeff":
         other = self._coerced(other)
@@ -120,32 +217,49 @@ class SymCoeff:
         other = self._coerced(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[TermKey, Fraction] = {}
-        for (g1, h1, u1), v1 in self.terms.items():
-            for (g2, h2, u2), v2 in other.terms.items():
-                key = (_norm_part(g1 + g2), _norm_part(h1 + h2), u1 + u2)
-                new = out.get(key, Fraction(0)) + v1 * v2
-                if new == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = new
-        result = SymCoeff()
-        result.terms = out
-        return result
+        ring = self.ring
+        out: dict[TermKey, Union[int, Fraction]] = {}
+        if ring.modulus is None:
+            for (g1, h1, u1), v1 in self.terms.items():
+                for (g2, h2, u2), v2 in other.terms.items():
+                    key = (_norm_part(g1 + g2), _norm_part(h1 + h2), u1 + u2)
+                    new = out.get(key, 0) + v1 * v2
+                    if new:
+                        out[key] = new
+                    else:
+                        del out[key]
+        else:
+            products = ring.products
+            for (g1, _, u1), v1 in self.terms.items():
+                for (g2, _, u2), v2 in other.terms.items():
+                    if not g2:
+                        key = (g1, (), u1 + u2)
+                    elif not g1:
+                        key = (g2, (), u1 + u2)
+                    else:
+                        gpart, shift = products.get((g1, g2)) or ring.g_product(g1, g2)
+                        key = (gpart, (), u1 + u2 + shift)
+                    new = out.get(key, 0) + v1 * v2
+                    if new:
+                        out[key] = new
+                    else:
+                        del out[key]
+        return SymCoeff._make(_integral(out), ring)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SymCoeff":
         if k < 0:
             raise ValueError("negative powers are not supported")
-        result = SymCoeff.from_fraction(1)
+        result = SymCoeff.from_fraction(1, self.ring)
         for _ in range(k):
             result = result * self
         return result
 
     def __eq__(self, other) -> bool:
-        other = self._coerced(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = SymCoeff.from_fraction(other)
+        if not isinstance(other, SymCoeff):
             return NotImplemented
         return self.terms == other.terms
 
@@ -175,40 +289,17 @@ class SymCoeff:
 
         level "none"  -- return self unchanged;
         level "h"     -- h_a -> 0 for n not dividing a (all formal h symbols);
-        level "hg"    -- additionally pair g_a * g_{n-a} -> u.
+        level "hg"    -- additionally pair g_a * g_{n-a} -> u: the normal
+                         form of the reduced ring of n, whose element this
+                         returns.
         """
         if level == "none":
             return self
-        if level not in ("h", "hg"):
-            raise ValueError(f"unknown relation level {level!r}")
-        out: dict[TermKey, Fraction] = {}
-        for (gpart, hpart, upow), val in self.terms.items():
-            if hpart:
-                continue  # every stored h symbol has index not divisible by n
-            if level == "hg":
-                powers = dict(gpart)
-                shift = 0
-                for a in sorted(powers):
-                    b = (n - a) % n
-                    if b == a:
-                        shift += powers[a] // 2
-                        powers[a] %= 2
-                    elif b in powers and a < b:
-                        m = min(powers[a], powers[b])
-                        powers[a] -= m
-                        powers[b] -= m
-                        shift += m
-                gpart = tuple(sorted((i, p) for i, p in powers.items() if p))
-                upow += shift
-            key = (gpart, hpart, upow)
-            new = out.get(key, Fraction(0)) + val
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-        result = SymCoeff()
-        result.terms = out
-        return result
+        if level == "h":
+            return SymCoeff({key: val for key, val in self.terms.items() if not key[1]})
+        if level == "hg":
+            return SymCoeff(self.terms, reduced_ring(n))
+        raise ValueError(f"unknown relation level {level!r}")
 
     # -- rendering ----------------------------------------------------------
 
@@ -293,33 +384,40 @@ Coeff = Union[SymCoeff, complex]
 
 
 class SymbolicMode:
-    """Factory/policy object for exact symbolic coefficients at a fixed n."""
+    """Factory/policy object for exact symbolic coefficients at a fixed n.
+
+    Coefficients live in the reduced ring of n.  ``free=True`` gives the
+    free ring instead, where g_a and h_a stay formal; it is for library
+    callers that compare raw symbols, not for the CLI."""
 
     name = "symbolic"
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, free: bool = False):
         if n < 1:
             raise ValueError("n must be a positive integer")
         self.n = n
-        self.one = SymCoeff.from_fraction(1)
-        self.zero = SymCoeff()
-        self.u = SymCoeff.u_power(1)
+        self.ring = FREE if free else reduced_ring(n)
+        self.one = SymCoeff.from_fraction(1, self.ring)
+        self.zero = SymCoeff(ring=self.ring)
+        self.u = SymCoeff.u_power(1, ring=self.ring)
         self.one_minus_u = self.one - self.u
 
     def g(self, b: int) -> SymCoeff:
         b %= self.n
         if b == 0:
             return -self.u
-        return SymCoeff.symbol("g", b)
+        return SymCoeff.symbol("g", b, self.ring)
 
     def h(self, b: int) -> SymCoeff:
+        """1 - u for n | b; otherwise the formal h_b, which is the exact
+        zero of the reduced ring."""
         b %= self.n
         if b == 0:
             return self.one_minus_u
-        return SymCoeff.symbol("h", b)
+        return SymCoeff.symbol("h", b, self.ring)
 
     def from_int(self, k: int) -> SymCoeff:
-        return SymCoeff.from_fraction(k)
+        return SymCoeff.from_fraction(k, self.ring)
 
     def is_zero(self, c: SymCoeff) -> bool:
         return not c.terms
@@ -334,7 +432,8 @@ class SymbolicMode:
         return a == b
 
     def __repr__(self):
-        return f"SymbolicMode(n={self.n})"
+        free = ", free=True" if self.ring is FREE else ""
+        return f"SymbolicMode(n={self.n}{free})"
 
 
 #: relative floor of :meth:`NumericMode.settle`.  On rank <= 3 weights the

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import Mode, SymCoeff
+from .coeffs import FREE, Mode, Ring, SymbolicMode, SymCoeff
 from .gauss import GaussTable
 from .lattice import Boundary, IceState
 from .laurent import LaurentPoly
@@ -49,13 +49,13 @@ def _part_from_flat(flat) -> tuple[tuple[int, int], ...]:
 def coeff_to_json(coeff):
     """Symbolic coefficient -> {"terms": [...]}; numeric -> [re, im]."""
     if isinstance(coeff, SymCoeff):
-        groups: dict[tuple, dict[int, Fraction]] = {}
+        groups: dict[tuple, dict[int, int | Fraction]] = {}
         for (gpart, hpart, upow), val in coeff.terms.items():
             groups.setdefault((gpart, hpart), {})[upow] = val
         out = []
         for (gpart, hpart), powers in sorted(groups.items()):
             top = max(powers)
-            dense = [powers.get(k, Fraction(0)) for k in range(top + 1)]
+            dense = [powers.get(k, 0) for k in range(top + 1)]
             out.append({
                 "g": _flat_part(gpart),
                 "h": _flat_part(hpart),
@@ -66,8 +66,9 @@ def coeff_to_json(coeff):
     return [value.real, value.imag]
 
 
-def coeff_from_json(obj):
-    """Inverse of coeff_to_json (shape decides symbolic vs numeric)."""
+def coeff_from_json(obj, ring: Ring = FREE):
+    """Inverse of coeff_to_json (shape decides symbolic vs numeric); a
+    symbolic coefficient is read into `ring`."""
     if isinstance(obj, dict):
         terms: dict = {}
         for entry in obj["terms"]:
@@ -75,8 +76,8 @@ def coeff_from_json(obj):
             hpart = _part_from_flat(entry["h"])
             for upow, (num, den) in enumerate(entry["u"]):
                 if num:
-                    terms[(gpart, hpart, upow)] = Fraction(num, den)
-        return SymCoeff(terms)
+                    terms[(gpart, hpart, upow)] = num if den == 1 else Fraction(num, den)
+        return SymCoeff(terms, ring)
     re, im = obj
     return complex(re, im)
 
@@ -94,7 +95,8 @@ def poly_to_json(poly: LaurentPoly) -> dict:
 
 
 def poly_from_json(obj: dict, mode: Mode) -> LaurentPoly:
-    terms = {tuple(t["exponents"]): coeff_from_json(t["coeff"])
+    ring = mode.ring if isinstance(mode, SymbolicMode) else FREE
+    terms = {tuple(t["exponents"]): coeff_from_json(t["coeff"], ring)
              for t in obj["terms"]}
     return LaurentPoly(obj["vars"], mode, terms)
 

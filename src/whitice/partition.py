@@ -39,7 +39,8 @@ RAW_N = 10 ** 9
 
 
 def raw_symbolic_mode() -> SymbolicMode:
-    return SymbolicMode(RAW_N)
+    """Free-ring symbols of raw charges: no relation may erase a charge."""
+    return SymbolicMode(RAW_N, free=True)
 
 
 def numeric_mode(n: int, q: int) -> NumericMode:
@@ -232,22 +233,16 @@ def statement_a_symbolic_report(lam, n: int,
                                 levels=("none", "h", "hg")) -> dict[str, bool]:
     """Whether the gamma/delta table equality is a formal identity at each
     relation level, for one (lam, n).  Empirical: the answer is reported,
-    not assumed."""
-    mode = SymbolicMode(n)
+    not assumed.  The tables are computed in the free ring, so that every
+    level starts from the unreduced coefficients."""
+    mode = SymbolicMode(n, free=True)
     boundary = boundary_from_lambda(lam)
     gt = whittaker_table(boundary, "gamma", mode)
     dt = whittaker_table(boundary, "delta", mode)
-    report = {}
-    for level in levels:
-        ok = True
-        for k in gt.keys() | dt.keys():
-            a = gt.get(k, mode.zero).reduce(n, level) if level != "none" else gt.get(k, mode.zero)
-            b = dt.get(k, mode.zero).reduce(n, level) if level != "none" else dt.get(k, mode.zero)
-            if a != b:
-                ok = False
-                break
-        report[level] = ok
-    return report
+    return {level: all(gt.get(k, mode.zero).reduce(n, level)
+                       == dt.get(k, mode.zero).reduce(n, level)
+                       for k in gt.keys() | dt.keys())
+            for level in levels}
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,8 @@ def functional_eq_check(lam, i: int, j: int, n: int, mode: Mode,
                         family: str = "gamma", tol: float = 1e-8):
     """Check the cleared exchange identity for the row pair (i, i+1), class j.
 
-    Returns (ok, lhs, rhs).  For n > 1 a numeric coefficient policy is the
-    meaningful choice, since the identity relies on g(j)g(n-j) = u.
+    Returns (ok, lhs, rhs).  For n > 1 the identity relies on
+    g(j)g(n-j) = u, which the exact reduced ring applies at every product.
     """
     boundary = boundary_from_lambda(lam)
     rank = boundary.rank

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from whitice import cli
 from whitice.cli import main
 
 
@@ -24,6 +25,19 @@ def test_enumerate_count(capsys):
                          "--count-only")
     assert code == 0
     assert obj == {"columns": 6, "count": 41}
+
+
+def test_enumerate_refuses_a_large_listing(capsys, monkeypatch):
+    # the count decides before any state is built
+    def no_states(boundary):
+        raise AssertionError("states were materialised")
+
+    monkeypatch.setattr(cli, "enumerate_states", no_states)
+    code, obj = run_json(capsys, "enumerate", "--lambda", "8,6,4,2,0")
+    assert code == 2
+    assert obj["error"] == "config"
+    assert "941663" in obj["detail"]
+    assert 941663 > cli.MAX_LISTED_STATES
 
 
 def test_enumerate_states_listing(capsys):
@@ -153,6 +167,19 @@ def test_two_row_rejects_boundaries_without_states(capsys):
 def test_verify_functional_eq(capsys):
     code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "0,0",
                          "--coeff", "numeric", "--n", "2", "--q", "5")
+    assert code == 0 and obj["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    "statement-a --lambda 2,1,0 --n 2",
+    "functional-eq --lambda 2,1,0 --n 2",
+    "functional-eq --lambda 3,1,0 --n 3",
+    "two-row --random 20 --n 3",
+    "statement-b --l 5,3,0 --m 4 --n 3",
+])
+def test_exact_verifies_hold_at_higher_n(capsys, argv):
+    # true identities of the paper hold exactly in the reduced ring
+    code, obj = run_json(capsys, "verify", *argv.split())
     assert code == 0 and obj["pass"] is True
 
 

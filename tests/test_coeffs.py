@@ -1,14 +1,17 @@
 """Exact coefficient ring: arithmetic, canonical text form, relations, modes."""
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitice.coeffs import NumericMode, SymCoeff, SymbolicMode
+from whitice.coeffs import NumericMode, SymCoeff, SymbolicMode, reduced_ring
 from whitice.gauss import gauss_table
+from whitice.lattice import boundary_from_lambda
+from whitice.partition import partition_function
 
 TOL = 1e-12
 
@@ -131,3 +134,90 @@ def test_mode_close_and_zero():
 def test_numeric_mode_requires_compatible_table():
     assert NumericMode(gauss_table(1, 5)).n == 1
     assert NumericMode(gauss_table(2, 13)).q == 13
+
+
+# -- the reduced ring --------------------------------------------------------
+
+def free_coeffs(n: int):
+    """Free-ring coefficients over charge classes 1..n-1, with rational
+    numbers and both symbol kinds."""
+    part = st.lists(st.tuples(st.integers(1, n - 1), st.integers(1, 3)), max_size=2)
+    term = st.tuples(part, part, st.integers(0, 3),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+    def build(raw_terms):
+        total = SymCoeff()
+        for gpairs, hpairs, upow, val in raw_terms:
+            key = (tuple(sorted(dict(gpairs).items())), tuple(sorted(dict(hpairs).items())), upow)
+            total = total + SymCoeff({key: val})
+        return total
+
+    return st.lists(term, max_size=4).map(build)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), free_coeffs(n), free_coeffs(n))))
+def test_reduce_is_the_reduced_ring_product(case):
+    n, a, b = case
+    ring = reduced_ring(n)
+    ra, rb = a.reduce(n, "hg"), b.reduce(n, "hg")
+    assert ra.ring is rb.ring is ring
+    product = ra * rb
+    assert product.ring is ring
+    assert (a * b).reduce(n, "hg") == product
+    assert (a + b).reduce(n, "hg") == ra + rb
+    # reduce is idempotent on reduced coefficients
+    assert ra.reduce(n, "hg") == ra
+    assert product.reduce(n, "hg") == product
+
+
+def test_reduced_mode_applies_the_gauss_relations():
+    for n in (2, 3, 4, 5):
+        mode = SymbolicMode(n)
+        for a in range(1, n):
+            assert mode.h(a) == mode.zero
+            assert mode.g(a) * mode.g(n - a) == mode.u
+        assert mode.h(n) == mode.one_minus_u
+    sym = SymbolicMode(4)
+    assert sym.g(2) ** 3 == sym.u * sym.g(2)
+    assert sym.g(1) ** 2 * sym.g(3) == sym.u * sym.g(1)
+    # the free ring keeps every symbol formal
+    free = SymbolicMode(3, free=True)
+    assert free.h(1) == SymCoeff.symbol("h", 1)
+    assert free.g(1) * free.g(2) == SymCoeff.parse("g1*g2")
+
+
+def test_integral_coefficients_are_ints():
+    half = SymCoeff.from_fraction(Fraction(1, 2))
+    assert [type(v) for v in half.terms.values()] == [Fraction]
+    assert [type(v) for v in (half * 2).terms.values()] == [int]
+    assert [type(v) for v in (half + half).terms.values()] == [int]
+    assert [type(v) for v in SymCoeff.from_fraction(Fraction(6, 3)).terms.values()] == [int]
+    parsed = SymCoeff.parse("2*g1 - 1/3*u")
+    assert sorted(type(v).__name__ for v in parsed.terms.values()) == ["Fraction", "int"]
+    # every lattice weight is integral
+    for n in (1, 2, 3):
+        z = partition_function(boundary_from_lambda((2, 1, 0)), "delta", SymbolicMode(n))
+        assert {type(v) for c in z.terms.values() for v in c.terms.values()} == {int}
+    # ints and integral Fractions render alike
+    assert str(SymCoeff({((), (), 1): 3})) == str(SymCoeff({((), (), 1): Fraction(3)})) == "3*u"
+
+
+def test_mixing_rings():
+    n2, n3, free = SymbolicMode(2), SymbolicMode(3), SymbolicMode(3, free=True)
+    # numbers join the coefficient's ring
+    assert (n3.g(1) * 2).ring is n3.ring
+    assert (Fraction(1, 2) + n3.g(1)).ring is n3.ring
+    assert (1 - n3.g(2)).ring is n3.ring
+    # coefficients of two different rings do not mix, even without symbols
+    for a, b in ((n2.g(1), n3.g(1)), (free.g(1), n3.g(2)), (n2.u, n3.u),
+                 (n3.g(1), SymCoeff.symbol("g", 2))):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(a, b)
+    # a free coefficient is mapped over by reduce
+    assert (free.g(1) * free.g(2)).reduce(3, "hg") * n3.g(1) == n3.u * n3.g(1)
+    # equality compares the stored terms and never raises
+    assert free.g(1) * free.g(2) != n3.u
+    assert n3.g(1) == SymCoeff.symbol("g", 1)
+    assert n2.u == n3.u

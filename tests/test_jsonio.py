@@ -22,6 +22,7 @@ from whitice.jsonio import (
     whittaker_to_json,
 )
 from whitice.lattice import boundary_from_lambda, enumerate_states
+from whitice.laurent import LaurentPoly
 from whitice.patterns import GTPattern, ShortPattern, state_from_pattern
 from whitice.partition import numeric_mode, partition_function, raw_symbolic_mode, whittaker_table
 
@@ -77,6 +78,15 @@ def test_poly_round_trip_symbolic():
     assert obj["vars"] == 3
     back = poly_from_json(json.loads(json.dumps(obj)), raw)
     assert back == z
+
+
+def test_poly_round_trip_reduced_ring():
+    mode = SymbolicMode(3)
+    z = partition_function(boundary_from_lambda((2, 1, 0)), "gamma", mode)
+    back = poly_from_json(json.loads(json.dumps(poly_to_json(z))), mode)
+    assert back == z
+    # read into the mode's ring, the polynomial takes part in its arithmetic
+    assert back - z == LaurentPoly.zero(3, mode)
 
 
 def test_poly_round_trip_numeric():

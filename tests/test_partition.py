@@ -29,6 +29,7 @@ from whitice.partition import (
     weight_grid,
     whittaker_table,
 )
+from whitice.weyl import functional_eq_check
 
 TOL = 1e-9
 
@@ -240,3 +241,60 @@ def test_dirichlet_series_round_trip():
     text = dirichlet_series_string(table)
     assert text.startswith("1 + h1*q^(1*(1-2*s2)) + h2*q^(2*(1-2*s2)) + g3*q^(3*(1-2*s2))")
     assert parse_dirichlet_series(text, 2) == table
+
+
+def lambda_grid(max_rank: int, max_part: int):
+    """Every dominant weight of rank <= max_rank with parts <= max_part."""
+    yield (0,)
+    for rank in range(1, max_rank + 1):
+        for parts in itertools.combinations_with_replacement(range(max_part, -1, -1), rank):
+            yield parts + (0,)
+
+
+def test_statement_a_exact_in_the_reduced_ring():
+    # gamma and delta tables agree exactly once h_a = 0 and g_a*g_{n-a} = u
+    # hold at every product
+    cases = 0
+    for n in (2, 3):
+        mode = SymbolicMode(n)
+        for lam in lambda_grid(3, 4):
+            equal, gt, dt = statement_a_check(lam, mode)
+            assert equal and gt == dt, (lam, n)
+            cases += 1
+    assert cases == 112
+
+
+def test_functional_equations_exact_in_the_reduced_ring():
+    for n in (2, 3):
+        mode = SymbolicMode(n)
+        for lam in lambda_grid(2, 3):
+            for i in range(1, len(lam)):
+                for j in range(n):
+                    for family in ("gamma", "delta"):
+                        ok, lhs, rhs = functional_eq_check(lam, i, j, n, mode, family=family)
+                        assert ok and lhs == rhs, (lam, n, i, j, family)
+
+
+def test_statement_a_symbolic_report_pins():
+    # the relation-level report still starts from free-ring tables
+    expected = {
+        ((2, 1, 0), 2): (False, True), ((2, 1, 0), 3): (False, True),
+        ((3, 1, 0), 2): (False, False), ((3, 1, 0), 3): (False, False),
+        ((2, 2, 0), 2): (False, False), ((2, 2, 0), 3): (False, False),
+        ((3, 2, 1, 0), 2): (False, True), ((3, 2, 1, 0), 3): (False, False),
+    }
+    for (lam, n), (none, h) in expected.items():
+        assert statement_a_symbolic_report(lam, n) == {"none": none, "h": h, "hg": True}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dominant_weights, st.sampled_from([(2, 5), (3, 7), (2, 13)]),
+       st.sampled_from(["gamma", "delta"]), st.sampled_from(["enumerate", "transfer"]))
+def test_exact_evaluated_agrees_with_numeric(lam, nq, family, strategy):
+    n, q = nq
+    b = boundary_from_lambda(lam)
+    num = numeric_mode(n, q)
+    numeric = partition_function(b, family, num, strategy)
+    exact = partition_function(b, family, SymbolicMode(n), strategy)
+    evaluated = {e: c.evaluate(num.table) for e, c in exact.terms.items()}
+    assert num.agree(evaluated, numeric.terms, 1e-9)
