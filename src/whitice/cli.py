@@ -51,6 +51,12 @@ NO_STATE = "the boundary admits no state"
 #: largest state count `enumerate` lists; larger boundaries take --count-only
 MAX_LISTED_STATES = 100_000
 
+#: widest lattice a command builds; the row walk recurses once per column
+MAX_COLUMNS = 256
+
+#: most random boundaries `verify two-row --random` draws in one run
+MAX_RANDOM_BOUNDARIES = 1000
+
 
 def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
     try:
@@ -59,11 +65,18 @@ def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
         raise ConfigError(f"{flag} must be comma-separated integers: {exc}")
 
 
+def _check_columns(columns: int, flag: str) -> None:
+    if columns > MAX_COLUMNS:
+        raise ConfigError(f"{flag} asks for {columns} columns, more than the "
+                          f"{MAX_COLUMNS} a lattice may have")
+
+
 def _lambda_arg(args) -> tuple[int, ...]:
     lam = _parse_parts(args.lam, "--lambda")
     if getattr(args, "rank", None) is not None and args.rank != len(lam) - 1:
         raise ConfigError(
             f"--rank {args.rank} inconsistent with --lambda of {len(lam)} parts")
+    _check_columns(max(lam) + len(lam), "--lambda")
     return lam
 
 
@@ -256,11 +269,16 @@ def verify_two_row(args) -> int:
             columns = transfer.check_two_row_boundary(top, bottom, args.columns)
         except ValueError as exc:
             raise ConfigError(str(exc))
+        _check_columns(columns, "--l/--m/--columns")
         if not any(transfer.two_row_has_states(top, bottom, columns, order)
                    for order in transfer.TWO_ROW_ORDERS):
             raise ConfigError(NO_STATE)
         triples.append((top, bottom, args.columns))
     if args.random:
+        if args.random > MAX_RANDOM_BOUNDARIES:
+            raise ConfigError(f"--random {args.random} is more than the "
+                              f"{MAX_RANDOM_BOUNDARIES} boundaries one run checks")
+        _check_columns(args.max_width, "--max-width")
         rng = Random(args.seed)
         for _ in range(args.random):
             triples.append(transfer.random_two_row_boundary(rng, args.max_width))
@@ -293,21 +311,22 @@ def verify_statement_b(args) -> int:
     bot = _parse_parts(args.m, "--m")
     mode = _mode(args)
     try:
-        transfer.check_two_row_boundary(top, bot, None)
+        columns = transfer.check_two_row_boundary(top, bot, None)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    _check_columns(columns, "--l/--m")
     ks = [k for k in _feasible_mid_sums(top, bot) if args.k in (None, k)]
     if not ks:
         raise ConfigError(NO_STATE + ("" if args.k is None else
                                       f" with middle row sum {args.k}"))
+    if args.route == "coefficient":
+        pairs = transfer.coefficient_pairs(top, bot, ks, mode)
+    else:
+        pairs = [patterns.statement_b_sums(top, bot, k, mode, convention=args.convention)
+                 for k in ks]
     counter = None
     results = []
-    for k in ks:
-        if args.route == "coefficient":
-            left, right = transfer.coefficient_pair(top, bot, k, mode)
-        else:
-            left, right = patterns.statement_b_sums(top, bot, k, mode,
-                                                    convention=args.convention)
+    for k, (left, right) in zip(ks, pairs):
         ok = mode.close(left, right, args.tol)
         results.append({"k": k, "pass": ok})
         if not ok and counter is None:

@@ -19,9 +19,10 @@ coefficient domains:
   the relations the Gauss sums satisfy for n not dividing a, applied to
   every product, so a key is always in normal form (no h symbol, no pair
   g_a*g_{n-a} left) and equality is dict equality.  The free ring
-  Q[u][g_a, h_a], with no relation, serves only raw-charge matching and the
-  relation-level report of statement A.  ``reduce(n, "hg")`` maps a free
-  coefficient to the reduced ring with the same pairing rule.
+  Q[u][g_a, h_a], with no relation, serves the relation-level report of
+  statement A, raw-charge weights (``partition.raw_symbolic_mode``) and
+  parsing.  ``reduce(n, "hg")`` maps a free coefficient to the reduced ring
+  with the same pairing rule.
 
   Mixing rings: an int or Fraction joins the coefficient's ring, while
   arithmetic between coefficients of two different rings raises ValueError

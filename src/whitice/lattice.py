@@ -136,11 +136,6 @@ class Boundary:
     def rows(self) -> int:
         return len(self.top_minus)
 
-    @property
-    def top_row(self) -> tuple[int, ...]:
-        """The strictly dominant vector lam + rho, largest entry first."""
-        return self.top_minus
-
 
 def boundary_from_lambda(lam) -> Boundary:
     """Boundary for a dominant weight given as (lam_r, .., lam_1, lam_0 = 0)."""

@@ -12,11 +12,12 @@ the coefficient mode, so it is computed once per boundary ("profile") by a
 depth-first walk over the row kernel and cached; evaluating Z under a new
 (n, q) is then a cheap table walk.
 
-The same weight factors as g/h statistics of the state's pattern times a
-monomial in row-sum differences; ``matching_check`` verifies that
-factorization state by state.  Whittaker tables re-key each monomial of Z by
-its integer spin vector k; the table renders as a Dirichlet series string
-whose grammar round-trips losslessly.
+The same factors are the g/h entries of the state's pattern under the one
+pattern statistic (:mod:`.patterns`), and the exponents are row-sum
+differences; ``matching_check`` compares the two profiles state by state.
+Whittaker tables re-key each monomial of Z by its integer spin vector k; the
+table renders as a Dirichlet series string whose grammar round-trips
+losslessly.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from .lattice import (Boundary, IceState, boundary_from_lambda, direct_fill,
                       enumerate_states, fill_weight, row_fills, row_variable,
                       row_vertices)
 from .laurent import LaurentPoly
-from .patterns import (delta_exponents, delta_weight, gamma_exponents,
-                       gamma_weight, pattern_from_state)
+from .patterns import pattern_exponents, pattern_factors, pattern_from_state
 from . import transfer
 
 #: modulus large enough that desk-scale charges never wrap: symbolic weights
@@ -39,7 +39,8 @@ RAW_N = 10 ** 9
 
 
 def raw_symbolic_mode() -> SymbolicMode:
-    """Free-ring symbols of raw charges: no relation may erase a charge."""
+    """Free-ring symbols of raw charges: no relation may erase a charge, so
+    a polynomial in this mode shows every (kind, charge) a weight carries."""
     return SymbolicMode(RAW_N, free=True)
 
 
@@ -148,33 +149,36 @@ def partition_function(boundary: Boundary, family: str, mode: Mode,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def pattern_profile(state: IceState, family: str) -> Profile:
+    """The state's profile read off its pattern: the statistic's (kind, box)
+    factors and the row-sum exponents."""
+    t = pattern_from_state(state)
+    return pattern_factors(t.rows, (family,) * t.rank), pattern_exponents(t, family)
+
+
 def pattern_side_weight(state: IceState, family: str, mode: Mode):
     """The same weight computed through the state's pattern: statistic
     product times the row-sum monomial."""
-    t = pattern_from_state(state)
-    if family == "gamma":
-        return gamma_weight(t, mode), gamma_exponents(t)
-    if family == "delta":
-        return delta_weight(t, mode), delta_exponents(t)
-    raise ValueError(f"unknown family {family!r}")
+    factors, exponents = pattern_profile(state, family)
+    return fill_weight(factors, mode), exponents
 
 
-def matching_check(boundary: Boundary, family: str, mode: Mode | None = None):
-    """Compare the lattice weight of every state, read from its profile in
-    :func:`boundary_profiles`, against its pattern-side factorization.
+def matching_check(boundary: Boundary, family: str):
+    """Compare the profile of every state, from :func:`boundary_profiles`,
+    with its pattern's: the sorted (kind, charge) factors and the exponents.
     Returns a list of offending states (empty = pass).
 
-    With the default raw-charge symbolic mode the comparison is exact formal
-    identity, so it pins the charge arguments as integers, not just their
-    residues.
+    This is the same test as comparing the products in the free ring of raw
+    charges (:func:`raw_symbolic_mode`): every charge is >= 0, g(0) = -u and
+    h(0) = 1 - u, and every other charge is a distinct formal symbol, so two
+    products agree exactly when their sorted factors do.  The check pins the
+    charges as integers, not just their residues.
     """
-    if mode is None:
-        mode = raw_symbolic_mode()
     bad = []
     for state, (factors, exponents) in zip(enumerate_states(boundary),
                                            boundary_profiles(boundary, family)):
-        coeff, pattern_exponents = pattern_side_weight(state, family, mode)
-        if exponents != pattern_exponents or not mode.close(fill_weight(factors, mode), coeff):
+        t_factors, t_exponents = pattern_profile(state, family)
+        if exponents != t_exponents or sorted(factors) != sorted(t_factors):
             bad.append(state)
     return bad
 

@@ -14,29 +14,60 @@ admissible states of the full system whose top boundary - positions are that
 row: row k of the pattern is exactly ``layers[k]`` of the state (and the
 forced empty ``layers[r+1]`` is dropped).
 
-Each entry a[i][j] is classified against the two entries above it
-(above-left a[i-1][j], above-right a[i-1][j+1]):
+The statistic
+-------------
+Everything on the pattern side is read off one per-row statistic,
+:func:`row_statistic`: for a row under the row above it (``up``) and a
+family, the (case, box) of each entry.  The case compares entry j with the
+two entries above it:
 
-* equal to above-right  - the entry is "right-leaning",
-* equal to above-left   - "left-leaning",
-* strictly between      - "free".
+* equal to above-right ``up[j + 1]`` - "right",
+* equal to above-left ``up[j]``      - "left",
+* strictly between                   - "free".
 
-The gamma statistic of an entry uses the box sum
-``b[i][j] = sum_{l >= j} (a[i][l] - a[i-1][l])`` and contributes g(b) for a
-left-leaning entry, 1 for right-leaning, h(b) for free; the delta statistic
-uses ``c[i][j] = sum_{l <= j} (a[i-1][l-1] - a[i][l])`` (0-indexed: entries
-above-left and here, summed from the left end) and contributes g(c) for
-right-leaning, 1 for left-leaning, h(c) for free.  The product over all
-entries is the pattern's gamma / delta weight; together with the monomial
-exponents it reproduces the state weight of the corresponding ice state.
+The box is a running sum of the row against the row above: gamma sums
+``row[l] - up[l + 1]`` over l >= j, delta sums ``up[l] - row[l]`` over
+l <= j.  One table per family (:data:`KINDS`) turns a case into a weight
+kind: gamma weighs left by g(box) and free by h(box), delta weighs right by
+g(box) and free by h(box); every other entry weighs 1.
+
+:func:`pattern_factors` lists the (kind, box) of every g/h entry for any
+list of row families, in the row kernel's (kind, charge) format: a full
+pattern reads every row under one family, a short pattern (three rows
+l / a / m, :class:`ShortPattern`) reads its middle and bottom rows under the
+two families of a two-row order.  ``lattice.fill_weight`` folds the factors
+into a coefficient, and :func:`pattern_exponents` gives the monomial from
+the row sums.  Together they reproduce the weight of the corresponding ice
+state; the pattern side keeps its own box sums and row -> variable rule, so
+comparing the two (``partition.matching_check``) tests the row kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
-from .lattice import Boundary, IceState, strict_interleavings
+from .lattice import Boundary, Factors, IceState, fill_weight, strict_interleavings
+
+#: weight kind of each entry case, per family; a case left out weighs 1
+KINDS = {"gamma": {"left": "g", "free": "h"},
+         "delta": {"right": "g", "free": "h"}}
+
+
+def _check_rows(rows) -> None:
+    """Each row strictly decreasing, one shorter than the row above it and
+    interleaving with it; raises ValueError otherwise."""
+    for i, row in enumerate(rows):
+        if any(a <= b for a, b in zip(row, row[1:])):
+            raise ValueError("rows must be strictly decreasing")
+        if i == 0:
+            continue
+        up = rows[i - 1]
+        if len(row) != len(up) - 1:
+            raise ValueError("row lengths must decrease by one")
+        if any(not (up[j] >= v >= up[j + 1]) for j, v in enumerate(row)):
+            raise ValueError("consecutive rows must interleave")
 
 
 @dataclass(frozen=True)
@@ -44,17 +75,7 @@ class GTPattern:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = self.rows
-        for i, row in enumerate(rows):
-            if len(row) != len(rows[0]) - i:
-                raise ValueError("row lengths must decrease by one")
-            if any(a <= b for a, b in zip(row, row[1:])):
-                raise ValueError("rows must be strictly decreasing")
-            if i > 0:
-                up = rows[i - 1]
-                for j, v in enumerate(row):
-                    if not (up[j] >= v >= up[j + 1]):
-                        raise ValueError("consecutive rows must interleave")
+        _check_rows(self.rows)
 
     @property
     def rank(self) -> int:
@@ -103,107 +124,49 @@ def entry_case(up: tuple[int, ...], j: int, value: int) -> str:
     return "free"
 
 
-def gamma_box(rows, i: int, j: int) -> int:
-    """b[i][j] = sum over l >= j of (rows[i][l] - rows[i-1][l + 1])."""
-    up, row = rows[i - 1], rows[i]
-    return sum(row[l] - up[l + 1] for l in range(j, len(row)))
+def row_statistic(up: tuple[int, ...], row: tuple[int, ...],
+                  family: str) -> list[tuple[str, int]]:
+    """The (case, box) of each entry of `row` under `up`, left to right.
 
-
-def delta_box(rows, i: int, j: int) -> int:
-    """c[i][j] = sum over l <= j of (rows[i-1][l] - rows[i][l])."""
-    up, row = rows[i - 1], rows[i]
-    return sum(up[l] - row[l] for l in range(j + 1))
-
-
-def gamma_entries(pattern: GTPattern) -> list[tuple[str, int]]:
-    """(case, box) of every entry below the top row, row by row."""
-    out = []
-    rows = pattern.rows
-    for i in range(1, len(rows)):
-        for j in range(len(rows[i])):
-            out.append((entry_case(rows[i - 1], j, rows[i][j]),
-                        gamma_box(rows, i, j)))
-    return out
-
-
-def delta_entries(pattern: GTPattern) -> list[tuple[str, int]]:
-    out = []
-    rows = pattern.rows
-    for i in range(1, len(rows)):
-        for j in range(len(rows[i])):
-            out.append((entry_case(rows[i - 1], j, rows[i][j]),
-                        delta_box(rows, i, j)))
-    return out
-
-
-def gamma_weight(pattern: GTPattern, mode):
-    """G(pattern) in the gamma statistic: product of g(b)/1/h(b) factors."""
-    acc = mode.one
-    for case, box in gamma_entries(pattern):
-        if case == "left":
-            acc = acc * mode.g(box)
-        elif case == "free":
-            acc = acc * mode.h(box)
-    return acc
-
-
-def delta_weight(pattern: GTPattern, mode):
-    acc = mode.one
-    for case, box in delta_entries(pattern):
-        if case == "right":
-            acc = acc * mode.g(box)
-        elif case == "free":
-            acc = acc * mode.h(box)
-    return acc
-
-
-def row_sums(pattern: GTPattern) -> list[int]:
-    return [sum(row) for row in pattern.rows]
-
-
-def gamma_exponents(pattern: GTPattern) -> tuple[int, ...]:
-    """Exponent of z_1, .., z_{r+1} carried by the pattern, gamma statistic.
-
-    Row k of vertices carries z_{r+1-k}; its exponent is d_k - d_{k+1} where
-    d_k = sum of pattern row k (d_{r+1} = 0).
+    gamma: box j = sum over l >= j of (row[l] - up[l + 1]);
+    delta: box j = sum over l <= j of (up[l] - row[l]).
     """
-    d = row_sums(pattern) + [0]
-    r = pattern.rank
-    # variable z_m (1-indexed) sits on vertex row k = r + 1 - m
-    return tuple(d[r + 1 - m] - d[r + 2 - m] for m in range(1, r + 2))
+    if family == "gamma":
+        diffs = [a - b for a, b in zip(row, up[1:])]
+        boxes = list(accumulate(diffs[::-1]))[::-1]
+    elif family == "delta":
+        diffs = [a - b for a, b in zip(up, row)]
+        boxes = list(accumulate(diffs))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return [(entry_case(up, j, v), box) for j, (v, box) in enumerate(zip(row, boxes))]
 
 
-def delta_exponents(pattern: GTPattern) -> tuple[int, ...]:
-    """Same for the delta statistic: vertex row k carries z_{k+1}."""
-    d = row_sums(pattern) + [0]
-    return tuple(d[m - 1] - d[m] for m in range(1, pattern.rank + 2))
+def pattern_factors(rows, families) -> Factors:
+    """(kind, box) of every g/h entry below the first row, row by row, with
+    row i + 1 read under families[i] (weight-1 entries are left out)."""
+    factors: list[tuple[str, int]] = []
+    for up, row, family in zip(rows, rows[1:], families):
+        entries = row_statistic(up, row, family)
+        kinds = KINDS[family]
+        factors += [(kinds[case], box) for case, box in entries if case in kinds]
+    return tuple(factors)
 
 
-def gamma_spin_vector(pattern: GTPattern) -> tuple[int, ...]:
-    """k^Gamma = (k_1, .., k_r): k_i = sum_{l >= i} (a[i][l] - a[0][l + ..])
+def pattern_exponents(pattern: GTPattern, family: str) -> tuple[int, ...]:
+    """Exponent of z_1, .., z_{r+1} carried by the pattern.
 
-    Concretely k_i = d_i - (l_{i+1} + .. + l_{r+1}) with d_i the i-th row sum
-    and l the top row.  These are the mod-n residues classifying the monomial
-    in the gamma expansion.
+    Vertex row k (between pattern rows k and k + 1) has exponent
+    d_k - d_{k+1}, d_k the sum of pattern row k (d_{r+1} = 0); it carries
+    z_{r+1-k} for gamma and z_{k+1} for delta.
     """
-    top = pattern.top
-    d = row_sums(pattern)
-    r = pattern.rank
-    out = []
-    for i in range(1, r + 1):
-        out.append(d[i] - sum(top[i:]))
-    return tuple(out)
-
-
-def delta_spin_vector(pattern: GTPattern) -> tuple[int, ...]:
-    """k^Delta: k_i = (l_1 + .. + l_i) - d_{r+1-i}."""
-    top = pattern.top
-    d = row_sums(pattern)
-    r = pattern.rank
-    out = []
-    for i in range(1, r + 1):
-        out.append(sum(top[:i]) - d[r + 1 - i])
-    return tuple(out)
+    d = [sum(row) for row in pattern.rows] + [0]
+    steps = tuple(d[k] - d[k + 1] for k in range(pattern.rank + 1))
+    if family == "gamma":
+        return steps[::-1]
+    if family == "delta":
+        return steps
+    raise ValueError(f"unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +183,11 @@ class ShortPattern:
     bot: tuple[int, ...]
 
     def __post_init__(self):
-        for row in (self.top, self.mid, self.bot):
-            if any(x <= y for x, y in zip(row, row[1:])):
-                raise ValueError("short pattern rows must be strictly decreasing")
-        if len(self.mid) != len(self.top) - 1 or len(self.bot) != len(self.mid) - 1:
-            raise ValueError("short pattern row lengths must step down by one")
-        for j, v in enumerate(self.mid):
-            if not (self.top[j] >= v >= self.top[j + 1]):
-                raise ValueError("top and middle rows must interleave")
-        for j, v in enumerate(self.bot):
-            if not (self.mid[j] >= v >= self.mid[j + 1]):
-                raise ValueError("middle and bottom rows must interleave")
+        _check_rows(self.rows)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return (self.top, self.mid, self.bot)
 
 
 def enumerate_short_patterns(top: tuple[int, ...], bot: tuple[int, ...],
@@ -263,42 +220,6 @@ def enumerate_short_patterns(top: tuple[int, ...], bot: tuple[int, ...],
     rec(0)
     out.sort(key=lambda s: s.mid, reverse=True)
     return out
-
-
-def short_gamma_delta(sp: ShortPattern, mode):
-    """G(t) with the gamma statistic on the middle row and delta on the
-    bottom row."""
-    top, mid, bot = sp.top, sp.mid, sp.bot
-    acc = mode.one
-    for i in range(len(mid)):
-        case = entry_case(top, i, mid[i])
-        if case != "right":
-            box = sum(mid[l] - top[l + 1] for l in range(i, len(mid)))
-            acc = acc * (mode.g(box) if case == "left" else mode.h(box))
-    for j in range(len(bot)):
-        case = entry_case(mid, j, bot[j])
-        if case != "left":
-            box = sum(mid[l] - bot[l] for l in range(j + 1))
-            acc = acc * (mode.g(box) if case == "right" else mode.h(box))
-    return acc
-
-
-def short_delta_gamma(sp: ShortPattern, mode):
-    """G(t) with the delta statistic on the middle row and gamma on the
-    bottom row."""
-    top, mid, bot = sp.top, sp.mid, sp.bot
-    acc = mode.one
-    for i in range(len(mid)):
-        case = entry_case(top, i, mid[i])
-        if case != "left":
-            box = sum(top[l] - mid[l] for l in range(i + 1))
-            acc = acc * (mode.g(box) if case == "right" else mode.h(box))
-    for j in range(len(bot)):
-        case = entry_case(mid, j, bot[j])
-        if case != "right":
-            box = sum(bot[l] - mid[l + 1] for l in range(j, len(bot)))
-            acc = acc * (mode.g(box) if case == "left" else mode.h(box))
-    return acc
 
 
 def middle_reflection(sp: ShortPattern, convention: str = "outer") -> ShortPattern | None:
@@ -340,17 +261,18 @@ def middle_reflection(sp: ShortPattern, convention: str = "outer") -> ShortPatte
 def statement_b_sums(top, bot, k: int, mode, convention: str = "outer"):
     """Both sides of the middle-row exchange identity at middle sum k.
 
-    Left: sum of the gamma-then-delta weights over all short patterns with
-    outer rows (top, bot) and middle row summing to k.  Right: sum, over the
-    same patterns, of the delta-then-gamma weight of the reflected pattern,
+    Left: sum of the gamma-then-delta weights (middle row read under gamma,
+    bottom row under delta) over all short patterns with outer rows
+    (top, bot) and middle row summing to k.  Right: sum, over the same
+    patterns, of the delta-then-gamma weight of the reflected pattern,
     counting reflections that leave the interleaving region as zero.
     Returns (left, right) as coefficients.
     """
     left = mode.zero
     right = mode.zero
     for sp in enumerate_short_patterns(top, bot, mid_sum=k):
-        left = left + short_gamma_delta(sp, mode)
+        left = left + fill_weight(pattern_factors(sp.rows, ("gamma", "delta")), mode)
         image = middle_reflection(sp, convention)
         if image is not None:
-            right = right + short_delta_gamma(image, mode)
+            right = right + fill_weight(pattern_factors(image.rows, ("delta", "gamma")), mode)
     return left, right

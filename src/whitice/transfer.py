@@ -152,23 +152,24 @@ def two_row_check(top: Layer, bottom: Layer, mode: Mode, tol: float = 1e-9,
     return z_gd.equal(z_dg, tol), z_gd, z_dg
 
 
-def coefficient_pair(l: Layer, m: Layer, k: int, mode: Mode):
+def coefficient_pairs(l: Layer, m: Layer, ks, mode: Mode) -> list[tuple]:
     """The matched monomial coefficients refining the two-row equality.
 
     States of either mixed system with outer layers (l, m) and middle-layer
     sum k all carry the monomial z1^(d0-k) z2^(k-d2), d0 = sum(l),
-    d2 = sum(m); this returns that coefficient in both systems.
+    d2 = sum(m); this returns that coefficient in both systems, as a
+    (gamma-delta, delta-gamma) pair for each k in `ks`.  Each system is
+    contracted once.
     """
     d0 = sum(l)
     d2 = sum(m)
-    exps = (d0 - k, k - d2)
     z_gd = two_row_partition(l, m, "gamma-delta", mode)
     z_dg = two_row_partition(l, m, "delta-gamma", mode)
-    return z_gd.coeff(exps), z_dg.coeff(exps)
+    return [(z_gd.coeff((d0 - k, k - d2)), z_dg.coeff((d0 - k, k - d2))) for k in ks]
 
 
-def random_two_row_boundary(rng: random.Random, max_width: int = 8,
-                            require_states: bool = True) -> tuple[Layer, Layer, int]:
+def random_two_row_boundary(rng: random.Random,
+                            max_width: int = 8) -> tuple[Layer, Layer, int]:
     """A random (top, bottom, columns) with |top| = |bottom| + 2, preferring
     boundaries whose systems are nonempty."""
     for _ in range(200):
@@ -178,6 +179,6 @@ def random_two_row_boundary(rng: random.Random, max_width: int = 8,
             continue
         top = tuple(sorted(rng.sample(range(columns), size), reverse=True))
         bottom = tuple(sorted(rng.sample(range(columns), size - 2), reverse=True))
-        if not require_states or two_row_has_states(top, bottom, columns):
+        if two_row_has_states(top, bottom, columns):
             return top, bottom, columns
     return top, bottom, columns

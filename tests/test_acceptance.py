@@ -12,13 +12,13 @@ import time
 from whitice.coeffs import SymCoeff, SymbolicMode
 from whitice.gauss import gauss_table
 from whitice.lattice import boundary_from_lambda, count_states, enumerate_states
-from whitice.patterns import GTPattern, gamma_entries, gamma_spin_vector, pattern_from_state, state_from_pattern
+from whitice.patterns import GTPattern, pattern_exponents, pattern_from_state, row_statistic, state_from_pattern
 from whitice.partition import (
     matching_check,
     numeric_mode,
     partition_function,
-    pattern_side_weight,
     raw_symbolic_mode,
+    spin_vector_of_exponents,
     state_weight,
     statement_a_check,
     weight_grid,
@@ -72,11 +72,13 @@ def test_criterion_1_worked_example():
         pattern = GTPattern(((5, 3, 0), (3, 1), (3,)))
         state = state_from_pattern(pattern)
         assert pattern_from_state(state) == pattern
-        assert [charge for _case, charge in gamma_entries(pattern)] == [1, 1, 2]
+        assert [charge for up, row in zip(pattern.rows, pattern.rows[1:])
+                for _case, charge in row_statistic(up, row, "gamma")] == [1, 1, 2]
         coeff, exps = state_weight(state, "gamma", raw)
         assert coeff == SymCoeff.symbol("g", 2) * SymCoeff.symbol("h", 1)
         assert exps == (3, 1, 4)
-        assert gamma_spin_vector(pattern) == (1, 3)
+        assert spin_vector_of_exponents(pattern_exponents(pattern, "gamma"),
+                                        state.boundary, "gamma") == (1, 3)
         grid = [[str(cell) for cell in row] for row in weight_grid(state, "gamma", raw)]
         assert grid == [
             ["1", "z3", "z3", "z3", "h1*z3", "1"],
@@ -87,7 +89,6 @@ def test_criterion_1_worked_example():
 
 def test_criterion_2_bijection_and_matching():
     with Budget(2, "bijection + weight matching", 60.0):
-        raw = raw_symbolic_mode()
         total_states = 0
         for lam in lambda_grid(3, 4):
             boundary = boundary_from_lambda(lam)
@@ -100,7 +101,7 @@ def test_criterion_2_bijection_and_matching():
                 seen.add(pattern)
             assert len(seen) == len(states)
             for family in ("gamma", "delta"):
-                assert matching_check(boundary, family, raw) == []
+                assert matching_check(boundary, family) == []
         assert total_states > 500
 
 

@@ -232,3 +232,62 @@ def test_error_incompatible_modulus(capsys):
     code, obj = run_json(capsys, "gauss", "--n", "2", "--q", "7")
     assert code == 2
     assert obj["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    "whittaker --lambda 1200,0",
+    "verify statement-a --lambda 1200,0",
+    "verify two-row --l 1200,1199,0 --m 5",
+    "verify two-row --l 3,2,0 --m 1 --columns 1200",
+    "verify statement-b --l 1200,1199,0 --m 5",
+    "verify two-row --random 3 --max-width 2000",
+])
+def test_oversized_lattices_are_refused(capsys, argv):
+    # the row walk recurses once per column; a width past the bound must be
+    # a configuration error, not a RecursionError
+    code, obj = run_json(capsys, *argv.split())
+    assert code == 2
+    assert obj["error"] == "config"
+    assert str(cli.MAX_COLUMNS) in obj["detail"]
+
+
+def test_widest_lattice_is_accepted(capsys):
+    c = cli.MAX_COLUMNS
+    code, obj = run_json(capsys, "verify", "statement-b", "--l", f"{c - 1},{c - 2},{c - 3}",
+                         "--m", str(c - 2), "--n", "1")
+    assert code == 0 and obj["pass"] is True
+
+
+def test_huge_random_count_is_refused_before_drawing(capsys, monkeypatch):
+    def no_boundary(rng, max_width):
+        raise AssertionError("a boundary was drawn")
+
+    monkeypatch.setattr(cli.transfer, "random_two_row_boundary", no_boundary)
+    code, obj = run_json(capsys, "verify", "two-row", "--random", str(10 ** 9))
+    assert code == 2
+    assert obj["error"] == "config"
+    assert 10 ** 9 > cli.MAX_RANDOM_BOUNDARIES
+
+
+def test_statement_b_coefficient_route_contracts_once(capsys, monkeypatch):
+    # every middle sum k is read from one contraction per row order; the
+    # report is byte-identical to the one built with a contraction per k
+    calls = []
+    original = cli.transfer.two_row_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.transfer, "two_row_partition", counted)
+    code, out = run(capsys, "verify", "statement-b", "--l", "5,3,0", "--m", "4", "--n", "1")
+    assert code == 0
+    assert sorted(calls) == ["delta-gamma", "gamma-delta"]
+    expected = {
+        "check": "statement-b",
+        "params": {"l": [5, 3, 0], "m": [4], "route": "coefficient", "n": 1,
+                   "mode": "symbolic", "tol": 1e-09},
+        "pass": True,
+        "results": [{"k": k, "pass": True} for k in range(4, 9)],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"

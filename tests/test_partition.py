@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whitice import partition
 from whitice.coeffs import SymCoeff, SymbolicMode
-from whitice.lattice import boundary_from_lambda, enumerate_states
+from whitice.lattice import boundary_from_lambda, enumerate_states, row_fills
 from whitice.laurent import LaurentPoly
-from whitice.patterns import (GTPattern, delta_exponents, delta_weight, enumerate_patterns,
-                              gamma_exponents, gamma_weight, state_from_pattern)
+from whitice.patterns import GTPattern, enumerate_patterns, state_from_pattern
 from whitice.partition import (
     boundary_profiles,
     dirichlet_series_string,
@@ -124,11 +124,10 @@ def test_transfer_enumerate_and_patterns_agree(lam):
     boundary = boundary_from_lambda(lam)
     nvars = boundary.rank + 1
     for family in ("gamma", "delta"):
-        weight, exponents = ((gamma_weight, gamma_exponents) if family == "gamma"
-                             else (delta_weight, delta_exponents))
         terms: dict = {}
         for t in enumerate_patterns(boundary.top_minus):
-            terms[exponents(t)] = terms.get(exponents(t), raw.zero) + weight(t, raw)
+            weight, exponents = pattern_side_weight(state_from_pattern(t), family, raw)
+            terms[exponents] = terms.get(exponents, raw.zero) + weight
         by_patterns = LaurentPoly(nvars, raw, terms)
         by_transfer = partition_function(boundary, family, raw, strategy="transfer")
         by_enumeration = partition_function(boundary, family, raw, strategy="enumerate")
@@ -174,9 +173,30 @@ def test_matching_lattice_vs_pattern():
     for lam in ((0, 0), (2, 0), (3, 2, 0)):
         boundary = boundary_from_lambda(lam)
         for family in ("gamma", "delta"):
-            assert matching_check(boundary, family, raw) == []
+            assert matching_check(boundary, family) == []
             for state in enumerate_states(boundary):
                 assert state_weight(state, family, raw) == pattern_side_weight(state, family, raw)
+
+
+def test_matching_catches_a_shifted_kernel_charge(monkeypatch):
+    # negative control: a kernel that miscounts one charge by one must fail
+    def shifted(top, columns, family):
+        out = {}
+        for bot, (factors, zexp) in row_fills(top, columns, family).items():
+            if factors:
+                (kind, charge), *rest = factors
+                factors = ((kind, charge + 1), *rest)
+            out[bot] = (factors, zexp)
+        return out
+
+    boundary_profiles.cache_clear()
+    monkeypatch.setattr(partition, "row_fills", shifted)
+    try:
+        boundary = boundary_from_lambda((3, 2, 0))
+        for family in ("gamma", "delta"):
+            assert matching_check(boundary, family)
+    finally:
+        boundary_profiles.cache_clear()
 
 
 def test_spin_vector_of_exponents_pins():

@@ -6,30 +6,23 @@ import itertools
 import pytest
 
 from whitice.coeffs import SymCoeff, SymbolicMode
-from whitice.lattice import boundary_from_lambda, enumerate_states
+from whitice.lattice import boundary_from_lambda, enumerate_states, fill_weight, row_fills
 from whitice.patterns import (
     GTPattern,
     ShortPattern,
-    delta_entries,
-    delta_exponents,
-    delta_spin_vector,
-    delta_weight,
     entry_case,
     enumerate_patterns,
     enumerate_short_patterns,
-    gamma_entries,
-    gamma_exponents,
-    gamma_spin_vector,
-    gamma_weight,
     middle_reflection,
+    pattern_exponents,
+    pattern_factors,
     pattern_from_state,
-    row_sums,
-    short_delta_gamma,
-    short_gamma_delta,
+    row_statistic,
     state_from_pattern,
     statement_b_sums,
 )
-from whitice.partition import raw_symbolic_mode
+from whitice.partition import raw_symbolic_mode, spin_vector_of_exponents
+from whitice.transfer import TWO_ROW_ORDERS
 
 WORKED = GTPattern(((5, 3, 0), (3, 1), (3,)))
 
@@ -69,18 +62,73 @@ def test_entry_case():
     assert entry_case((3, 1), 0, 1) == "right"
 
 
+def statistic(rows, families):
+    """The one statistic of every entry below the first row, row by row."""
+    return [entry for up, row, family in zip(rows, rows[1:], families)
+            for entry in row_statistic(up, row, family)]
+
+
 def test_worked_example_statistics():
-    assert row_sums(WORKED) == [8, 4, 3]
-    assert gamma_entries(WORKED) == [("right", 1), ("free", 1), ("left", 2)]
+    boundary = state_from_pattern(WORKED).boundary
+    raw = raw_symbolic_mode()
+    gamma = ("gamma", "gamma")
+    assert statistic(WORKED.rows, gamma) == [("right", 1), ("free", 1), ("left", 2)]
     # decoration charge vector reads (1, 1, 2)
-    assert [c for _case, c in gamma_entries(WORKED)] == [1, 1, 2]
-    assert gamma_weight(WORKED, raw_symbolic_mode()) == g(2) * h(1)
-    assert gamma_exponents(WORKED) == (3, 1, 4)
-    assert gamma_spin_vector(WORKED) == (1, 3)
-    assert delta_entries(WORKED) == [("right", 2), ("free", 4), ("left", 0)]
-    assert delta_weight(WORKED, raw_symbolic_mode()) == g(2) * h(4)
-    assert delta_exponents(WORKED) == (4, 1, 3)
-    assert delta_spin_vector(WORKED) == (2, 4)
+    assert [c for _case, c in statistic(WORKED.rows, gamma)] == [1, 1, 2]
+    assert pattern_factors(WORKED.rows, gamma) == (("h", 1), ("g", 2))
+    assert fill_weight(pattern_factors(WORKED.rows, gamma), raw) == g(2) * h(1)
+    assert pattern_exponents(WORKED, "gamma") == (3, 1, 4)
+    assert spin_vector_of_exponents((3, 1, 4), boundary, "gamma") == (1, 3)
+    delta = ("delta", "delta")
+    assert statistic(WORKED.rows, delta) == [("right", 2), ("free", 4), ("left", 0)]
+    assert pattern_factors(WORKED.rows, delta) == (("g", 2), ("h", 4))
+    assert fill_weight(pattern_factors(WORKED.rows, delta), raw) == g(2) * h(4)
+    assert pattern_exponents(WORKED, "delta") == (4, 1, 3)
+    assert spin_vector_of_exponents((4, 1, 3), boundary, "delta") == (2, 4)
+
+
+def test_short_pattern_statistics_pin():
+    # a short pattern reads its middle and bottom rows under the two
+    # families of a two-row order
+    sp = ShortPattern((5, 3, 0), (5, 1), (1,))
+    gd, dg = ("gamma", "delta"), ("delta", "gamma")
+    assert statistic(sp.rows, gd) == [("left", 3), ("free", 1), ("right", 4)]
+    assert pattern_factors(sp.rows, gd) == (("g", 3), ("h", 1), ("g", 4))
+    assert statistic(sp.rows, dg) == [("left", 0), ("free", 2), ("right", 0)]
+    assert pattern_factors(sp.rows, dg) == (("h", 2),)
+    image = ShortPattern((5, 3, 0), (3, 0), (1,))
+    assert statistic(image.rows, dg) == [("right", 2), ("right", 5), ("free", 1)]
+    assert pattern_factors(image.rows, dg) == (("g", 2), ("g", 5), ("h", 1))
+    raw = raw_symbolic_mode()
+    assert fill_weight(pattern_factors(sp.rows, gd), raw) == g(3) * h(1) * g(4)
+    assert fill_weight(pattern_factors(image.rows, dg), raw) == g(2) * g(5) * h(1)
+
+
+def test_unknown_family_rejected():
+    with pytest.raises(ValueError):
+        row_statistic((5, 3, 0), (3, 1), "bogus")
+    with pytest.raises(ValueError):
+        pattern_factors(WORKED.rows, ("bogus", "bogus"))
+    with pytest.raises(ValueError):
+        pattern_exponents(WORKED, "bogus")
+
+
+def test_short_pattern_factors_match_the_kernel_slab():
+    # every short pattern of width <= 6, in both orders: the statistic's
+    # factors are the two-row slab's, as the row kernel lists them
+    pairs = 0
+    for width in range(3, 7):
+        for size in range(2, width + 1):
+            for top in itertools.combinations(range(width - 1, -1, -1), size):
+                for bot in itertools.combinations(range(width - 1, -1, -1), size - 2):
+                    for sp in enumerate_short_patterns(top, bot):
+                        for order in TWO_ROW_ORDERS:
+                            upper, lower = order.split("-")
+                            slab = (row_fills(sp.top, width, upper)[sp.mid][0]
+                                    + row_fills(sp.mid, width, lower)[sp.bot][0])
+                            assert sorted(pattern_factors(sp.rows, (upper, lower))) == sorted(slab)
+                            pairs += 1
+    assert pairs == 4240
 
 
 def test_worked_example_bijection():
@@ -103,8 +151,8 @@ def test_bijection_round_trip_over_grid():
 def test_exponent_totals_are_homogeneous():
     # every pattern's exponent vector sums to the total of the top row
     for pattern in enumerate_patterns((5, 3, 0)):
-        assert sum(gamma_exponents(pattern)) == 8
-        assert sum(delta_exponents(pattern)) == 8
+        assert sum(pattern_exponents(pattern, "gamma")) == 8
+        assert sum(pattern_exponents(pattern, "delta")) == 8
 
 
 def test_short_pattern_validation():
@@ -158,10 +206,10 @@ def test_short_weights_counterexample_pin():
     n1 = SymbolicMode(1)
     u = n1.u
     sp = ShortPattern((5, 3, 0), (5, 1), (1,))
-    assert short_gamma_delta(sp, n1) == u * u - u * u * u
+    assert fill_weight(pattern_factors(sp.rows, ("gamma", "delta")), n1) == u * u - u * u * u
     image = middle_reflection(sp, "interval")
     assert image == ShortPattern((5, 3, 0), (3, 0), (1,))
-    assert short_delta_gamma(image, n1) == u * u - u * u * u
+    assert fill_weight(pattern_factors(image.rows, ("delta", "gamma")), n1) == u * u - u * u * u
 
 
 def test_reflection_route_sums_fail_in_general():

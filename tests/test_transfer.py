@@ -9,7 +9,7 @@ from whitice.partition import numeric_mode, partition_function
 from whitice.transfer import (
     TWO_ROW_ORDERS,
     check_two_row_boundary,
-    coefficient_pair,
+    coefficient_pairs,
     contract_partition,
     random_two_row_boundary,
     two_row_check,
@@ -98,11 +98,10 @@ def test_graded_coefficient_identity():
     for l, m in (((5, 3, 0), (4,)), ((6, 5, 4), (6,)), ((6, 5, 4), (5,)),
                  ((5, 3, 0), (1,)), ((6, 4, 1, 0), (4, 3))):
         d0, d2 = sum(l), sum(m)
-        for k in range(d2, d0 + 1):
-            a, b = coefficient_pair(l, m, k, n1)
+        for a, b in coefficient_pairs(l, m, range(d2, d0 + 1), n1):
             assert a == b
     num = numeric_mode(2, 13)
-    a, b = coefficient_pair((5, 3, 0), (1,), 6, num)
+    [(a, b)] = coefficient_pairs((5, 3, 0), (1,), [6], num)
     assert abs(a - b) < TOL
 
 
