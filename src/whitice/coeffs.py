@@ -45,6 +45,23 @@ equal; ``close`` is the same rule on one coefficient.
 Symbols with index divisible by n are never formal: g(b) = -u and
 h(b) = 1 - u whenever n | b, which is how both specializations behave for
 every admissible table.
+
+Packed coefficients
+-------------------
+The exact row contraction (:mod:`whitice.transfer`) does not multiply
+SymCoeffs.  A :class:`Packing` holds each coefficient of one symbolic mode
+as a map from its symbol parts to one Python ``int`` per part: the part's
+u-polynomial evaluated at u = 2^K (Kronecker substitution).  A symbol part
+is the g-part in the reduced ring and the (g-part, h-part) pair in the free
+ring.  Evaluation at 2^K is a ring homomorphism Z[u] -> Z, so adding
+coefficients, multiplying by -u or (1 - u)^c, and the power of u that the
+pairing g_a*g_{n-a} = u splits off all become int multiplies and shifts.
+Symbol parts multiply by the ring's own rules (``Ring.g_product`` in the
+reduced ring, ``_norm_part`` in the free one).  ``unpack`` reads the
+u-coefficients back as balanced base-2^K digits, each in
+[-2^(K-1), 2^(K-1)); that is exact, and a packed 0 is the zero polynomial,
+as long as every u-coefficient of every packed value lies in that range.
+:func:`pack_width` chooses K from a bound that guarantees it.
 """
 
 from __future__ import annotations
@@ -435,6 +452,86 @@ class SymbolicMode:
     def __repr__(self):
         free = ", free=True" if self.ring is FREE else ""
         return f"SymbolicMode(n={self.n}{free})"
+
+
+def pack_width(states: int, rank: int) -> int:
+    """Bits K of one u-digit for the packed contraction of a full system of
+    this rank with this many states.
+
+    Bound: a vertex of kind h has - below it (N, S, W, E = +, -, -, +), and
+    the layer below row k of a rank-r system has r - k minus spins, so a
+    state has at most r(r+1)/2 h vertices.  Every other factor (g = -u, a
+    formal symbol, or a pair of them turned into u) has one term, and
+    h = 1 - u has two, so a state's weight has, per symbol part, a
+    u-polynomial of l1-norm at most 2^(r(r+1)/2).  A layer vector's entry
+    sums the weights of partial paths from the top to that layer, and
+    distinct paths extend by one common completion to distinct states, so
+    there are at most ``states`` of them.  Hence every u-coefficient of every
+    layer, and of Z, is at most states * 2^(r(r+1)/2) in absolute value.
+    K is that bound's bit length plus 2, which keeps every coefficient
+    inside the balanced digit range [-2^(K-1), 2^(K-1)).
+    """
+    return (states << (rank * (rank + 1) // 2)).bit_length() + 2
+
+
+class Packing:
+    """Kronecker-packed coefficients of one symbolic mode at width
+    ``pack_width(states, rank)`` (module docstring, "Packed coefficients").
+
+    A packed coefficient is a tuple of (symbol part, int) pairs; ``unit``
+    is the symbol part of the constants."""
+
+    def __init__(self, mode: SymbolicMode, states: int, rank: int):
+        self.ring = mode.ring
+        self.width = pack_width(states, rank)
+        self.reduced = self.ring.modulus is not None
+        self.unit = () if self.reduced else ((), ())
+        #: (symbol part, symbol part) -> (symbol part of the product, bits
+        #: of the u-power split off)
+        self.products: dict[tuple, tuple] = {}
+
+    def pack(self, coeff: SymCoeff) -> tuple[tuple[object, int], ...]:
+        """The (symbol part, packed u-polynomial) pairs of an integral
+        coefficient of this ring; () for 0."""
+        width = self.width
+        parts: dict[object, int] = {}
+        for (gpart, hpart, upow), val in coeff.terms.items():
+            part = gpart if self.reduced else (gpart, hpart)
+            parts[part] = parts.get(part, 0) + (val << width * upow)
+        return tuple(parts.items())
+
+    def product(self, part1, part2) -> tuple[object, int]:
+        """(symbol part of part1 * part2, bits of the u-power it splits
+        off), stored in ``products``."""
+        if self.reduced:
+            ring = self.ring
+            gpart, shift = ring.products.get((part1, part2)) or ring.g_product(part1, part2)
+            found = (gpart, shift * self.width)
+        else:
+            (g1, h1), (g2, h2) = part1, part2
+            found = ((_norm_part(g1 + g2), _norm_part(h1 + h2)), 0)
+        self.products[(part1, part2)] = found
+        return found
+
+    def unpack(self, packed: dict[object, int]) -> SymCoeff:
+        """The coefficient with these packed symbol parts, read back as
+        balanced base-2^K digits."""
+        width = self.width
+        base = 1 << width
+        half = base >> 1
+        terms: dict[TermKey, int] = {}
+        for part, value in packed.items():
+            gpart, hpart = (part, ()) if self.reduced else part
+            upow = 0
+            while value:
+                digit = value & (base - 1)
+                if digit >= half:
+                    digit -= base
+                if digit:
+                    terms[(gpart, hpart, upow)] = digit
+                value = (value - digit) >> width
+                upow += 1
+        return SymCoeff._make(terms, self.ring)
 
 
 #: relative floor of :meth:`NumericMode.settle`.  On rank <= 3 weights the

@@ -187,25 +187,29 @@ def row_fills(top: tuple[int, ...], columns: int, family: str) -> dict[tuple[int
     force the horizontal spins, so a fill is unique once the bottom layer is
     fixed.  The walk goes left to right from the + boundary, branching on the
     bottom spin; parity forces the east spin, and a walk dies on a crossing
-    configuration or when it does not end on -.  Bottom layers come out in
-    the walk's order (+ branch first).
+    configuration or when it does not end on -.  A walk whose west spin is
+    + with no - left on the top layer from there on is cut at once: north +
+    and west + admit only south +, which keeps east +, so it could only end
+    on +.  Bottom layers come out in the walk's order (+ branch first).
     """
     table = weight_table(family)
     gamma = family == "gamma"
     mark = PLUS if gamma else MINUS  # the spin a charge counts
     north = [MINUS if columns - 1 - p in top else PLUS for p in range(columns)]
+    last_minus = columns - 1 - min(top) if top else -1  # position of the last top -
     fills: dict[tuple[int, ...], Fill] = {}
     bottom: list[int] = []
     factors: list[tuple[str, int]] = []  # (kind, marks on edges 0..p)
 
     def walk(p: int, west: int, marks: int, zexp: int) -> None:
+        if west == PLUS and p > last_minus:
+            return  # stays + to the row's end; this also ends every walk on +
         if p == columns:
-            if west == MINUS:
-                # gamma: marks is now the row's + count, and the charge counts
-                # the + edges east of the vertex; delta counts - edges west
-                fills[tuple(bottom)] = (
-                    tuple((kind, marks - m) for kind, m in factors) if gamma
-                    else tuple(factors), zexp)
+            # gamma: marks is now the row's + count, and the charge counts
+            # the + edges east of the vertex; delta counts - edges west
+            fills[tuple(bottom)] = (
+                tuple((kind, marks - m) for kind, m in factors) if gamma
+                else tuple(factors), zexp)
             return
         nsp = north[p]
         marks += west == mark

@@ -10,17 +10,31 @@ each alpha and folds their factors into coefficients with
 
 Contraction sweeps a full system top to bottom, merging layer vectors as it
 goes; many enumeration paths share layers, which is the speedup over direct
-state enumeration.  Two-row systems (a gamma row above a delta row or the
-reverse, top boundary carrying two more - spins than the bottom) use the same
-kernel with explicit per-row (family, variable) assignments.
+state enumeration.
+
+A symbolic mode, in either ring, contracts with packed coefficients
+(:class:`.coeffs.Packing`): a layer vector maps each layer to
+{symbol part: {packed z-monomial: int}}.  The int is the u-polynomial of
+that entry evaluated at u = 2^K, with K from :func:`.coeffs.pack_width`
+(whose docstring proves every u-coefficient of every layer fits in a
+balanced K-bit digit).  The z-monomial packs the exponent of variable v
+into bits [v*b, (v+1)*b), b = C.bit_length(); one row adds at most C to
+its one variable, and each variable belongs to one row.  A fill's weight
+is packed once per distinct factor tuple, so a row step is int multiplies,
+shifts and adds; Z is unpacked into SymCoeffs once, at the end.  Numeric
+modes contract with complex coefficients through :func:`apply_row`.
+
+Two-row systems (a gamma row above a delta row or the reverse, top boundary
+carrying two more - spins than the bottom) use the same kernel with
+explicit per-row (family, variable) assignments.
 """
 
 from __future__ import annotations
 
 import random
 
-from .coeffs import Mode
-from .lattice import Boundary, fill_weight, row_fills, row_variable
+from .coeffs import Mode, Packing, SymbolicMode
+from .lattice import Boundary, count_states, fill_weight, row_fills, row_variable
 from .laurent import LaurentPoly
 
 Layer = tuple[int, ...]
@@ -29,7 +43,7 @@ LayerVector = dict[Layer, LaurentPoly]
 
 def apply_row(support: LayerVector, family: str, var_index: int,
               columns: int, mode: Mode, nvars: int) -> LayerVector:
-    """One transfer step: w(beta) = sum_alpha v(alpha) * V(alpha, beta)."""
+    """One numeric transfer step: w(beta) = sum_alpha v(alpha) * V(alpha, beta)."""
     out: LayerVector = {}
     for alpha, acc in support.items():
         for beta, (factors, zexp) in row_fills(alpha, columns, family).items():
@@ -48,6 +62,8 @@ def apply_row(support: LayerVector, family: str, var_index: int,
 
 def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPoly:
     """Z of a full system by top-to-bottom layer contraction."""
+    if isinstance(mode, SymbolicMode):
+        return contract_packed(boundary, family, mode)
     r = boundary.rank
     nvars = r + 1
     support: LayerVector = {
@@ -58,6 +74,63 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
         support = apply_row(support, family, var, boundary.columns, mode, nvars)
     z = support.get((), LaurentPoly.zero(nvars, mode))
     return LaurentPoly(nvars, mode, mode.settle(z.terms))
+
+
+def contract_packed(boundary: Boundary, family: str, mode: SymbolicMode) -> LaurentPoly:
+    """Z of a full system in a symbolic mode, contracted with packed
+    coefficients (module docstring)."""
+    r = boundary.rank
+    columns = boundary.columns
+    packing = Packing(mode, count_states(boundary), r)
+    products = packing.products
+    unit = packing.unit
+    zbits = columns.bit_length()
+    weights: dict[tuple, tuple] = {}  # fill factors -> packed weight
+    support = {boundary.top_minus: {unit: {0: 1}}}
+    for row in range(r + 1):
+        zshift = zbits * row_variable(family, row, r)
+        out: dict[Layer, dict] = {}
+        for alpha, parts in support.items():
+            for beta, (factors, zexp) in row_fills(alpha, columns, family).items():
+                weight = weights.get(factors)
+                if weight is None:
+                    weight = weights[factors] = packing.pack(fill_weight(factors, mode))
+                if not weight:
+                    continue
+                dz = zexp << zshift
+                target = out.get(beta)
+                if target is None:
+                    target = out[beta] = {}
+                for fpart, mult in weight:
+                    for part, values in parts.items():
+                        if fpart == unit:
+                            tpart, bits = part, 0
+                        else:
+                            tpart, bits = products.get((part, fpart)) or packing.product(part, fpart)
+                        acc = target.get(tpart)
+                        if acc is None:
+                            acc = target[tpart] = {}
+                        for z, value in values.items():
+                            key = z + dz
+                            acc[key] = acc.get(key, 0) + (value * mult << bits)
+        support = {}
+        for beta, parts in out.items():
+            kept = {}
+            for part, values in parts.items():
+                values = {z: value for z, value in values.items() if value}
+                if values:
+                    kept[part] = values
+            if kept:
+                support[beta] = kept
+    mask = (1 << zbits) - 1
+    by_z: dict[int, dict] = {}
+    for part, values in support.get((), {}).items():
+        for z, value in values.items():
+            by_z.setdefault(z, {})[part] = value
+    nvars = r + 1
+    return LaurentPoly(nvars, mode, {
+        tuple((z >> zbits * v) & mask for v in range(nvars)): packing.unpack(packed)
+        for z, packed in by_z.items()})
 
 
 # ---------------------------------------------------------------------------

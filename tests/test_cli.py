@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from whitice import cli
+from whitice import cli, partition, weyl
 from whitice.cli import main
 
 
@@ -291,3 +291,57 @@ def test_statement_b_coefficient_route_contracts_once(capsys, monkeypatch):
         "results": [{"k": k, "pass": True} for k in range(4, 9)],
     }
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    argvs = [["partition", "--lambda", "2,1,0", "--n", "2"],
+             ["verify", "statement-a", "--lambda", "2,1,0", "--n", "1"]]
+    fresh = []
+    for argv in argvs:
+        cli.parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli.parser.cache_clear()
+    try:
+        shared = [run(capsys, *argv) for argv in argvs]
+    finally:
+        cli.parser.cache_clear()
+    assert len(built) == 1
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("argv", [
+    "partition --lambda 6,5,4,2,1,0 --n 1",
+    "whittaker --lambda 6,5,4,2,1,0 --n 1",
+    "bench --lambda 6,5,4,2,1,0 --n 1 --compare",
+    "verify statement-a --lambda 6,5,4,2,1,0 --n 1",
+    "verify prop-matching --lambda 6,5,4,2,1,0",
+    "verify charges --lambda 6,5,4,2,1,0",
+])
+def test_state_by_state_commands_refuse_huge_boundaries(capsys, monkeypatch, argv):
+    # 31,406,156 states: the count decides before any state or profile is built
+    def refused(*args):
+        raise AssertionError("states were walked")
+
+    for module, attr in ((partition, "boundary_profiles"), (partition, "enumerate_states"),
+                         (weyl, "enumerate_states"), (cli.transfer, "contract_partition")):
+        monkeypatch.setattr(module, attr, refused)
+    code, obj = run_json(capsys, *argv.split())
+    assert code == 2
+    assert obj["error"] == "config"
+    assert "31406156" in obj["detail"]
+    assert 31406156 > cli.MAX_ENUMERATED_STATES
+
+
+def test_largest_enumerated_boundary_of_the_tests_is_accepted(capsys):
+    code, obj = run_json(capsys, "bench", "--lambda", "6,4,2,0", "--n", "1", "--compare")
+    assert code == 0
+    assert obj["states"] == 3892 <= cli.MAX_ENUMERATED_STATES
+    assert obj["agree"] is True

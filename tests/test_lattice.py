@@ -164,6 +164,9 @@ def test_charge_labels_match_direct_counts(top_cols):
                 assert fills[bot] == direct_fill(row_vertices(top, bot, columns, family))
         assert set(fills) == fillable
         assert fillable == set(strict_interleavings(top))
+        # walk order: left to right, the + branch (column not in bot) first
+        assert list(fills) == sorted(
+            fills, key=lambda bot: [c in bot for c in range(columns - 1, -1, -1)])
 
 
 def test_row_fills_worked_example():

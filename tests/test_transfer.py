@@ -2,10 +2,16 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from whitice import coeffs, transfer
 from whitice.coeffs import SymbolicMode
 from whitice.lattice import boundary_from_lambda
-from whitice.partition import numeric_mode, partition_function
+from whitice.partition import numeric_mode, partition_function, raw_symbolic_mode
 from whitice.transfer import (
     TWO_ROW_ORDERS,
     check_two_row_boundary,
@@ -39,6 +45,68 @@ def test_contract_matches_enumeration():
             a = contract_partition(boundary, family, num)
             b = partition_function(boundary, family, num, strategy="enumerate")
             assert a.equal(b, TOL)
+
+
+def same_terms(a, b) -> bool:
+    """Equal polynomials whose coefficients carry identical term maps."""
+    return a == b and all(a.terms[k].terms == b.terms[k].terms for k in a.terms)
+
+
+dominant_weights = st.integers(0, 3).flatmap(
+    lambda rank: st.lists(st.integers(0, 3), min_size=rank, max_size=rank)).map(
+    lambda parts: tuple(sorted(parts, reverse=True)) + (0,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dominant_weights, st.integers(1, 4), st.sampled_from(["gamma", "delta"]))
+def test_packed_contraction_matches_enumeration_in_the_reduced_ring(lam, n, family):
+    boundary = boundary_from_lambda(lam)
+    mode = SymbolicMode(n)
+    assert same_terms(contract_partition(boundary, family, mode),
+                      partition_function(boundary, family, mode, strategy="enumerate"))
+
+
+PIN_LAMBDA = (3, 3, 2, 1, 0)
+PIN_CASES = [(n, family) for n in (1, 2, 3) for family in ("gamma", "delta")]
+
+
+@lru_cache(maxsize=None)
+def enumerated_pin(n: int, family: str):
+    return partition_function(boundary_from_lambda(PIN_LAMBDA), family,
+                              SymbolicMode(n), strategy="enumerate")
+
+
+@pytest.mark.parametrize("n, family", PIN_CASES)
+def test_packed_contraction_pin(n, family):
+    # 19,019 states; the packed digits are 27 bits wide
+    z = contract_partition(boundary_from_lambda(PIN_LAMBDA), family, SymbolicMode(n))
+    assert same_terms(z, enumerated_pin(n, family))
+
+
+def test_packed_contraction_fails_when_the_digits_are_too_narrow(monkeypatch):
+    # negative control: 3-bit digits hold only coefficients in [-4, 3]
+    monkeypatch.setattr(coeffs, "pack_width", lambda states, rank: 3)
+    boundary = boundary_from_lambda(PIN_LAMBDA)
+    assert not all(same_terms(contract_partition(boundary, family, SymbolicMode(n)),
+                              enumerated_pin(n, family))
+                   for n, family in PIN_CASES)
+
+
+def test_only_numeric_modes_reach_apply_row(monkeypatch):
+    seen = []
+    apply_row = transfer.apply_row
+
+    def recorded(support, family, var_index, columns, mode, nvars):
+        seen.append(mode.name)
+        return apply_row(support, family, var_index, columns, mode, nvars)
+
+    monkeypatch.setattr(transfer, "apply_row", recorded)
+    boundary = boundary_from_lambda((2, 1, 0))
+    for mode in (SymbolicMode(1), SymbolicMode(3), raw_symbolic_mode()):
+        contract_partition(boundary, "gamma", mode)
+    assert seen == []
+    contract_partition(boundary, "gamma", numeric_mode(3, 7))
+    assert seen == ["numeric"] * 3
 
 
 def test_two_row_exchange_reference_boundary():
