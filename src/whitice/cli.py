@@ -65,6 +65,14 @@ MAX_RANDOM_BOUNDARIES = 1000
 MAX_ENUMERATED_STATES = 500_000
 
 
+def _configured(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError reported as a ConfigError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -88,10 +96,7 @@ def _lambda_arg(args) -> tuple[int, ...]:
 
 
 def _boundary(args):
-    try:
-        return boundary_from_lambda(_lambda_arg(args))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return _configured(boundary_from_lambda, _lambda_arg(args))
 
 
 def _check_enumerable(boundary) -> None:
@@ -105,17 +110,17 @@ def _check_enumerable(boundary) -> None:
 
 
 def _mode(args) -> Mode:
-    """Coefficient policy from --coeff/--n/--q flags."""
-    coeff = getattr(args, "coeff", "symbolic")
+    """Coefficient policy from --coeff/--n/--q flags; --q alone selects
+    numeric coefficients."""
+    coeff = getattr(args, "coeff", None)
     n = getattr(args, "n", 1)
     q = getattr(args, "q", None)
+    if coeff == "symbolic" and q is not None:
+        raise ConfigError("--coeff symbolic takes no --q; --q selects numeric coefficients")
     if coeff == "numeric" or q is not None:
         if q is None:
             raise ConfigError("numeric mode requires --q")
-        try:
-            return numeric_mode(n, q)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return _configured(numeric_mode, n, q)
     return SymbolicMode(n)
 
 
@@ -175,10 +180,7 @@ def cmd_whittaker(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    try:
-        table = gauss_table(args.n, args.q)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    table = _configured(gauss_table, args.n, args.q)
     _emit(jsonio.gauss_table_to_json(table))
     return 0
 
@@ -290,10 +292,7 @@ def verify_two_row(args) -> int:
             raise ConfigError("two-row needs both --l and --m")
         top = _parse_parts(args.l, "--l")
         bottom = _parse_parts(args.m, "--m")
-        try:
-            columns = transfer.check_two_row_boundary(top, bottom, args.columns)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        columns = _configured(transfer.check_two_row_boundary, top, bottom, args.columns)
         _check_columns(columns, "--l/--m/--columns")
         if not any(transfer.two_row_has_states(top, bottom, columns, order)
                    for order in transfer.TWO_ROW_ORDERS):
@@ -304,6 +303,9 @@ def verify_two_row(args) -> int:
             raise ConfigError(f"--random {args.random} is more than the "
                               f"{MAX_RANDOM_BOUNDARIES} boundaries one run checks")
         _check_columns(args.max_width, "--max-width")
+        if args.max_width < 3:
+            raise ConfigError(f"--max-width {args.max_width} is less than the "
+                              f"3 columns a random two-row boundary needs")
         rng = Random(args.seed)
         for _ in range(args.random):
             triples.append(transfer.random_two_row_boundary(rng, args.max_width))
@@ -311,12 +313,8 @@ def verify_two_row(args) -> int:
         raise ConfigError("two-row needs --l/--m or --random N")
     counter = None
     for top, bottom, columns in triples:
-        try:
-            equal, z_gd, z_dg = transfer.two_row_check(top, bottom, mode,
-                                                       tol=args.tol,
-                                                       columns=columns)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        equal, z_gd, z_dg = _configured(transfer.two_row_check, top, bottom, mode,
+                                        tol=args.tol, columns=columns)
         if not equal:
             counter = {"l": list(top), "m": list(bottom),
                        "columns": columns,
@@ -335,10 +333,7 @@ def verify_statement_b(args) -> int:
     top = _parse_parts(args.l, "--l")
     bot = _parse_parts(args.m, "--m")
     mode = _mode(args)
-    try:
-        columns = transfer.check_two_row_boundary(top, bot, None)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    columns = _configured(transfer.check_two_row_boundary, top, bot, None)
     _check_columns(columns, "--l/--m")
     ks = [k for k in _feasible_mid_sums(top, bot) if args.k in (None, k)]
     if not ks:
@@ -372,6 +367,8 @@ def verify_functional_eq(args) -> int:
     mode = _mode(args)
     n = mode.n
     rows = [args.i] if args.i is not None else list(range(1, rank + 1))
+    if args.j is not None and not 0 <= args.j < n:
+        raise ConfigError(f"--j {args.j} is not a class in 0..{n - 1}")
     classes = [args.j] if args.j is not None else list(range(n))
     counter = None
     sides = None
@@ -432,7 +429,8 @@ def _add_lambda_flags(p, required: bool = True) -> None:
 
 
 def _add_mode_flags(p, default_n: int = 1) -> None:
-    p.add_argument("--coeff", choices=("symbolic", "numeric"), default="symbolic")
+    p.add_argument("--coeff", choices=("symbolic", "numeric"), default=None,
+                   help="default: numeric with --q, symbolic without")
     p.add_argument("--n", type=int, default=default_n,
                    help="order of the character group (charges live mod n)")
     p.add_argument("--q", type=int, default=None,

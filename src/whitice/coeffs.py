@@ -48,20 +48,22 @@ every admissible table.
 
 Packed coefficients
 -------------------
-The exact row contraction (:mod:`whitice.transfer`) does not multiply
-SymCoeffs.  A :class:`Packing` holds each coefficient of one symbolic mode
-as a map from its symbol parts to one Python ``int`` per part: the part's
-u-polynomial evaluated at u = 2^K (Kronecker substitution).  A symbol part
-is the g-part in the reduced ring and the (g-part, h-part) pair in the free
-ring.  Evaluation at 2^K is a ring homomorphism Z[u] -> Z, so adding
+The row contraction (:mod:`whitice.transfer`) runs one loop for every mode
+and never multiplies SymCoeffs; each mode's ``packing`` picks the format.
+:class:`NumericPacking` keeps complex values as they are, under the one
+symbol part ``()``, with no width and no state count.  :class:`Packing`
+maps each symbolic coefficient's symbol parts (the g-part in the reduced
+ring, the (g-part, h-part) pair in the free ring) to one Python ``int``
+each: the part's u-polynomial at u = 2^K (Kronecker substitution).
+Evaluation at 2^K is a ring homomorphism Z[u] -> Z, so adding
 coefficients, multiplying by -u or (1 - u)^c, and the power of u that the
-pairing g_a*g_{n-a} = u splits off all become int multiplies and shifts.
-Symbol parts multiply by the ring's own rules (``Ring.g_product`` in the
-reduced ring, ``_norm_part`` in the free one).  ``unpack`` reads the
-u-coefficients back as balanced base-2^K digits, each in
-[-2^(K-1), 2^(K-1)); that is exact, and a packed 0 is the zero polynomial,
-as long as every u-coefficient of every packed value lies in that range.
-:func:`pack_width` chooses K from a bound that guarantees it.
+pairing g_a*g_{n-a} = u splits off all become int multiplies and shifts;
+``product`` multiplies symbol parts by the ring's own rules and returns
+that power as a bit count, which the contraction folds into its multiplier.
+``unpack`` reads the u-coefficients back as balanced base-2^K digits, each
+in [-2^(K-1), 2^(K-1)); that is exact, and a packed 0 is the zero
+polynomial, as long as every u-coefficient of every packed value lies in
+that range.  :func:`pack_width` chooses K from a bound that guarantees it.
 """
 
 from __future__ import annotations
@@ -398,9 +400,6 @@ class SymCoeff:
         return total
 
 
-Coeff = Union[SymCoeff, complex]
-
-
 class SymbolicMode:
     """Factory/policy object for exact symbolic coefficients at a fixed n.
 
@@ -439,6 +438,10 @@ class SymbolicMode:
 
     def is_zero(self, c: SymCoeff) -> bool:
         return not c.terms
+
+    def packing(self, rank: int, states) -> "Packing":
+        """Packed format of a contraction; ``states()`` counts its states."""
+        return Packing(self, states(), rank)
 
     def settle(self, terms: dict) -> dict:
         return terms
@@ -534,6 +537,20 @@ class Packing:
         return SymCoeff._make(terms, self.ring)
 
 
+class NumericPacking:
+    """A numeric mode's packed format: the one symbol part ``()`` and the
+    complex values as they are (module docstring, "Packed coefficients")."""
+
+    unit = ()
+    products: dict = {}  # one symbol part: no product is ever formed
+
+    def pack(self, coeff: complex) -> tuple[tuple[tuple, complex], ...]:
+        return (((), coeff),) if coeff else ()
+
+    def unpack(self, packed: dict) -> complex:
+        return packed[()]
+
+
 #: relative floor of :meth:`NumericMode.settle`.  On rank <= 3 weights the
 #: residue of exact cancellations reaches 1.7e-16 of a Z's largest entry,
 #: while genuine entries at n >= 2 stay above 2e-7 of it.
@@ -565,6 +582,10 @@ class NumericMode:
 
     def is_zero(self, c: complex) -> bool:
         return c == 0
+
+    def packing(self, rank: int, states) -> "NumericPacking":
+        """Complex values need no width, so ``states`` is never called."""
+        return NumericPacking()
 
     def settle(self, terms: dict) -> dict:
         """The entries above SETTLE_FLOOR times the largest magnitude."""

@@ -12,17 +12,20 @@ Contraction sweeps a full system top to bottom, merging layer vectors as it
 goes; many enumeration paths share layers, which is the speedup over direct
 state enumeration.
 
-A symbolic mode, in either ring, contracts with packed coefficients
-(:class:`.coeffs.Packing`): a layer vector maps each layer to
-{symbol part: {packed z-monomial: int}}.  The int is the u-polynomial of
-that entry evaluated at u = 2^K, with K from :func:`.coeffs.pack_width`
-(whose docstring proves every u-coefficient of every layer fits in a
-balanced K-bit digit).  The z-monomial packs the exponent of variable v
-into bits [v*b, (v+1)*b), b = C.bit_length(); one row adds at most C to
-its one variable, and each variable belongs to one row.  A fill's weight
-is packed once per distinct factor tuple, so a row step is int multiplies,
-shifts and adds; Z is unpacked into SymCoeffs once, at the end.  Numeric
-modes contract with complex coefficients through :func:`apply_row`.
+One loop contracts every mode, numeric and both symbolic rings, in the
+format the mode's ``packing`` chooses (:mod:`.coeffs`, "Packed
+coefficients"): a layer vector maps each layer to {symbol part: {packed
+z-monomial: value}}.  The z-monomial packs the exponent of variable v into
+bits [v*b, (v+1)*b), b = C.bit_length(); one row adds at most C to its one
+variable, and each variable belongs to one row.  A numeric value is the
+complex coefficient under the one part ().  A symbolic value is an int, the
+entry's u-polynomial at u = 2^K, K from :func:`.coeffs.pack_width`.  A
+fill's weight is packed once per factor tuple, and the u-shift of a product
+of symbol parts is folded into the multiplier once per (weight part, layer
+part) pair, so the inner step is one multiply-add for ints and complex
+values alike.  Z is unpacked once and ``mode.settle`` applied to it.
+:func:`apply_row` is the same step on LaurentPoly vectors, kept as the
+mode-generic reference.
 
 Two-row systems (a gamma row above a delta row or the reverse, top boundary
 carrying two more - spins than the bottom) use the same kernel with
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import random
 
-from .coeffs import Mode, Packing, SymbolicMode
+from .coeffs import Mode
 from .lattice import Boundary, count_states, fill_weight, row_fills, row_variable
 from .laurent import LaurentPoly
 
@@ -43,45 +46,26 @@ LayerVector = dict[Layer, LaurentPoly]
 
 def apply_row(support: LayerVector, family: str, var_index: int,
               columns: int, mode: Mode, nvars: int) -> LayerVector:
-    """One numeric transfer step: w(beta) = sum_alpha v(alpha) * V(alpha, beta)."""
+    """One transfer step on LaurentPoly layer vectors, in any mode:
+    w(beta) = sum_alpha v(alpha) * V(alpha, beta).  The mode-generic
+    reference of :func:`contract_partition`'s row loop; no contraction
+    calls it."""
     out: LayerVector = {}
     for alpha, acc in support.items():
         for beta, (factors, zexp) in row_fills(alpha, columns, family).items():
-            coeff = fill_weight(factors, mode)
-            if mode.is_zero(coeff):
-                continue
             shift = [0] * nvars
             shift[var_index] = zexp
-            term = acc.mul_monomial(shift, coeff)
-            if beta in out:
-                out[beta] = out[beta] + term
-            else:
-                out[beta] = term
+            term = acc.mul_monomial(shift, fill_weight(factors, mode))
+            out[beta] = out[beta] + term if beta in out else term
     return {key: val for key, val in out.items() if not val.is_zero()}
 
 
 def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPoly:
-    """Z of a full system by top-to-bottom layer contraction."""
-    if isinstance(mode, SymbolicMode):
-        return contract_packed(boundary, family, mode)
-    r = boundary.rank
-    nvars = r + 1
-    support: LayerVector = {
-        boundary.top_minus: LaurentPoly.const(nvars, mode, mode.one)
-    }
-    for row in range(r + 1):
-        var = row_variable(family, row, r)
-        support = apply_row(support, family, var, boundary.columns, mode, nvars)
-    z = support.get((), LaurentPoly.zero(nvars, mode))
-    return LaurentPoly(nvars, mode, mode.settle(z.terms))
-
-
-def contract_packed(boundary: Boundary, family: str, mode: SymbolicMode) -> LaurentPoly:
-    """Z of a full system in a symbolic mode, contracted with packed
-    coefficients (module docstring)."""
+    """Z of a full system by top-to-bottom layer contraction with the mode's
+    packed coefficients (module docstring); ``mode.settle`` runs once, on Z."""
     r = boundary.rank
     columns = boundary.columns
-    packing = Packing(mode, count_states(boundary), r)
+    packing = mode.packing(r, lambda: count_states(boundary))
     products = packing.products
     unit = packing.unit
     zbits = columns.bit_length()
@@ -98,21 +82,18 @@ def contract_packed(boundary: Boundary, family: str, mode: SymbolicMode) -> Laur
                 if not weight:
                     continue
                 dz = zexp << zshift
-                target = out.get(beta)
-                if target is None:
-                    target = out[beta] = {}
+                target = out.setdefault(beta, {})
                 for fpart, mult in weight:
                     for part, values in parts.items():
                         if fpart == unit:
-                            tpart, bits = part, 0
+                            tpart, m = part, mult
                         else:
                             tpart, bits = products.get((part, fpart)) or packing.product(part, fpart)
-                        acc = target.get(tpart)
-                        if acc is None:
-                            acc = target[tpart] = {}
+                            m = mult << bits
+                        acc = target.setdefault(tpart, {})
                         for z, value in values.items():
                             key = z + dz
-                            acc[key] = acc.get(key, 0) + (value * mult << bits)
+                            acc[key] = acc.get(key, 0) + value * m
         support = {}
         for beta, parts in out.items():
             kept = {}
@@ -128,9 +109,9 @@ def contract_packed(boundary: Boundary, family: str, mode: SymbolicMode) -> Laur
         for z, value in values.items():
             by_z.setdefault(z, {})[part] = value
     nvars = r + 1
-    return LaurentPoly(nvars, mode, {
+    return LaurentPoly(nvars, mode, mode.settle({
         tuple((z >> zbits * v) & mask for v in range(nvars)): packing.unpack(packed)
-        for z, packed in by_z.items()})
+        for z, packed in by_z.items()}))
 
 
 # ---------------------------------------------------------------------------

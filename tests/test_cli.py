@@ -269,6 +269,59 @@ def test_huge_random_count_is_refused_before_drawing(capsys, monkeypatch):
     assert 10 ** 9 > cli.MAX_RANDOM_BOUNDARIES
 
 
+@pytest.mark.parametrize("max_width", ["2", "0", "-5"])
+def test_narrow_random_width_is_refused_before_drawing(capsys, monkeypatch, max_width):
+    def no_boundary(rng, max_width):
+        raise AssertionError("a boundary was drawn")
+
+    monkeypatch.setattr(cli.transfer, "random_two_row_boundary", no_boundary)
+    code, obj = run_json(capsys, "verify", "two-row", "--random", "3",
+                         "--max-width", max_width)
+    assert code == 2
+    assert obj["error"] == "config"
+    assert "--max-width" in obj["detail"]
+
+
+def test_narrowest_random_width_is_accepted(capsys):
+    code, obj = run_json(capsys, "verify", "two-row", "--random", "3", "--max-width", "3")
+    assert code == 0 and obj["pass"] is True
+
+
+def test_explicit_symbolic_with_q_is_refused(capsys):
+    code, obj = run_json(capsys, "whittaker", "--lambda", "1,0", "--coeff", "symbolic",
+                         "--q", "5", "--n", "2")
+    assert code == 2
+    assert obj["error"] == "config"
+    assert "--q" in obj["detail"]
+
+
+def test_q_alone_selects_numeric(capsys):
+    code, obj = run_json(capsys, "verify", "statement-a", "--lambda", "1,0",
+                         "--q", "5", "--n", "2")
+    assert code == 0
+    assert obj["params"]["mode"] == "numeric" and obj["params"]["q"] == 5
+    code, obj = run_json(capsys, "verify", "statement-a", "--lambda", "1,0",
+                         "--coeff", "symbolic", "--n", "2")
+    assert code == 0 and obj["params"]["mode"] == "symbolic"
+
+
+@pytest.mark.parametrize("j", ["-1", "2", "5"])
+def test_functional_eq_class_out_of_range_is_refused(capsys, j):
+    # class j mod n would be checked but reported as the raw j
+    code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "2,0",
+                         "--n", "2", "--j", j)
+    assert code == 2
+    assert obj["error"] == "config"
+    assert f"--j {j}" in obj["detail"]
+
+
+def test_functional_eq_class_in_range_is_reported(capsys):
+    code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "2,0",
+                         "--n", "2", "--j", "1")
+    assert code == 0
+    assert obj["params"]["classes"] == [1]
+
+
 def test_statement_b_coefficient_route_contracts_once(capsys, monkeypatch):
     # every middle sum k is read from one contraction per row order; the
     # report is byte-identical to the one built with a contraction per k

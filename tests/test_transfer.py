@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from whitice import coeffs, transfer
 from whitice.coeffs import SymbolicMode
-from whitice.lattice import boundary_from_lambda
+from whitice.lattice import boundary_from_lambda, row_variable
+from whitice.laurent import LaurentPoly
 from whitice.partition import numeric_mode, partition_function, raw_symbolic_mode
 from whitice.transfer import (
     TWO_ROW_ORDERS,
@@ -92,21 +93,83 @@ def test_packed_contraction_fails_when_the_digits_are_too_narrow(monkeypatch):
                    for n, family in PIN_CASES)
 
 
-def test_only_numeric_modes_reach_apply_row(monkeypatch):
-    seen = []
-    apply_row = transfer.apply_row
+def test_no_mode_reaches_apply_row(monkeypatch):
+    # one row loop contracts every mode; apply_row is only the reference
+    def reached(*args):
+        raise AssertionError(f"apply_row reached in {args[4]!r}")
 
-    def recorded(support, family, var_index, columns, mode, nvars):
-        seen.append(mode.name)
-        return apply_row(support, family, var_index, columns, mode, nvars)
-
-    monkeypatch.setattr(transfer, "apply_row", recorded)
+    monkeypatch.setattr(transfer, "apply_row", reached)
     boundary = boundary_from_lambda((2, 1, 0))
-    for mode in (SymbolicMode(1), SymbolicMode(3), raw_symbolic_mode()):
+    for mode in (SymbolicMode(1), SymbolicMode(3), raw_symbolic_mode(),
+                 numeric_mode(1, 5), numeric_mode(3, 7)):
         contract_partition(boundary, "gamma", mode)
-    assert seen == []
-    contract_partition(boundary, "gamma", numeric_mode(3, 7))
-    assert seen == ["numeric"] * 3
+
+
+def test_numeric_contraction_counts_no_states(monkeypatch):
+    # complex values need no packing width, so no state count
+    def no_count(boundary):
+        raise AssertionError("count_states called")
+
+    monkeypatch.setattr(transfer, "count_states", no_count)
+    for lam, n, q in (((3, 2, 0), 1, 61), ((2, 2, 1, 0), 2, 5), ((3, 1, 1, 0), 3, 7)):
+        for family in ("gamma", "delta"):
+            contract_partition(boundary_from_lambda(lam), family, numeric_mode(n, q))
+    with pytest.raises(AssertionError, match="count_states"):
+        contract_partition(boundary_from_lambda((2, 1, 0)), "gamma", SymbolicMode(2))
+
+
+def folded_rows(boundary, family, mode):
+    """Z by folding the LaurentPoly reference step apply_row over the rows,
+    settled once."""
+    r = boundary.rank
+    support = {boundary.top_minus: LaurentPoly.const(r + 1, mode, mode.one)}
+    for row in range(r + 1):
+        support = transfer.apply_row(support, family, row_variable(family, row, r),
+                                     boundary.columns, mode, r + 1)
+    z = support.get((), LaurentPoly.zero(r + 1, mode))
+    return LaurentPoly(r + 1, mode, mode.settle(z.terms))
+
+
+REFERENCE_MODES = {
+    "reduced n=1": lambda: SymbolicMode(1),
+    "reduced n=2": lambda: SymbolicMode(2),
+    "reduced n=3": lambda: SymbolicMode(3),
+    "free ring": raw_symbolic_mode,
+    "numeric n=1 q=61": lambda: numeric_mode(1, 61),
+    "numeric n=2 q=5": lambda: numeric_mode(2, 5),
+    "numeric n=3 q=7": lambda: numeric_mode(3, 7),
+}
+
+
+def same_contraction(a, b) -> bool:
+    """Identical term maps: exact == on complex values, same_terms on
+    symbolic ones."""
+    if a.mode.name == "numeric":
+        return a.terms == b.terms
+    return same_terms(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominant_weights, st.sampled_from(sorted(REFERENCE_MODES)),
+       st.sampled_from(["gamma", "delta"]))
+def test_row_loop_matches_the_folded_reference(lam, mode_name, family):
+    boundary = boundary_from_lambda(lam)
+    mode = REFERENCE_MODES[mode_name]()
+    assert same_contraction(contract_partition(boundary, family, mode),
+                            folded_rows(boundary, family, mode))
+
+
+@pytest.mark.parametrize("family", ["gamma", "delta"])
+def test_row_loop_matches_the_folded_reference_where_settle_drops_terms(family):
+    # at n = 1, q = 61 the settle floor drops terms of this Z, so both sides
+    # must settle the same unsettled values
+    boundary = boundary_from_lambda((2, 2, 2, 2, 2, 0))
+    mode = numeric_mode(1, 61)
+    z = contract_partition(boundary, family, mode)
+    reference = folded_rows(boundary, family, mode)
+    assert z.terms == reference.terms
+    assert len(z.terms) < len(partition_function(boundary, family, SymbolicMode(1),
+                                                 strategy="transfer").terms)
 
 
 def test_two_row_exchange_reference_boundary():
