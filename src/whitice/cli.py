@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
 import time
 from random import Random
@@ -121,14 +121,24 @@ def _mode(args) -> Mode:
         if q is None:
             raise ConfigError("numeric mode requires --q")
         return _configured(numeric_mode, n, q)
-    return SymbolicMode(n)
+    return _configured(SymbolicMode, n)
+
+
+def _tol(args) -> float:
+    """--tol, which must be a finite number >= 0: a negative or NaN
+    tolerance fails every numeric comparison and an infinite one passes
+    every one."""
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"--tol {args.tol} is not a finite number >= 0")
+    return args.tol
 
 
 def _emit(obj) -> None:
+    """Print a string as it is and anything else as indent-2 JSON."""
     if isinstance(obj, str):
         print(obj)
     else:
-        print(json.dumps(obj, indent=2))
+        print(jsonio.dumps(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +229,11 @@ def _finish(report: dict) -> int:
 
 
 def verify_statement_a(args) -> int:
+    tol = _tol(args)
     lam = _lambda_arg(args)
     mode = _mode(args)
     _check_enumerable(_boundary(args))
-    equal, gamma_table, delta_table = statement_a_check(lam, mode, tol=args.tol)
+    equal, gamma_table, delta_table = statement_a_check(lam, mode, tol=tol)
     counter = None
     if not equal:
         counter = {
@@ -230,7 +241,7 @@ def verify_statement_a(args) -> int:
             "delta": jsonio.whittaker_to_json(delta_table),
         }
     params = {"lambda": list(lam), "n": mode.n,
-              "mode": mode.name, "tol": args.tol}
+              "mode": mode.name, "tol": tol}
     if mode.name == "numeric":
         params["q"] = mode.q
     return _finish(jsonio.report("statement-a", params, equal, counter))
@@ -285,6 +296,7 @@ def verify_commute_rows(args) -> int:
 
 
 def verify_two_row(args) -> int:
+    tol = _tol(args)
     mode = _mode(args)
     triples = []
     if args.l is not None or args.m is not None:
@@ -314,14 +326,14 @@ def verify_two_row(args) -> int:
     counter = None
     for top, bottom, columns in triples:
         equal, z_gd, z_dg = _configured(transfer.two_row_check, top, bottom, mode,
-                                        tol=args.tol, columns=columns)
+                                        tol=tol, columns=columns)
         if not equal:
             counter = {"l": list(top), "m": list(bottom),
                        "columns": columns,
                        "gamma-delta": str(z_gd), "delta-gamma": str(z_dg)}
             break
     params = {"pairs": len(triples), "n": mode.n, "mode": mode.name,
-              "tol": args.tol, "seed": args.seed}
+              "tol": tol, "seed": args.seed}
     return _finish(jsonio.report("two-row", params, counter is None, counter))
 
 
@@ -330,6 +342,7 @@ def _feasible_mid_sums(top, bot) -> list[int]:
 
 
 def verify_statement_b(args) -> int:
+    tol = _tol(args)
     top = _parse_parts(args.l, "--l")
     bot = _parse_parts(args.m, "--m")
     mode = _mode(args)
@@ -347,13 +360,13 @@ def verify_statement_b(args) -> int:
     counter = None
     results = []
     for k, (left, right) in zip(ks, pairs):
-        ok = mode.close(left, right, args.tol)
+        ok = mode.close(left, right, tol)
         results.append({"k": k, "pass": ok})
         if not ok and counter is None:
             counter = {"k": k, "left": jsonio.coeff_to_json(left),
                        "right": jsonio.coeff_to_json(right)}
     params = {"l": list(top), "m": list(bot), "route": args.route,
-              "n": mode.n, "mode": mode.name, "tol": args.tol}
+              "n": mode.n, "mode": mode.name, "tol": tol}
     if args.route == "qr":
         params["convention"] = args.convention
     report = jsonio.report("statement-b", params, counter is None, counter)
@@ -362,6 +375,7 @@ def verify_statement_b(args) -> int:
 
 
 def verify_functional_eq(args) -> int:
+    tol = _tol(args)
     lam = _lambda_arg(args)
     rank = len(lam) - 1
     mode = _mode(args)
@@ -376,7 +390,7 @@ def verify_functional_eq(args) -> int:
         for j in classes:
             ok, lhs, rhs = weyl.functional_eq_check(lam, i, j, n, mode,
                                                     family=args.ice,
-                                                    tol=args.tol)
+                                                    tol=tol)
             if sides is None:
                 sides = {"i": i, "j": j, "lhs": jsonio.poly_to_json(lhs),
                          "rhs": jsonio.poly_to_json(rhs)}
@@ -386,7 +400,7 @@ def verify_functional_eq(args) -> int:
         if counter:
             break
     params = {"lambda": list(lam), "rows": rows, "classes": classes,
-              "n": n, "mode": mode.name, "ice": args.ice, "tol": args.tol}
+              "n": n, "mode": mode.name, "ice": args.ice, "tol": tol}
     report = jsonio.report("functional-eq", params, counter is None, counter)
     report["first_instance"] = sides
     return _finish(report)

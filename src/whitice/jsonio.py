@@ -15,11 +15,18 @@ In a symbolic coefficient, "g" and "h" list Gauss-symbol indices with
 multiplicity (g(1)^2 g(2) -> [1, 1, 2]) and "u" is the dense coefficient
 list of the polynomial in u, as exact [numerator, denominator] pairs
 starting at u^0.  Every converter has an exact inverse.
+
+:func:`dumps` renders every JSON value the CLI prints; its text equals
+``json.dumps(obj, indent=2)`` byte for byte, at a fraction of the cost on
+the large number lists of a Whittaker table.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
+from math import isfinite as _isfinite
 
 from .coeffs import FREE, Mode, Ring, SymbolicMode, SymCoeff
 from .gauss import GaussTable
@@ -166,3 +173,61 @@ def report(check: str, params: dict, passed: bool,
     if counterexample is not None:
         out["counterexample"] = counterexample
     return out
+
+
+# ---------------------------------------------------------------------------
+#  Rendering
+# ---------------------------------------------------------------------------
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for any value it accepts.
+
+    With ``indent`` set the standard library runs its pure-Python encoder;
+    this renderer takes the shapes the CLI emits directly instead:
+
+    - a list whose items are all plain ints, or all plain finite floats, is
+      one join of ``int.__repr__`` / ``float.__repr__`` (json's own text for
+      those values);
+    - plain ``str``, ``int`` and finite ``float`` scalars are written the same
+      way, strings through json's ASCII string encoder;
+    - lists, and dicts whose keys are all plain ``str``, recurse.
+
+    Anything else (bools, None, NaN and infinities, tuples, subclasses,
+    non-``str`` keys) is handed to ``json.dumps(x, indent=2)`` and its
+    newlines re-indented to the current depth.  That is exact because json
+    never writes a literal newline inside a string.
+    """
+    return _render(obj, "\n")
+
+
+def _render(obj, newline: str) -> str:
+    """``obj`` rendered with ``newline`` (a newline and the current depth's
+    indent) starting each of its inner lines."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float and _isfinite(obj):
+        return float.__repr__(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        first = type(obj[0])
+        if first is int and all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        elif first is float and all(type(x) is float and _isfinite(x) for x in obj):
+            items = map(float.__repr__, obj)
+        else:
+            items = [_render(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner
+                + ("," + inner).join([_encode_str(key) + ": " + _render(value, inner)
+                                      for key, value in obj.items()])
+                + newline + "}")
+    return json.dumps(obj, indent=2).replace("\n", newline)

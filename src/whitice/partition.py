@@ -15,20 +15,24 @@ depth-first walk over the row kernel and cached; evaluating Z under a new
 The same factors are the g/h entries of the state's pattern under the one
 pattern statistic (:mod:`.patterns`), and the exponents are row-sum
 differences; ``matching_check`` compares the two profiles state by state.
-Whittaker tables re-key each monomial of Z by its integer spin vector k; the
-table renders as a Dirichlet series string whose grammar round-trips
-losslessly.
+Whittaker tables re-key each monomial of Z by its integer spin vector k,
+read off the exponent vector by one rule for both families:
+k_i = P_{r-i} - T_i, with P the prefix sums of the exponents and T_i the
+tail sum l_{i+1} + .. + l_{r+1} of the top row.  The table renders as a
+Dirichlet series string whose grammar round-trips losslessly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
 from .coeffs import Mode, NumericMode, SymCoeff, SymbolicMode
 from .gauss import gauss_table
-from .lattice import (Boundary, IceState, boundary_from_lambda, direct_fill,
-                      enumerate_states, fill_weight, row_fills, row_variable,
-                      row_vertices)
+from .lattice import (FAMILIES, Boundary, IceState, boundary_from_lambda,
+                      direct_fill, enumerate_states, fill_weight, row_fills,
+                      row_variable, row_vertices)
 from .laurent import LaurentPoly
 from .patterns import pattern_exponents, pattern_factors, pattern_from_state
 from . import transfer
@@ -187,31 +191,42 @@ def matching_check(boundary: Boundary, family: str):
 #  Whittaker tables
 # ---------------------------------------------------------------------------
 
+def _spin_rule(boundary: Boundary, family: str):
+    """:func:`spin_vector_of_exponents` for one boundary, as a function of
+    the exponent vector alone; the tails of the top row are summed once."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    top = boundary.top_minus
+    r = boundary.rank
+    total = sum(top)
+    # tails[j] = T_{r-j} = l_{r+1-j} + .. + l_{r+1}, for j = 0..r-1
+    tails = list(accumulate(reversed(top)))[:r]
+
+    def spin(exponents) -> tuple[int, ...]:
+        if len(exponents) != r + 1:
+            raise ValueError(f"exponent vector has {len(exponents)} entries, "
+                             f"not the {r + 1} of rank {r}")
+        prefix = list(accumulate(exponents))
+        if prefix[r] != total:
+            raise ValueError("exponent vector has the wrong total degree")
+        # prefix[j] - tails[j] = k_{r-j}
+        return tuple(map(sub, prefix, tails))[::-1]
+
+    return spin
+
+
 def spin_vector_of_exponents(exponents, boundary: Boundary, family: str) -> tuple[int, ...]:
     """Recover the integer vector k from a monomial's exponent vector.
 
-    Row sums d_0..d_{r+1} are reconstructed from the per-variable exponents
-    (gamma: z_m carries d_{r+1-m} - d_{r+2-m}; delta: d_{m-1} - d_m), then
-    k_i = d_i - (l_{i+1} + .. + l_{r+1}) for gamma and
-    k_i = (l_1 + .. + l_i) - d_{r+1-i} for delta, l the top row.
+    Both families obey one rule, k_i = P_{r-i} - T_i for i = 1..r, where
+    P_j = e_0 + .. + e_j are the prefix sums of the exponent vector e and
+    T_i = l_{i+1} + .. + l_{r+1} the tail sums of the top row l.  (The row
+    sums d_0..d_{r+1} read off e are d_i = P_{r-i} for gamma and
+    d_i = |l| - P_{i-1} for delta; k_i = d_i - T_i for gamma and
+    k_i = (l_1 + .. + l_i) - d_{r+1-i} for delta both reduce to it.)
+    The exponents must number r + 1 and sum to |l|.
     """
-    top = boundary.top_minus
-    r = boundary.rank
-    d = [0] * (r + 2)
-    if family == "gamma":
-        for m in range(1, r + 2):
-            d[r + 1 - m] = d[r + 2 - m] + exponents[m - 1]
-        if d[0] != sum(top):
-            raise ValueError("exponent vector has the wrong total degree")
-        return tuple(d[i] - sum(top[i:]) for i in range(1, r + 1))
-    if family == "delta":
-        d[0] = sum(top)
-        for m in range(1, r + 2):
-            d[m] = d[m - 1] - exponents[m - 1]
-        if d[r + 1] != 0:
-            raise ValueError("exponent vector has the wrong total degree")
-        return tuple(sum(top[:i]) - d[r + 1 - i] for i in range(1, r + 1))
-    raise ValueError(f"unknown family {family!r}")
+    return _spin_rule(boundary, family)(exponents)
 
 
 def whittaker_table(boundary: Boundary, family: str, mode: Mode,
@@ -219,8 +234,8 @@ def whittaker_table(boundary: Boundary, family: str, mode: Mode,
     """Map from spin vectors k to coefficients H(k): the terms of Z re-keyed
     (exponent vectors and spin vectors determine each other)."""
     z = partition_function(boundary, family, mode, strategy)
-    return {spin_vector_of_exponents(exponents, boundary, family): coeff
-            for exponents, coeff in z.terms.items()}
+    spin = _spin_rule(boundary, family)
+    return {spin(exponents): coeff for exponents, coeff in z.terms.items()}
 
 
 def statement_a_check(lam, mode: Mode, tol: float = 1e-9):

@@ -398,3 +398,71 @@ def test_largest_enumerated_boundary_of_the_tests_is_accepted(capsys):
     assert code == 0
     assert obj["states"] == 3892 <= cli.MAX_ENUMERATED_STATES
     assert obj["agree"] is True
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    "verify statement-a --lambda 1,0 --q 5 --n 2",
+    "verify two-row --random 3 --q 5 --n 2",
+    "verify statement-b --l 3,1,0 --m 2 --q 5 --n 2",
+    "verify functional-eq --lambda 2,0 --q 5 --n 2",
+])
+def test_bad_tolerance_is_refused_before_computing(capsys, monkeypatch, argv, tol):
+    # a negative or NaN tolerance failed every numeric check, an infinite one
+    # passed every one, and NaN printed the non-JSON token NaN
+    def refused(*args, **kwargs):
+        raise AssertionError("a check was computed")
+
+    for module, attr in ((cli, "statement_a_check"), (cli.transfer, "two_row_check"),
+                         (cli.transfer, "random_two_row_boundary"),
+                         (cli.transfer, "coefficient_pairs"),
+                         (cli.weyl, "functional_eq_check")):
+        monkeypatch.setattr(module, attr, refused)
+    code, out = run(capsys, *argv.split(), f"--tol={tol}")
+    assert code == 2
+    obj = json.loads(out, parse_constant=refused)
+    assert obj["error"] == "config"
+    assert "--tol" in obj["detail"]
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, obj = run_json(capsys, "verify", "statement-a", "--lambda", "1,0",
+                         "--n", "2", "--tol", "0")
+    assert code == 0
+    assert obj["pass"] is True and obj["params"]["tol"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    "whittaker --lambda 1,0 --n 0",
+    "whittaker --lambda 1,0 --n 0 --q 5",
+    "partition --lambda 1,0 --n -1",
+    "gauss --n 0 --q 5",
+])
+def test_nonpositive_n_is_a_config_error_on_every_path(capsys, argv):
+    # the symbolic path reported "invalid-value", the numeric one "config"
+    code, obj = run_json(capsys, *argv.split())
+    assert code == 2
+    assert obj["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    "whittaker --lambda 2,1,0 --n 2",
+    "whittaker --lambda 2,1,0 --n 2 --q 5 --strategy transfer",
+    "partition --lambda 2,0 --n 3 --json",
+    "partition --lambda 2,0 --n 2 --q 5 --json",
+    "enumerate --lambda 1,1,0",
+    "gauss --n 3 --q 7",
+    "verify statement-a --lambda 1,0 --n 2 --q 5",
+])
+def test_output_is_the_stdlib_rendering(capsys, monkeypatch, argv):
+    emitted = []
+    render = cli.jsonio.dumps
+
+    def recording(obj):
+        emitted.append(obj)
+        return render(obj)
+
+    monkeypatch.setattr(cli.jsonio, "dumps", recording)
+    code, out = run(capsys, *argv.split())
+    assert code == 0 and len(emitted) == 1
+    assert out == json.dumps(emitted[0], indent=2) + "\n"

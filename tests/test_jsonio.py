@@ -2,12 +2,18 @@
 from __future__ import annotations
 
 import json
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from whitice.coeffs import SymCoeff, SymbolicMode
 from whitice.gauss import gauss_table
 from whitice.jsonio import (
     coeff_from_json,
     coeff_to_json,
+    dumps,
     gauss_table_to_json,
     pattern_from_json,
     pattern_to_json,
@@ -120,3 +126,83 @@ def test_report_shape():
     assert bad["pass"] is False
     assert bad["counterexample"] == {"k": 2}
     assert "counterexample" not in ok
+
+
+# ---------------------------------------------------------------------------
+#  The renderer: json.dumps(obj, indent=2), byte for byte
+# ---------------------------------------------------------------------------
+
+class SubInt(int):
+    def __repr__(self):
+        return "SubInt"
+
+
+class SubFloat(float):
+    def __repr__(self):
+        return "SubFloat"
+
+
+class SubStr(str):
+    pass
+
+
+class SubList(list):
+    pass
+
+
+class SubDict(dict):
+    pass
+
+
+EDGE_FLOATS = [-0.0, 0.0, 1e-7, 1e16, 1.5e300, 5e-324, math.nan, math.inf, -math.inf]
+EDGE_STRINGS = ['', '"', '\\', 'a "quoted" word', '\x00\x1f\n\t\r\x7f', 'é ☃ 𝄞',
+                '\ud800', '</script>', '{"k": [1, 2]}']
+
+scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(EDGE_FLOATS),
+    st.text(), st.sampled_from(EDGE_STRINGS),
+    st.builds(SubInt, st.integers()), st.builds(SubFloat, st.floats()),
+    st.builds(SubStr, st.text()))
+keys = st.one_of(st.text(), st.sampled_from(EDGE_STRINGS), st.integers(),
+                 st.floats(), st.booleans(), st.none(), st.builds(SubStr, st.text()))
+number_lists = st.one_of(
+    st.lists(st.integers()), st.lists(st.floats()),
+    st.lists(st.sampled_from(EDGE_FLOATS)),
+    st.lists(st.one_of(st.integers(), st.booleans())),
+    st.lists(st.one_of(st.integers(), st.floats())))
+values = st.recursive(
+    st.one_of(scalars, number_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(SubList),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(st.text(), children, max_size=4).map(SubDict)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}]})
+@example([True, 1, 2])
+@example([1, 2.5, -0.0])
+@example({"x": [1.0, math.nan]})
+@example({1: "one", None: [2 ** 70], 1.5: (3,), True: {"t": ()}})
+@example([SubInt(3), 4])
+@example({"entries": [{"k": [0, -1, 2], "coeff": [0.1, -1e-07]}]})
+def test_dumps_is_the_stdlib_indent_2_rendering(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, [object()], {"a": 1j}, {(1, 2): 3}])
+def test_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps(value)
+    assert str(got.value) == str(expected.value)

@@ -205,6 +205,52 @@ def test_spin_vector_of_exponents_pins():
     assert spin_vector_of_exponents((4, 1, 3), b, "delta") == (2, 4)
 
 
+def spin_vector_by_row_sums(exponents, boundary, family):
+    """Reference: rebuild the row sums d_0..d_{r+1} family by family
+    (gamma: z_m carries d_{r+1-m} - d_{r+2-m}; delta: d_{m-1} - d_m), then
+    k_i = d_i - (l_{i+1} + .. + l_{r+1}) for gamma and
+    k_i = (l_1 + .. + l_i) - d_{r+1-i} for delta."""
+    top = boundary.top_minus
+    r = boundary.rank
+    d = [0] * (r + 2)
+    if family == "gamma":
+        for m in range(1, r + 2):
+            d[r + 1 - m] = d[r + 2 - m] + exponents[m - 1]
+        assert d[0] == sum(top)
+        return tuple(d[i] - sum(top[i:]) for i in range(1, r + 1))
+    d[0] = sum(top)
+    for m in range(1, r + 2):
+        d[m] = d[m - 1] - exponents[m - 1]
+    assert d[r + 1] == 0
+    return tuple(sum(top[:i]) - d[r + 1 - i] for i in range(1, r + 1))
+
+
+def test_spin_vector_rule_matches_the_row_sum_reference():
+    # every exponent vector a state carries: every monomial of Z, in any mode
+    vectors = 0
+    for lam in lambda_grid(3, 3):
+        boundary = boundary_from_lambda(lam)
+        for family in ("gamma", "delta"):
+            exponents = {e for _, e in boundary_profiles(boundary, family)}
+            for e in exponents:
+                assert (spin_vector_of_exponents(e, boundary, family)
+                        == spin_vector_by_row_sums(e, boundary, family)), (lam, family, e)
+            vectors += len(exponents)
+    assert vectors > 1000
+
+
+@pytest.mark.parametrize("exponents, family, message", [
+    ((3, 1, 3), "gamma", "total degree"),
+    ((4, 1, 4), "delta", "total degree"),
+    ((3, 1, 4, 0), "gamma", "entries"),
+    ((4, 4), "delta", "entries"),
+    ((3, 1, 4), "alpha", "unknown family"),
+])
+def test_spin_vector_refuses_a_bad_input(exponents, family, message):
+    with pytest.raises(ValueError, match=message):
+        spin_vector_of_exponents(exponents, boundary_from_lambda((3, 2, 0)), family)
+
+
 def test_whittaker_table_pins():
     raw = raw_symbolic_mode()
     b0 = boundary_from_lambda((0, 0))
