@@ -17,16 +17,21 @@ list of the polynomial in u, as exact [numerator, denominator] pairs
 starting at u^0.  Every converter has an exact inverse.
 
 :func:`dumps` renders every JSON value the CLI prints; its text equals
-``json.dumps(obj, indent=2)`` byte for byte, at a fraction of the cost on
-the large number lists of a Whittaker table.
+``json.dumps(obj, indent=2)`` byte for byte.  It renders a list by columns
+rather than item by item: a list of numbers is one ``map`` of the repr, a
+list of number lists one template per item, and a list of dicts with the
+same keys in the same order (a Whittaker table's entries, a polynomial's
+terms) renders each key's column once and fills one template per entry.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain as _chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite as _isfinite
+from operator import itemgetter as _itemgetter
 
 from .coeffs import FREE, Mode, Ring, SymbolicMode, SymCoeff
 from .gauss import GaussTable
@@ -183,14 +188,19 @@ def dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for any value it accepts.
 
     With ``indent`` set the standard library runs its pure-Python encoder;
-    this renderer takes the shapes the CLI emits directly instead:
+    this renderer takes the shapes the CLI emits directly instead.  Plain
+    ``str``, ``int`` and finite ``float`` scalars are written as json writes
+    them (``int.__repr__``, ``float.__repr__``, json's ASCII string encoder),
+    and dicts whose keys are all plain ``str`` recurse.  A list renders its
+    items together, by the first rule that fits all of them:
 
-    - a list whose items are all plain ints, or all plain finite floats, is
-      one join of ``int.__repr__`` / ``float.__repr__`` (json's own text for
-      those values);
-    - plain ``str``, ``int`` and finite ``float`` scalars are written the same
-      way, strings through json's ASCII string encoder;
-    - lists, and dicts whose keys are all plain ``str``, recurse.
+    - all plain ints, or all plain finite floats: one ``map`` of the repr;
+    - all non-empty lists whose items, taken together, are all plain ints or
+      all plain finite floats: one template and one join per item;
+    - two or more plain dicts with the same plain-``str`` keys in the same
+      order: each key's column of values is rendered once, by these same
+      rules, and each item is one ``%``-template filled from the columns;
+    - otherwise item by item.
 
     Anything else (bools, None, NaN and infinities, tuples, subclasses,
     non-``str`` keys) is handed to ``json.dumps(x, indent=2)`` and its
@@ -214,14 +224,7 @@ def _render(obj, newline: str) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        first = type(obj[0])
-        if first is int and all(type(x) is int for x in obj):
-            items = map(int.__repr__, obj)
-        elif first is float and all(type(x) is float and _isfinite(x) for x in obj):
-            items = map(float.__repr__, obj)
-        else:
-            items = [_render(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return "[" + inner + ("," + inner).join(_render_items(obj, inner)) + newline + "]"
     if kind is dict and all(type(key) is str for key in obj):
         if not obj:
             return "{}"
@@ -231,3 +234,46 @@ def _render(obj, newline: str) -> str:
                                       for key, value in obj.items()])
                 + newline + "}")
     return json.dumps(obj, indent=2).replace("\n", newline)
+
+
+def _number_repr(kinds: set, values: list):
+    """``int.__repr__`` or ``float.__repr__`` if `values`, of types `kinds`,
+    are all plain ints or all plain finite floats, else None."""
+    if kinds == {int}:
+        return int.__repr__
+    if kinds == {float} and all(map(_isfinite, values)):
+        return float.__repr__
+    return None
+
+
+def _render_items(items: list, newline: str):
+    """The rendering of each of `items` (a non-empty list) at ``newline``,
+    by the rules of :func:`dumps`."""
+    kinds = set(map(type, items))
+    to_text = _number_repr(kinds, items)
+    if to_text is not None:
+        return map(to_text, items)
+    if kinds == {list} and all(items):
+        flat = list(_chain.from_iterable(items))
+        to_text = _number_repr(set(map(type, flat)), flat)
+        if to_text is not None:
+            inner = newline + "  "
+            head, sep, tail = "[" + inner, "," + inner, newline + "]"
+            return [head + sep.join(map(to_text, item)) + tail for item in items]
+    elif kinds == {dict} and len(items) > 1:
+        keys = tuple(items[0])
+        # tuples of plain str compare by value and order (dict views would
+        # compare as sets)
+        if (set(map(type, _chain.from_iterable(items))) <= {str}
+                and all(map(keys.__eq__, map(tuple, items)))):
+            if not keys:
+                return ["{}"] * len(items)
+            inner = newline + "  "
+            template = ("{" + inner
+                        + ("," + inner).join([_encode_str(key).replace("%", "%%") + ": %s"
+                                              for key in keys])
+                        + newline + "}")
+            columns = [_render_items(list(map(_itemgetter(key), items)), inner)
+                       for key in keys]
+            return [template % row for row in zip(*columns)]
+    return [_render(item, newline) for item in items]

@@ -179,58 +179,74 @@ Factors = tuple[tuple[str, int], ...]  # (kind, raw charge) of each g/h vertex
 Fill = tuple[Factors, int]  # (factors left to right, z-exponent)
 
 
+def _row_steps(table: dict[Config, tuple[str, int]]) -> dict[tuple[int, int], tuple]:
+    """(north, west) -> the admissible steps of one vertex, + south first:
+    (south is -, east spin, g/h kind or None for weight 1, z-increment)."""
+    steps = {}
+    for nsp in (PLUS, MINUS):
+        for west in (PLUS, MINUS):
+            found = []
+            for ssp in (PLUS, MINUS):
+                east = nsp * ssp * west
+                entry = table.get((nsp, ssp, west, east))
+                if entry is not None:
+                    kind, inc = entry
+                    found.append((ssp == MINUS, east, None if kind == "1" else kind, inc))
+            steps[nsp, west] = tuple(found)
+    return steps
+
+
+ROW_STEPS = {family: _row_steps(weight_table(family)) for family in FAMILIES}
+
+
 def row_fills(top: tuple[int, ...], columns: int, family: str) -> dict[tuple[int, ...], Fill]:
     """The row kernel: every admissible fill of one row below `top`.
 
     Returns {bottom layer: (factors, z-exponent)}, where the factors are the
     (kind, raw charge) of the row's g/h vertices left to right.  Both layers
     force the horizontal spins, so a fill is unique once the bottom layer is
-    fixed.  The walk goes left to right from the + boundary, branching on the
-    bottom spin; parity forces the east spin, and a walk dies on a crossing
-    configuration or when it does not end on -.  A walk whose west spin is
-    + with no - left on the top layer from there on is cut at once: north +
-    and west + admit only south +, which keeps east +, so it could only end
-    on +.  Bottom layers come out in the walk's order (+ branch first).
+    fixed.
+
+    The walk goes column by column, left to right from the + boundary, over
+    a frontier of partial walks (west spin, marks so far, z-exponent, bottom
+    layer, factors).  Each vertex branches on its bottom spin; parity forces
+    the east spin, and a branch dies on a crossing configuration.  A branch
+    whose east spin is + with no - left on the top layer from there on is cut
+    at once: north + and west + admit only south +, which keeps east +, so it
+    could only end on +; the cut also drops every walk that would end on +.
+    Each partial walk is expanded + branch before - branch, in frontier
+    order, so the frontier stays in the order of a depth-first walk taking +
+    first, and bottom layers come out in that order.  Numeric sums over the
+    fills depend on it.
     """
-    table = weight_table(family)
+    weight_table(family)  # rejects an unknown family
+    steps = ROW_STEPS[family]
     gamma = family == "gamma"
     mark = PLUS if gamma else MINUS  # the spin a charge counts
-    north = [MINUS if columns - 1 - p in top else PLUS for p in range(columns)]
+    top_set = frozenset(top)
     last_minus = columns - 1 - min(top) if top else -1  # position of the last top -
-    fills: dict[tuple[int, ...], Fill] = {}
-    bottom: list[int] = []
-    factors: list[tuple[str, int]] = []  # (kind, marks on edges 0..p)
-
-    def walk(p: int, west: int, marks: int, zexp: int) -> None:
-        if west == PLUS and p > last_minus:
-            return  # stays + to the row's end; this also ends every walk on +
-        if p == columns:
-            # gamma: marks is now the row's + count, and the charge counts
-            # the + edges east of the vertex; delta counts - edges west
-            fills[tuple(bottom)] = (
-                tuple((kind, marks - m) for kind, m in factors) if gamma
-                else tuple(factors), zexp)
-            return
-        nsp = north[p]
-        marks += west == mark
-        for ssp in (PLUS, MINUS):
-            east = nsp * ssp * west
-            entry = table.get((nsp, ssp, west, east))
-            if entry is None:
-                continue
-            kind, inc = entry
-            if ssp == MINUS:
-                bottom.append(columns - 1 - p)
-            if kind != "1":
-                factors.append((kind, marks))
-            walk(p + 1, east, marks, zexp + inc)
-            if kind != "1":
-                factors.pop()
-            if ssp == MINUS:
-                bottom.pop()
-
-    walk(0, PLUS, 0, 0)
-    return fills
+    # (west, marks on edges 0..p-1, z-exponent, bottom, (kind, marks on edges 0..q))
+    frontier = [(PLUS, 0, 0, (), ())] if last_minus >= 0 else []
+    for p in range(columns):
+        label = columns - 1 - p
+        north = MINUS if label in top_set else PLUS
+        live_plus = p < last_minus  # an east + at p + 1 still meets a top -
+        grown = []
+        for west, marks, zexp, bottom, factors in frontier:
+            marks += west == mark
+            for south_minus, east, kind, inc in steps[north, west]:
+                if east == PLUS and not live_plus:
+                    continue
+                grown.append((east, marks, zexp + inc,
+                              bottom + (label,) if south_minus else bottom,
+                              factors + ((kind, marks),) if kind else factors))
+        frontier = grown
+    # every walk left ends on -; gamma: marks is now the row's + count, and
+    # the charge counts the + edges east of the vertex; delta counts - edges west
+    if gamma:
+        return {bottom: (tuple([(kind, marks - m) for kind, m in factors]), zexp)
+                for _, marks, zexp, bottom, factors in frontier}
+    return {bottom: (factors, zexp) for _, _, zexp, bottom, factors in frontier}
 
 
 def fill_weight(factors, mode):

@@ -108,9 +108,9 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
     for part, values in support.get((), {}).items():
         for z, value in values.items():
             by_z.setdefault(z, {})[part] = value
-    nvars = r + 1
-    return LaurentPoly(nvars, mode, mode.settle({
-        tuple((z >> zbits * v) & mask for v in range(nvars)): packing.unpack(packed)
+    shifts = [zbits * v for v in range(r + 1)]
+    return LaurentPoly(r + 1, mode, mode.settle({
+        tuple([(z >> shift) & mask for shift in shifts]): packing.unpack(packed)
         for z, packed in by_z.items()}))
 
 

@@ -315,6 +315,38 @@ def test_functional_eq_class_out_of_range_is_refused(capsys, j):
     assert f"--j {j}" in obj["detail"]
 
 
+@pytest.mark.parametrize("argv, i", [
+    (("functional-eq", "--lambda", "2,0", "--n", "2", "--q", "5"), "0"),
+    (("functional-eq", "--lambda", "2,0", "--n", "2", "--q", "5"), "2"),
+    (("functional-eq", "--lambda", "3,1,0", "--n", "2", "--q", "5"), "3"),
+    (("commute-rows", "--lambda", "2,1,0"), "0"),
+    (("commute-rows", "--lambda", "2,1,0"), "3"),
+    (("commute-rows", "--lambda", "2,1,0"), "7"),
+])
+def test_row_pair_out_of_range_is_refused(capsys, monkeypatch, argv, i):
+    # --i must name a row pair 1..rank; it is checked before any check runs
+    def reached(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(weyl, "functional_eq_check", reached)
+    monkeypatch.setattr(cli.ybe, "commutation_check", reached)
+    code, obj = run_json(capsys, "verify", *argv, "--i", i)
+    assert code == 2
+    assert obj["error"] == "config"
+    assert f"--i {i}" in obj["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("functional-eq", "--lambda", "3,1,0", "--n", "2", "--q", "5"),
+    ("commute-rows", "--lambda", "2,1,0"),
+])
+def test_row_pair_in_range_is_reported(capsys, argv):
+    for i in (1, 2):
+        code, obj = run_json(capsys, "verify", *argv, "--i", str(i))
+        assert code == 0
+        assert obj["params"]["rows"] == [i]
+
+
 def test_functional_eq_class_in_range_is_reported(capsys):
     code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "2,0",
                          "--n", "2", "--j", "1")

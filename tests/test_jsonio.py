@@ -172,15 +172,32 @@ number_lists = st.one_of(
     st.lists(st.sampled_from(EDGE_FLOATS)),
     st.lists(st.one_of(st.integers(), st.booleans())),
     st.lists(st.one_of(st.integers(), st.floats())))
+EDGE_KEYS = ['%', '%s', '%%', '{}', '%(k)s', 'é', '☃ 𝄞', 'k', 'coeff']
+column_keys = st.one_of(st.text(max_size=3), st.sampled_from(EDGE_KEYS))
+
+
+def same_key_dicts(children):
+    """Lists of dicts sharing one key set, in one order or in per-entry
+    orders: the columns the renderer takes together."""
+    def entries(key_set):
+        same_order = st.fixed_dictionaries({key: children for key in key_set})
+        any_order = st.permutations(key_set).flatmap(
+            lambda order: st.fixed_dictionaries({key: children for key in order}))
+        return st.one_of(st.lists(same_order, min_size=1, max_size=4),
+                         st.lists(any_order, min_size=1, max_size=4))
+    return st.lists(column_keys, unique=True, max_size=3).flatmap(entries)
+
+
 values = st.recursive(
-    st.one_of(scalars, number_lists),
+    st.one_of(scalars, number_lists, st.lists(number_lists, max_size=4)),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.lists(children, max_size=4).map(SubList),
         st.dictionaries(st.text(), children, max_size=4),
         st.dictionaries(keys, children, max_size=4),
-        st.dictionaries(st.text(), children, max_size=4).map(SubDict)),
+        st.dictionaries(st.text(), children, max_size=4).map(SubDict),
+        same_key_dicts(children)),
     max_leaves=30)
 
 
@@ -195,6 +212,29 @@ values = st.recursive(
 @example({1: "one", None: [2 ** 70], 1.5: (3,), True: {"t": ()}})
 @example([SubInt(3), 4])
 @example({"entries": [{"k": [0, -1, 2], "coeff": [0.1, -1e-07]}]})
+@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])  # same key set, other order
+@example([{"a": 1}, {"b": 1}])
+@example([{"a": 1}, {"a": 2, "b": 3}])
+@example([{"a": 1}, {SubStr("a"): 2}])
+@example([{"a": 1}, {1: 2}])
+@example([{"%": 1, "%s": [2], "{}": "x", "é ☃": 1.5, "%(k)s": None},
+          {"%": 3, "%s": [4], "{}": "y", "é ☃": 2.5, "%(k)s": True}])
+@example([{"coeff": [0.5, 1.0]}, {"coeff": [math.nan, 1.0]}])
+@example([{"k": [1, 2]}, {"k": [True, 2]}])
+@example([{"k": [1, 2]}, {"k": []}])
+@example([{"k": [1, 2]}, {"k": [1.5, 2.0]}])
+@example([{"k": [1]}, {"k": (1,)}])
+@example([{"k": [1]}, {"k": SubList([1])}])
+@example([{"k": 1}, SubDict({"k": 1})])
+@example([{}, {}])
+@example([{"terms": [{"g": [1, 1], "h": [], "u": [[1, 1], [-2, 3]]}]},
+          {"terms": [{"g": [], "h": [2], "u": [[0, 1]]}, {"g": [2], "h": [], "u": []}]}])
+@example([[1, 2], [3]])
+@example([[1.5], [2.0, -0.0]])
+@example([[1, 2], [3.5]])
+@example([[1, 2], [math.inf]])
+@example([[1, 2], []])
+@example([[[1]], [[2]]])
 def test_dumps_is_the_stdlib_indent_2_rendering(value):
     assert dumps(value) == json.dumps(value, indent=2)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whitice.lattice import (
@@ -167,6 +167,70 @@ def test_charge_labels_match_direct_counts(top_cols):
         # walk order: left to right, the + branch (column not in bot) first
         assert list(fills) == sorted(
             fills, key=lambda bot: [c in bot for c in range(columns - 1, -1, -1)])
+
+
+def row_fills_by_recursion(top, columns, family):
+    """The row kernel as a depth-first recursion, + branch first: the
+    reference the frontier walk of :func:`row_fills` is checked against."""
+    table = weight_table(family)
+    gamma = family == "gamma"
+    mark = PLUS if gamma else MINUS
+    north = [MINUS if columns - 1 - p in top else PLUS for p in range(columns)]
+    last_minus = columns - 1 - min(top) if top else -1
+    fills = {}
+    bottom = []
+    factors = []
+
+    def walk(p, west, marks, zexp):
+        if west == PLUS and p > last_minus:
+            return
+        if p == columns:
+            fills[tuple(bottom)] = (
+                tuple((kind, marks - m) for kind, m in factors) if gamma
+                else tuple(factors), zexp)
+            return
+        nsp = north[p]
+        marks += west == mark
+        for ssp in (PLUS, MINUS):
+            east = nsp * ssp * west
+            entry = table.get((nsp, ssp, west, east))
+            if entry is None:
+                continue
+            kind, inc = entry
+            if ssp == MINUS:
+                bottom.append(columns - 1 - p)
+            if kind != "1":
+                factors.append((kind, marks))
+            walk(p + 1, east, marks, zexp + inc)
+            if kind != "1":
+                factors.pop()
+            if ssp == MINUS:
+                bottom.pop()
+
+    walk(0, PLUS, 0, 0)
+    return fills
+
+
+@st.composite
+def row_tops(draw):
+    columns = draw(st.integers(0, 12))
+    cols = draw(st.sets(st.integers(0, max(columns - 1, 0)), max_size=columns))
+    return tuple(sorted(cols, reverse=True)), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_tops(), st.sampled_from(("gamma", "delta")))
+@example(((), 0), "gamma")
+@example(((), 5), "delta")
+@example(((0,), 1), "gamma")
+@example(((11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0), 12), "delta")
+@example(((11, 9, 6, 4, 2, 1), 12), "gamma")
+@example(((5, 3, 0), 6), "delta")
+def test_row_fills_match_the_recursive_walk(top_columns, family):
+    # same fills, same factors, in the same order: numeric sums depend on it
+    top, columns = top_columns
+    assert (list(row_fills(top, columns, family).items())
+            == list(row_fills_by_recursion(top, columns, family).items()))
 
 
 def test_row_fills_worked_example():

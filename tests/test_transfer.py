@@ -1,6 +1,7 @@
 """Transfer-style contraction and the two-row exchange identity."""
 from __future__ import annotations
 
+import gc
 import random
 from functools import lru_cache
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from whitice import coeffs, transfer
 from whitice.coeffs import SymbolicMode
-from whitice.lattice import boundary_from_lambda, row_variable
+from whitice.lattice import boundary_from_lambda, row_fills, row_variable
 from whitice.laurent import LaurentPoly
 from whitice.partition import numeric_mode, partition_function, raw_symbolic_mode
 from whitice.transfer import (
@@ -116,6 +117,23 @@ def test_numeric_contraction_counts_no_states(monkeypatch):
             contract_partition(boundary_from_lambda(lam), family, numeric_mode(n, q))
     with pytest.raises(AssertionError, match="count_states"):
         contract_partition(boundary_from_lambda((2, 1, 0)), "gamma", SymbolicMode(2))
+
+
+def test_row_walk_and_contraction_leave_no_reference_cycles():
+    # every fill dict and partial walk is freed on its last reference, so
+    # the cyclic collector finds nothing after the kernel or a contraction
+    boundary = boundary_from_lambda((3, 2, 1, 0))
+    mode = numeric_mode(2, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        for family in ("gamma", "delta"):
+            row_fills((5, 3, 0), 6, family)
+            assert gc.collect() == 0
+            contract_partition(boundary, family, mode)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def folded_rows(boundary, family, mode):
