@@ -145,12 +145,16 @@ def _tol(args) -> float:
     return args.tol
 
 
-def _emit(obj) -> None:
-    """Print a string as it is and anything else as indent-2 JSON."""
+def _emit(obj, render=None) -> None:
+    """Print a string as it is and anything else as indent-2 JSON, rendered
+    by `render` (:func:`jsonio.dumps` by default).  A Whittaker table is
+    passed as the ``{k: coeff}`` dict with :func:`jsonio.dumps_whittaker`,
+    which writes a numeric table one template per entry and any other table
+    through ``jsonio.dumps(jsonio.whittaker_to_json(table))``."""
     if isinstance(obj, str):
         print(obj)
     else:
-        print(jsonio.dumps(obj))
+        print((render or jsonio.dumps)(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,7 @@ def cmd_whittaker(args) -> int:
     if args.dirichlet:
         _emit(dirichlet_series_string(table))
     else:
-        _emit(jsonio.whittaker_to_json(table))
+        _emit(table, jsonio.dumps_whittaker)
     return 0
 
 

@@ -22,11 +22,16 @@ rather than item by item: a list of numbers is one ``map`` of the repr, a
 list of number lists one template per item, and a list of dicts with the
 same keys in the same order (a Whittaker table's entries, a polynomial's
 terms) renders each key's column once and fills one template per entry.
+:func:`dumps_whittaker` renders a ``{k: coeff}`` table as
+``dumps(whittaker_to_json(table))`` would: a numeric table of finite plain
+complex values is one template per entry with no JSON view built, and any
+other table falls back to that reference route.
 """
 
 from __future__ import annotations
 
 import json
+from cmath import isfinite as _cfinite
 from fractions import Fraction
 from itertools import chain as _chain
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -155,6 +160,30 @@ def short_pattern_from_json(obj: dict) -> ShortPattern:
 def whittaker_to_json(table: dict) -> dict:
     return {"entries": [{"k": list(k), "coeff": coeff_to_json(c)}
                         for k, c in sorted(table.items())]}
+
+
+def dumps_whittaker(table: dict) -> str:
+    """``dumps(whittaker_to_json(table))``, byte for byte.
+
+    When every key is a tuple of plain ints of one length and every
+    coefficient a plain complex with finite parts, each entry is one
+    ``%``-template (``%d`` per k_i, ``%r`` for re and im), built once for the
+    table and filled in sorted key order.  Any other table (symbolic, NaN or
+    infinite coefficients, bools or subclasses, the empty table) takes the
+    reference route through :func:`whittaker_to_json`."""
+    if not (table and set(map(type, table)) == {tuple}
+            and len(set(map(len, table))) == 1
+            and set(map(type, _chain.from_iterable(table))) <= {int}
+            and set(map(type, table.values())) == {complex}
+            and all(map(_cfinite, table.values()))):
+        return dumps(whittaker_to_json(table))
+    rank = len(next(iter(table)))
+    k = "[" + ",".join(["\n        %d"] * rank) + "\n      ]" if rank else "[]"
+    entry = '{\n      "k": ' + k + ',\n      "coeff": [\n        %r,\n        %r\n      ]\n    }'
+    return ('{\n  "entries": [\n    '
+            + ",\n    ".join([entry % (*key, (c := table[key]).real, c.imag)
+                              for key in sorted(table)])
+            + "\n  ]\n}")
 
 
 def whittaker_from_json(obj: dict) -> dict:

@@ -46,7 +46,7 @@ code with the kernel and serve as the reference it is checked against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 PLUS = 1
@@ -346,54 +346,38 @@ def direct_fill(vertices) -> Fill:
 
 
 def strict_interleavings(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All strictly decreasing tuples y with upper[i] >= y[i] >= upper[i+1]."""
-    m = len(upper)
-    if m <= 1:
-        yield ()
-        return
-    acc: list[int] = []
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == m - 1:
-            yield tuple(acc)
-            return
-        hi = upper[i] if not acc else min(upper[i], acc[-1] - 1)
-        lo = upper[i + 1]
-        for y in range(hi, lo - 1, -1):
-            acc.append(y)
-            yield from rec(i + 1)
-            acc.pop()
-
-    yield from rec(0)
+    """All strictly decreasing tuples y with upper[i] >= y[i] >= upper[i+1],
+    in decreasing lexicographic order.  Each such y is weakly decreasing, so
+    it is strict exactly when its entries are distinct."""
+    ranges = [range(hi, lo - 1, -1) for hi, lo in zip(upper, upper[1:])]
+    return (y for y in product(*ranges) if len(set(y)) == len(y))
 
 
 def enumerate_states(boundary: Boundary) -> list[IceState]:
-    """All admissible states, sorted lexicographically by their layers."""
+    """All admissible states, sorted lexicographically by their layers.
+
+    Depth first over an explicit stack: each layer's interleavings are
+    pushed in decreasing order, so the least is popped first and the states
+    come out sorted."""
     states: list[IceState] = []
-    layers: list[tuple[int, ...]] = [boundary.top_minus]
-
-    def rec(k: int):
-        if k == boundary.rows:
-            states.append(IceState(boundary=boundary, layers=tuple(layers) + ((),)))
-            return
-        for y in strict_interleavings(layers[-1]):
-            layers.append(y)
-            rec(k + 1)
-            layers.pop()
-
-    rec(1)
-    states.sort(key=lambda s: s.layers)
+    stack = [(boundary.top_minus,)]
+    while stack:
+        layers = stack.pop()
+        if len(layers) == boundary.rows:
+            states.append(IceState(boundary=boundary, layers=layers + ((),)))
+        else:
+            stack += [layers + (y,) for y in strict_interleavings(layers[-1])]
     return states
 
 
 def count_states(boundary: Boundary) -> int:
-    """Number of admissible states, by recursion on the layers, memoised on
-    the layer for the duration of one call."""
-
-    @lru_cache(maxsize=None)
-    def rec(upper: tuple[int, ...]) -> int:
-        if len(upper) <= 1:
-            return 1
-        return sum(rec(y) for y in strict_interleavings(upper))
-
-    return rec(boundary.top_minus)
+    """Number of admissible states: the paths down the layers, counted one
+    row at a time over the distinct layers that row can reach."""
+    paths = {boundary.top_minus: 1}
+    for _ in range(boundary.rank):
+        below: dict[tuple[int, ...], int] = {}
+        for upper, count in paths.items():
+            for y in strict_interleavings(upper):
+                below[y] = below.get(y, 0) + count
+        paths = below
+    return sum(paths.values())

@@ -125,7 +125,10 @@ def boundary_profiles(boundary: Boundary, family: str) -> tuple[Profile, ...]:
             walk(row + 1, bot, factors + row_factors)
             exponents[var] -= zexp
 
-    walk(0, boundary.top_minus, ())
+    try:
+        walk(0, boundary.top_minus, ())
+    finally:
+        del walk  # walk refers to itself through its cell: break that cycle
     return tuple(profiles)
 
 

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from whitice import cli, partition, weyl
+from whitice import cli, jsonio, partition, weyl
 from whitice.cli import main
+from whitice.lattice import boundary_from_lambda
+from whitice.partition import numeric_mode, whittaker_table
 
 
 def run(capsys, *argv):
@@ -477,9 +479,12 @@ def test_nonpositive_n_is_a_config_error_on_every_path(capsys, argv):
     assert obj["error"] == "config"
 
 
+NUMERIC_TABLE = "whittaker --lambda 2,1,0 --n 2 --q 5 --strategy transfer"
+
+
 @pytest.mark.parametrize("argv", [
     "whittaker --lambda 2,1,0 --n 2",
-    "whittaker --lambda 2,1,0 --n 2 --q 5 --strategy transfer",
+    NUMERIC_TABLE,
     "partition --lambda 2,0 --n 3 --json",
     "partition --lambda 2,0 --n 2 --q 5 --json",
     "enumerate --lambda 1,1,0",
@@ -496,5 +501,37 @@ def test_output_is_the_stdlib_rendering(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(cli.jsonio, "dumps", recording)
     code, out = run(capsys, *argv.split())
-    assert code == 0 and len(emitted) == 1
-    assert out == json.dumps(emitted[0], indent=2) + "\n"
+    assert code == 0
+    if argv == NUMERIC_TABLE:
+        # a numeric table is written one template per entry, without dumps
+        table = whittaker_table(boundary_from_lambda((2, 1, 0)), "gamma",
+                                numeric_mode(2, 5), strategy="transfer")
+        assert not emitted
+        assert out == json.dumps(jsonio.whittaker_to_json(table), indent=2) + "\n"
+    else:
+        assert len(emitted) == 1
+        assert out == json.dumps(emitted[0], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "whittaker --lambda 2,1,0 --n 2 --strategy transfer",
+    "whittaker --lambda 2,1,0 --n 2 --q 5 --strategy transfer",
+])
+def test_whittaker_table_runs_through_one_contraction(capsys, monkeypatch, argv):
+    # the table path calls contract_partition(boundary, family, mode) once,
+    # positionally, so that a wrapper on it sees every table's Z
+    calls = []
+    contract = cli.transfer.contract_partition
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(cli.transfer, "contract_partition", counting)
+    code, out = run(capsys, *argv.split())
+    assert code == 0 and json.loads(out)["entries"]
+    assert len(calls) == 1
+    (boundary, family, mode), kwargs = calls[0]
+    assert kwargs == {}
+    assert boundary == boundary_from_lambda((2, 1, 0)) and family == "gamma"
+    assert mode.n == 2 and mode.name == ("numeric" if "--q" in argv else "symbolic")

@@ -14,6 +14,7 @@ from whitice.jsonio import (
     coeff_from_json,
     coeff_to_json,
     dumps,
+    dumps_whittaker,
     gauss_table_to_json,
     pattern_from_json,
     pattern_to_json,
@@ -246,3 +247,67 @@ def test_dumps_refuses_what_json_refuses(value):
     with pytest.raises(TypeError) as got:
         dumps(value)
     assert str(got.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+#  The Whittaker table renderer: dumps(whittaker_to_json(table)), byte for byte
+# ---------------------------------------------------------------------------
+
+class SubComplex(complex):
+    def __repr__(self):
+        return "SubComplex"
+
+
+EDGE_PARTS = [-0.0, 0.0, 1e-300, 1e16, -2.5]
+finite_parts = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(EDGE_PARTS))
+parts = st.one_of(st.floats(), st.sampled_from(EDGE_PARTS + [math.nan, math.inf, -math.inf]))
+k_ints = st.one_of(st.integers(), st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+                   st.sampled_from([2 ** 64, -2 ** 64 - 1]))
+table_coeffs = st.one_of(
+    st.builds(complex, parts, parts),
+    st.builds(SubComplex, parts, parts),
+    st.sampled_from([SymCoeff.symbol("g", 1) * 3 + SymCoeff.u_power(2),
+                     SymCoeff.symbol("h", 2)]))
+
+
+def whittaker_tables(rank):
+    """Tables of one rank: finite plain complex values, or any coefficient,
+    and a key that may hold a bool or have another length."""
+    odd_keys = st.one_of(st.lists(st.one_of(k_ints, st.booleans()), max_size=5).map(tuple),
+                         st.lists(k_ints, min_size=rank, max_size=rank).map(tuple))
+    plain = st.dictionaries(st.lists(k_ints, min_size=rank, max_size=rank).map(tuple),
+                            st.builds(complex, finite_parts, finite_parts), max_size=6)
+    mixed = st.dictionaries(odd_keys, table_coeffs, max_size=6)
+    return st.one_of(plain, mixed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(whittaker_tables))
+@example({})
+@example({(): 1 + 2j})
+@example({(3, -1): 0.5 - 0j, (-2, 7): -0.0 + 1e16j, (2 ** 65, 0): 1e-300 + 0j})
+@example({(1, 0): complex(math.nan, 1.0), (0, 1): 1j})
+@example({(1,): complex(math.inf, 0.0), (0,): complex(0.0, -math.inf)})
+@example({(True, 0): 1j, (2, 0): 2j})
+@example({(1, 0): SubComplex(1, 2), (0, 1): 3j})
+@example({(1, 0): SymCoeff.symbol("g", 1), (0, 1): 3j})
+@example({(1, 0): 1j, (0,): 2j})
+def test_dumps_whittaker_is_the_reference_rendering(table):
+    assert dumps_whittaker(table) == dumps(whittaker_to_json(table))
+
+
+@pytest.mark.parametrize("lam, n, q", [((6, 5, 4, 2, 1, 0), 3, 7),
+                                       ((8, 6, 4, 2, 0), 2, 5),
+                                       ((2, 2, 2, 2, 2, 0), 1, 61)])
+@pytest.mark.parametrize("family", ["gamma", "delta"])
+def test_dumps_whittaker_renders_the_numeric_ladder_by_template(monkeypatch, lam, n, q, family):
+    table = whittaker_table(boundary_from_lambda(lam), family, numeric_mode(n, q),
+                            strategy="transfer")
+    want = dumps(whittaker_to_json(table))
+
+    def reference_route(table):
+        raise AssertionError("a numeric table left the template path")
+
+    monkeypatch.setattr("whitice.jsonio.whittaker_to_json", reference_route)
+    assert dumps_whittaker(table) == want

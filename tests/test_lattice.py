@@ -1,6 +1,7 @@
 """Square-ice lattice layer: admissibility, boundaries, state enumeration, charges."""
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -30,6 +31,9 @@ from whitice.lattice import (
     strict_interleavings,
     weight_table,
 )
+from whitice.coeffs import SymbolicMode
+from whitice.partition import boundary_profiles
+from whitice.transfer import contract_partition
 
 
 def test_admissibility_rule():
@@ -102,6 +106,22 @@ def test_state_count_pins():
     assert count_states(boundary_from_lambda((10, 8, 6, 4, 2, 0))) == 891_619_506
 
 
+def test_state_walks_leave_no_cyclic_garbage():
+    # a recursive closure that refers to itself is a reference cycle, freed
+    # only by the cycle collector
+    boundary = boundary_from_lambda((3, 2, 1, 0))
+    gc.collect()
+    gc.disable()
+    try:
+        for run in (lambda: count_states(boundary), lambda: enumerate_states(boundary),
+                    lambda: contract_partition(boundary, "gamma", SymbolicMode(2)),
+                    lambda: boundary_profiles.__wrapped__(boundary, "delta")):
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumerate_states_structure():
     b = boundary_from_lambda((3, 2, 0))
     states = enumerate_states(b)
@@ -131,6 +151,8 @@ def test_fill_row_unique_or_none():
 def test_strict_interleavings_pin():
     got = list(strict_interleavings((5, 3, 0)))
     assert len(got) == 11
+    assert got == sorted(got, reverse=True)
+    assert list(strict_interleavings((4,))) == [()]
     assert (5, 3) in got and (3, 0) in got
     for lower in got:
         assert all(lower[i] > lower[i + 1] for i in range(len(lower) - 1))
