@@ -29,18 +29,17 @@ coefficient domains:
   (map a free coefficient over with ``reduce`` first).  ``==`` compares the
   stored terms and never raises.
 
-* numeric -- plain ``complex`` values, with g_a and h_a drawn from a table of
+* numeric -- ``complex`` values, with g_a and h_a drawn from a table of
   Gauss sums over a finite field (see :mod:`whitice.gauss`).
 
 A mode object (:class:`SymbolicMode` or :class:`NumericMode`) hands out ring
 elements for the weight kinds used by the lattice tables and holds the whole
 numeric policy.  ``is_zero`` is exact: structural zeros (h(b) for n not
-dividing b) are exact zeros in both modes.  ``settle`` applies the one floor,
-once per finished Z: numeric entries at most SETTLE_FLOOR times the largest
-are float residue of cancellations exact in the reduced ring and are dropped.
-``agree`` is the one comparator of sparse maps (terms or tables): numeric
-entries within tol * (1 + the largest magnitude in either), symbolic maps
-equal; ``close`` is the same rule on one coefficient.
+dividing b) are exact zeros in both modes.  No term is ever floored: a
+numeric Z is computed exactly and rounded once (below).  ``agree`` is the
+one comparator of sparse maps (terms or tables): numeric entries within
+tol * (1 + the largest magnitude in either), symbolic maps equal; ``close``
+is the same rule on one coefficient.
 
 Symbols with index divisible by n are never formal: g(b) = -u and
 h(b) = 1 - u whenever n | b, which is how both specializations behave for
@@ -48,22 +47,28 @@ every admissible table.
 
 Packed coefficients
 -------------------
-The row contraction (:mod:`whitice.transfer`) runs one loop for every mode
-and never multiplies SymCoeffs; each mode's ``packing`` picks the format.
-:class:`NumericPacking` keeps complex values as they are, under the one
-symbol part ``()``, with no width and no state count.  :class:`Packing`
-maps each symbolic coefficient's symbol parts (the g-part in the reduced
-ring, the (g-part, h-part) pair in the free ring) to one Python ``int``
-each: the part's u-polynomial at u = 2^K (Kronecker substitution).
-Evaluation at 2^K is a ring homomorphism Z[u] -> Z, so adding
-coefficients, multiplying by -u or (1 - u)^c, and the power of u that the
-pairing g_a*g_{n-a} = u splits off all become int multiplies and shifts;
-``product`` multiplies symbol parts by the ring's own rules and returns
-that power as a bit count, which the contraction folds into its multiplier.
-``unpack`` reads the u-coefficients back as balanced base-2^K digits, each
-in [-2^(K-1), 2^(K-1)); that is exact, and a packed 0 is the zero
-polynomial, as long as every u-coefficient of every packed value lies in
-that range.  :func:`pack_width` chooses K from a bound that guarantees it.
+Every Z, by contraction (:mod:`whitice.transfer`) or by summing state
+profiles (:mod:`whitice.partition`), is one exact int computation in the
+format of the mode's ``packing``, a :class:`Packing` at u = num/den.
+``pack`` turns a fill's (kind, raw charge) factors straight into (symbol
+part, int) pairs -- the g-part in a reduced ring, the (g-part, h-part) pair
+in the free ring -- storing sign * u^k * (1 - u)^m * part as
+sign * num^k * (den - num)^m * den^(d-k-m), scaled by den^d for the d
+- spins below the rows packed.  Each u comes from a distinct g or h vertex,
+which has - below it, so k + m <= d.  ``product`` multiplies symbol parts
+by the ring's rules and returns the power s of u that g_a*g_{n-a} = u
+splits off; ``times_u`` multiplies by num^s and divides by den^s, which is
+exact (each split-off u uses a g vertex of the row) or raises
+ArithmeticError.
+
+* Symbolic modes pack at u = 2^K, den = 1 (Kronecker substitution, a ring
+  homomorphism Z[u] -> Z).  ``unpack`` reads balanced base-2^K digits in
+  [-2^(K-1), 2^(K-1)), exact while every u-coefficient lies in that range;
+  :func:`pack_width` chooses K to guarantee it.
+* Numeric modes (:class:`NumericPacking`) pack the reduced ring of n at
+  u = 1/q, with no width and no state count.  ``unpack`` sums, over
+  g-parts, int / q^d rounded once times the part's product of Gauss sums;
+  a nonzero int that rounds to 0 raises.
 """
 
 from __future__ import annotations
@@ -238,32 +243,22 @@ class SymCoeff:
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
+        free = ring.modulus is None
         out: dict[TermKey, Union[int, Fraction]] = {}
-        if ring.modulus is None:
-            for (g1, h1, u1), v1 in self.terms.items():
-                for (g2, h2, u2), v2 in other.terms.items():
+        for (g1, h1, u1), v1 in self.terms.items():
+            for (g2, h2, u2), v2 in other.terms.items():
+                if free:
                     key = (_norm_part(g1 + g2), _norm_part(h1 + h2), u1 + u2)
-                    new = out.get(key, 0) + v1 * v2
-                    if new:
-                        out[key] = new
-                    else:
-                        del out[key]
-        else:
-            products = ring.products
-            for (g1, _, u1), v1 in self.terms.items():
-                for (g2, _, u2), v2 in other.terms.items():
-                    if not g2:
-                        key = (g1, (), u1 + u2)
-                    elif not g1:
-                        key = (g2, (), u1 + u2)
-                    else:
-                        gpart, shift = products.get((g1, g2)) or ring.g_product(g1, g2)
-                        key = (gpart, (), u1 + u2 + shift)
-                    new = out.get(key, 0) + v1 * v2
-                    if new:
-                        out[key] = new
-                    else:
-                        del out[key]
+                elif not (g1 and g2):
+                    key = (g1 or g2, (), u1 + u2)
+                else:
+                    gpart, shift = ring.products.get((g1, g2)) or ring.g_product(g1, g2)
+                    key = (gpart, (), u1 + u2 + shift)
+                new = out.get(key, 0) + v1 * v2
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
         return SymCoeff._make(_integral(out), ring)
 
     __rmul__ = __mul__
@@ -439,12 +434,9 @@ class SymbolicMode:
     def is_zero(self, c: SymCoeff) -> bool:
         return not c.terms
 
-    def packing(self, rank: int, states) -> "Packing":
-        """Packed format of a contraction; ``states()`` counts its states."""
-        return Packing(self, states(), rank)
-
-    def settle(self, terms: dict) -> dict:
-        return terms
+    def packing(self, rank: int, states) -> Packing:
+        """Packed format of a Z; ``states()`` counts its states."""
+        return Packing(self, 1 << pack_width(states(), rank))
 
     def agree(self, a: dict, b: dict, tol: float = 0.0) -> bool:
         return a == b
@@ -458,8 +450,8 @@ class SymbolicMode:
 
 
 def pack_width(states: int, rank: int) -> int:
-    """Bits K of one u-digit for the packed contraction of a full system of
-    this rank with this many states.
+    """Bits K of one u-digit for the packed Z of a full system of this
+    rank with this many states.
 
     Bound: a vertex of kind h has - below it (N, S, W, E = +, -, -, +), and
     the layer below row k of a rank-r system has r - k minus spins, so a
@@ -478,83 +470,112 @@ def pack_width(states: int, rank: int) -> int:
 
 
 class Packing:
-    """Kronecker-packed coefficients of one symbolic mode at width
-    ``pack_width(states, rank)`` (module docstring, "Packed coefficients").
+    """Packed coefficients of a mode's ring at u = num / den (module
+    docstring, "Packed coefficients"): tuples of (symbol part, int) pairs,
+    ``unit`` the symbol part of the constants."""
 
-    A packed coefficient is a tuple of (symbol part, int) pairs; ``unit``
-    is the symbol part of the constants."""
-
-    def __init__(self, mode: SymbolicMode, states: int, rank: int):
+    def __init__(self, mode, num: int, den: int = 1):
+        self.mode = mode
         self.ring = mode.ring
-        self.width = pack_width(states, rank)
+        self.n = mode.n
+        self.num, self.den = num, den
         self.reduced = self.ring.modulus is not None
         self.unit = () if self.reduced else ((), ())
-        #: (symbol part, symbol part) -> (symbol part of the product, bits
-        #: of the u-power split off)
+        #: (symbol part, symbol part) -> (symbol part of the product, power
+        #: of u it splits off); g powers in order of appearance -> the same
         self.products: dict[tuple, tuple] = {}
+        self.monomials: dict[tuple, tuple] = {}
 
-    def pack(self, coeff: SymCoeff) -> tuple[tuple[object, int], ...]:
-        """The (symbol part, packed u-polynomial) pairs of an integral
-        coefficient of this ring; () for 0."""
-        width = self.width
-        parts: dict[object, int] = {}
-        for (gpart, hpart, upow), val in coeff.terms.items():
-            part = gpart if self.reduced else (gpart, hpart)
-            parts[part] = parts.get(part, 0) + (val << width * upow)
-        return tuple(parts.items())
+    def pack(self, factors, slots: int) -> tuple[tuple[object, int], ...]:
+        """(symbol part, int) pairs of the product of a fill's (kind, raw
+        charge) factors, times den^slots (the - spins below); () for 0."""
+        n = self.n
+        k = m = 0
+        gs: dict[int, int] = {}
+        hs = []
+        for kind, charge in factors:
+            b = charge % n
+            if not b:
+                if kind == "g":
+                    k += 1  # g(b) = -u
+                else:
+                    m += 1  # h(b) = 1 - u
+            elif kind == "g":
+                gs[b] = gs.get(b, 0) + 1
+            elif self.reduced:
+                return ()  # h_b = 0
+            else:
+                hs.append((b, 1))
+        sign = -1 if k & 1 else 1
+        if self.reduced:
+            key = tuple(gs.items())
+            part, s = self.monomials.get(key) or self.monomials.setdefault(key, _pair(gs, n))
+            k += s
+        else:
+            part = (_norm_part(gs.items()), _norm_part(hs))
+        if k + m > slots:
+            raise ArithmeticError(f"u^{k + m} does not fit {slots} slots")
+        num, den = self.num, self.den
+        return ((part, sign * num ** k * (den - num) ** m * den ** (slots - k - m)),)
+
+    def times_u(self, value: int, s: int) -> int:
+        """A packed value times u^s; a division by den^s must be exact."""
+        value, rest = divmod(value * self.num ** s, self.den ** s)
+        if rest:
+            raise ArithmeticError(f"packed value times u^{s} leaves a remainder")
+        return value
 
     def product(self, part1, part2) -> tuple[object, int]:
-        """(symbol part of part1 * part2, bits of the u-power it splits
-        off), stored in ``products``."""
+        """(part1 * part2, power of u it splits off), kept in ``products``."""
         if self.reduced:
-            ring = self.ring
-            gpart, shift = ring.products.get((part1, part2)) or ring.g_product(part1, part2)
-            found = (gpart, shift * self.width)
+            found = self.ring.products.get((part1, part2)) or self.ring.g_product(part1, part2)
         else:
             (g1, h1), (g2, h2) = part1, part2
             found = ((_norm_part(g1 + g2), _norm_part(h1 + h2)), 0)
         self.products[(part1, part2)] = found
         return found
 
-    def unpack(self, packed: dict[object, int]) -> SymCoeff:
-        """The coefficient with these packed symbol parts, read back as
-        balanced base-2^K digits."""
-        width = self.width
-        base = 1 << width
-        half = base >> 1
-        terms: dict[TermKey, int] = {}
-        for part, value in packed.items():
+    def unpack(self, parts: dict[object, dict], slots: int) -> dict:
+        """{key: coefficient} from packed {symbol part: {key: int}}, the
+        u-coefficients read back as balanced base-2^K digits."""
+        base = self.num
+        width, half = base.bit_length() - 1, base >> 1
+        terms: dict[object, dict] = {}
+        for part, values in parts.items():
             gpart, hpart = (part, ()) if self.reduced else part
-            upow = 0
-            while value:
-                digit = value & (base - 1)
-                if digit >= half:
-                    digit -= base
-                if digit:
-                    terms[(gpart, hpart, upow)] = digit
-                value = (value - digit) >> width
-                upow += 1
-        return SymCoeff._make(terms, self.ring)
+            for key, value in values.items():
+                upow = 0
+                while value:
+                    digit = value & (base - 1)
+                    if digit >= half:
+                        digit -= base
+                    if digit:
+                        terms.setdefault(key, {})[(gpart, hpart, upow)] = digit
+                    value = (value - digit) >> width
+                    upow += 1
+        return {key: SymCoeff._make(t, self.ring) for key, t in terms.items()}
 
 
-class NumericPacking:
-    """A numeric mode's packed format: the one symbol part ``()`` and the
-    complex values as they are (module docstring, "Packed coefficients")."""
+class NumericPacking(Packing):
+    """A numeric mode's packed format: the reduced ring of n at u = 1/q,
+    read back rounded once (module docstring, "Packed coefficients")."""
 
-    unit = ()
-    products: dict = {}  # one symbol part: no product is ever formed
-
-    def pack(self, coeff: complex) -> tuple[tuple[tuple, complex], ...]:
-        return (((), coeff),) if coeff else ()
-
-    def unpack(self, packed: dict) -> complex:
-        return packed[()]
-
-
-#: relative floor of :meth:`NumericMode.settle`.  On rank <= 3 weights the
-#: residue of exact cancellations reaches 1.7e-16 of a Z's largest entry,
-#: while genuine entries at n >= 2 stay above 2e-7 of it.
-SETTLE_FLOOR = 1e-14
+    def unpack(self, parts: dict[SymPart, dict], slots: int) -> dict:
+        """{key: complex} from packed {g-part: {key: int}}: per g-part, the
+        int / q^slots rounded once, times the part's product of Gauss sums."""
+        scale = self.den ** slots
+        out: dict[object, complex] = {}
+        for part, values in parts.items():
+            gauss = 1 + 0j
+            for idx, power in part:
+                gauss = gauss * self.mode.g(idx) ** power
+            for key, value in values.items():
+                if value:
+                    ratio = value / scale
+                    if not ratio:
+                        raise ArithmeticError(f"{value} / q^{slots} underflows to 0")
+                    out[key] = out[key] + ratio * gauss if key in out else ratio * gauss
+        return out
 
 
 class NumericMode:
@@ -566,6 +587,7 @@ class NumericMode:
         self.table = table
         self.n = table.n
         self.q = table.q
+        self.ring = reduced_ring(table.n)
         self.one = 1 + 0j
         self.zero = 0j
         self.u = complex(1.0 / table.q)
@@ -583,16 +605,9 @@ class NumericMode:
     def is_zero(self, c: complex) -> bool:
         return c == 0
 
-    def packing(self, rank: int, states) -> "NumericPacking":
-        """Complex values need no width, so ``states`` is never called."""
-        return NumericPacking()
-
-    def settle(self, terms: dict) -> dict:
-        """The entries above SETTLE_FLOOR times the largest magnitude."""
-        if not terms:
-            return terms
-        floor = SETTLE_FLOOR * max(abs(c) for c in terms.values())
-        return {key: c for key, c in terms.items() if abs(c) > floor}
+    def packing(self, rank: int, states) -> NumericPacking:
+        """Scaled ints need no width, so ``states`` is never called."""
+        return NumericPacking(self, 1, self.q)
 
     def agree(self, a: dict, b: dict, tol: float = 1e-9) -> bool:
         """Every entry of the two maps within tol * (1 + largest magnitude);

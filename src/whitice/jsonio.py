@@ -220,6 +220,7 @@ def dumps(obj) -> str:
     this renderer takes the shapes the CLI emits directly instead.  Plain
     ``str``, ``int`` and finite ``float`` scalars are written as json writes
     them (``int.__repr__``, ``float.__repr__``, json's ASCII string encoder),
+    ``True``, ``False`` and ``None`` as ``true``, ``false`` and ``null``,
     and dicts whose keys are all plain ``str`` recurse.  A list renders its
     items together, by the first rule that fits all of them:
 
@@ -231,10 +232,10 @@ def dumps(obj) -> str:
       rules, and each item is one ``%``-template filled from the columns;
     - otherwise item by item.
 
-    Anything else (bools, None, NaN and infinities, tuples, subclasses,
-    non-``str`` keys) is handed to ``json.dumps(x, indent=2)`` and its
-    newlines re-indented to the current depth.  That is exact because json
-    never writes a literal newline inside a string.
+    Anything else (NaN and infinities, tuples, subclasses, non-``str``
+    keys) is handed to ``json.dumps(x, indent=2)`` and its newlines
+    re-indented to the current depth.  That is exact because json never
+    writes a literal newline inside a string.
     """
     return _render(obj, "\n")
 
@@ -249,6 +250,8 @@ def _render(obj, newline: str) -> str:
         return int.__repr__(obj)
     if kind is float and _isfinite(obj):
         return float.__repr__(obj)
+    if kind is bool or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
     if kind is list:
         if not obj:
             return "[]"

@@ -8,9 +8,7 @@ A polynomial in variables z1..z{nvars} is a dict mapping exponent vectors
 The zero polynomial is the empty dict, and a stored coefficient is never
 zero.  Zero tests and comparisons defer to the polynomial's mode object
 (:mod:`whitice.coeffs`): a term is dropped only when its coefficient is
-exactly zero, and ``equal`` is the mode's one comparator.  Arithmetic here
-never floors a numeric coefficient; the mode's relative floor is applied
-once to each finished partition function, not per operation.
+exactly zero, never by a floor, and ``equal`` is the mode's one comparator.
 
 Partition functions of ice systems are honest polynomials (all exponents
 nonnegative); the representation itself does not care about signs of

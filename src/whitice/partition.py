@@ -9,8 +9,8 @@ delta systems z_1..z_{r+1}.
 The integer part of a state's weight -- the list of (kind, raw charge)
 factors plus the per-variable exponent vector -- is independent of n and of
 the coefficient mode, so it is computed once per boundary ("profile") by a
-depth-first walk over the row kernel and cached; evaluating Z under a new
-(n, q) is then a cheap table walk.
+depth-first walk over the row kernel and cached.  Z under any mode is then
+the sum of the profiles packed exactly (:mod:`.coeffs`), unpacked once.
 
 The same factors are the g/h entries of the state's pattern under the one
 pattern statistic (:mod:`.patterns`), and the exponents are row-sum
@@ -132,25 +132,26 @@ def boundary_profiles(boundary: Boundary, family: str) -> tuple[Profile, ...]:
     return tuple(profiles)
 
 
-def evaluate_profiles(profiles, mode: Mode, nvars: int) -> LaurentPoly:
-    terms: dict[tuple[int, ...], object] = {}
+def evaluate_profiles(profiles, mode: Mode, boundary: Boundary) -> LaurentPoly:
+    """Z as the sum of the state profiles' weights, each packed as a whole
+    state (:mod:`.coeffs`, "Packed coefficients"), unpacked once."""
+    packing = mode.packing(boundary.rank, lambda: len(profiles))
+    slots = boundary.rank * boundary.rows // 2
+    sums: dict[object, dict] = {}  # symbol part -> {exponents: int}
     for factors, exponents in profiles:
-        coeff = fill_weight(factors, mode)
-        if mode.is_zero(coeff):
-            continue
-        if exponents in terms:
-            terms[exponents] = terms[exponents] + coeff
-        else:
-            terms[exponents] = coeff
-    return LaurentPoly(nvars, mode, mode.settle(terms))
+        for part, value in packing.pack(factors, slots):
+            acc = sums.get(part)
+            if acc is None:
+                acc = sums[part] = {}
+            acc[exponents] = acc.get(exponents, 0) + value
+    return LaurentPoly(boundary.rank + 1, mode, packing.unpack(sums, slots))
 
 
 def partition_function(boundary: Boundary, family: str, mode: Mode,
                        strategy: str = "enumerate") -> LaurentPoly:
     """Z of the full system, by state enumeration or layer contraction."""
     if strategy == "enumerate":
-        return evaluate_profiles(boundary_profiles(boundary, family), mode,
-                                 boundary.rank + 1)
+        return evaluate_profiles(boundary_profiles(boundary, family), mode, boundary)
     if strategy == "transfer":
         return transfer.contract_partition(boundary, family, mode)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -300,22 +301,13 @@ def dirichlet_series_string(table: dict[tuple[int, ...], object]) -> str:
 
 
 def _split_top_level(text: str, sep: str = " + ") -> list[str]:
-    chunks = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(sep, i):
+    """`text` split at every `sep` outside parentheses."""
+    chunks, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if not depth and i >= start and text.startswith(sep, i):
             chunks.append(text[start:i])
-            i += len(sep)
-            start = i
-            continue
-        i += 1
+            start = i + len(sep)
     chunks.append(text[start:])
     return chunks
 

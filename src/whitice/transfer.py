@@ -5,27 +5,25 @@ V(alpha, beta) holding the weight of the unique admissible horizontal
 completion of a row with vertical spins alpha on top and beta below (zero if
 none exists).  It is never materialized: applying it to a supported layer
 vector asks the row kernel (:func:`.lattice.row_fills`) for the fills below
-each alpha and folds their factors into coefficients with
-:func:`.lattice.fill_weight`.  This module has no row walker of its own.
+each alpha and folds their factors into coefficients.  This module has no
+row walker of its own.
 
 Contraction sweeps a full system top to bottom, merging layer vectors as it
 goes; many enumeration paths share layers, which is the speedup over direct
 state enumeration.
 
-One loop contracts every mode, numeric and both symbolic rings, in the
-format the mode's ``packing`` chooses (:mod:`.coeffs`, "Packed
+One loop contracts every mode, numeric and both symbolic rings, exactly, in
+the format the mode's ``packing`` chooses (:mod:`.coeffs`, "Packed
 coefficients"): a layer vector maps each layer to {symbol part: {packed
-z-monomial: value}}.  The z-monomial packs the exponent of variable v into
+z-monomial: int}}.  The z-monomial packs the exponent of variable v into
 bits [v*b, (v+1)*b), b = C.bit_length(); one row adds at most C to its one
-variable, and each variable belongs to one row.  A numeric value is the
-complex coefficient under the one part ().  A symbolic value is an int, the
-entry's u-polynomial at u = 2^K, K from :func:`.coeffs.pack_width`.  A
-fill's weight is packed once per factor tuple, and the u-shift of a product
-of symbol parts is folded into the multiplier once per (weight part, layer
-part) pair, so the inner step is one multiply-add for ints and complex
-values alike.  Z is unpacked once and ``mode.settle`` applied to it.
-:func:`apply_row` is the same step on LaurentPoly vectors, kept as the
-mode-generic reference.
+variable, and each variable belongs to one row.  A row's fills are packed
+once per factor tuple, scaled for the - spins below the row, and the
+u-power of a product of symbol parts is folded into the multiplier once
+per (weight part, layer part) pair, so the inner step is one int
+multiply-add.  Z is unpacked once.
+:func:`apply_row` is the same step on LaurentPoly vectors through
+:func:`.lattice.fill_weight`, kept as the mode-generic reference.
 
 Two-row systems (a gamma row above a delta row or the reverse, top boundary
 carrying two more - spins than the bottom) use the same kernel with
@@ -62,34 +60,31 @@ def apply_row(support: LayerVector, family: str, var_index: int,
 
 def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPoly:
     """Z of a full system by top-to-bottom layer contraction with the mode's
-    packed coefficients (module docstring); ``mode.settle`` runs once, on Z."""
+    packed coefficients (module docstring)."""
     r = boundary.rank
     columns = boundary.columns
     packing = mode.packing(r, lambda: count_states(boundary))
     products = packing.products
-    unit = packing.unit
+    times_u = packing.times_u
     zbits = columns.bit_length()
-    weights: dict[tuple, tuple] = {}  # fill factors -> packed weight
-    support = {boundary.top_minus: {unit: {0: 1}}}
+    support = {boundary.top_minus: {packing.unit: {0: 1}}}
     for row in range(r + 1):
         zshift = zbits * row_variable(family, row, r)
+        weights: dict[tuple, tuple] = {}  # fill factors -> packed weight
         out: dict[Layer, dict] = {}
         for alpha, parts in support.items():
             for beta, (factors, zexp) in row_fills(alpha, columns, family).items():
                 weight = weights.get(factors)
                 if weight is None:
-                    weight = weights[factors] = packing.pack(fill_weight(factors, mode))
+                    weight = weights[factors] = packing.pack(factors, r - row)
                 if not weight:
                     continue
                 dz = zexp << zshift
                 target = out.setdefault(beta, {})
                 for fpart, mult in weight:
                     for part, values in parts.items():
-                        if fpart == unit:
-                            tpart, m = part, mult
-                        else:
-                            tpart, bits = products.get((part, fpart)) or packing.product(part, fpart)
-                            m = mult << bits
+                        tpart, s = products.get((part, fpart)) or packing.product(part, fpart)
+                        m = times_u(mult, s) if s else mult
                         acc = target.setdefault(tpart, {})
                         for z, value in values.items():
                             key = z + dz
@@ -104,14 +99,10 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
             if kept:
                 support[beta] = kept
     mask = (1 << zbits) - 1
-    by_z: dict[int, dict] = {}
-    for part, values in support.get((), {}).items():
-        for z, value in values.items():
-            by_z.setdefault(z, {})[part] = value
     shifts = [zbits * v for v in range(r + 1)]
-    return LaurentPoly(r + 1, mode, mode.settle({
-        tuple([(z >> shift) & mask for shift in shifts]): packing.unpack(packed)
-        for z, packed in by_z.items()}))
+    terms = packing.unpack(support.get((), {}), r * (r + 1) // 2)
+    return LaurentPoly(r + 1, mode, {
+        tuple([(z >> shift) & mask for shift in shifts]): coeff for z, coeff in terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: output shapes, exit codes, error reporting."""
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -106,6 +107,22 @@ def test_verify_statement_a(capsys):
     assert code == 0
     assert obj["check"] == "statement-a"
     assert obj["pass"] is True
+
+
+def test_verify_report_leaves_no_cyclic_garbage(capsys):
+    # bools and None are written directly, so no stdlib encoder (whose
+    # closures refer to each other) is built for the report's "pass"
+    argv = ("verify", "statement-a", "--lambda", "3,2,1,0", "--n", "1")
+    main(list(argv))
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(list(argv)) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_verify_prop_matching(capsys):

@@ -136,6 +136,32 @@ def test_numeric_mode_requires_compatible_table():
     assert NumericMode(gauss_table(2, 13)).q == 13
 
 
+def test_numeric_packing_is_exact_or_raises():
+    packing = NumericMode(gauss_table(3, 7)).packing(2, None)
+    # (g0 = -u) * (h0 = 1 - u) * g1 in 3 slots: -(7 - 1) * 7 * g1
+    assert packing.pack((("g", 3), ("h", 0), ("g", 1)), 3) == ((((1, 1),), -42),)
+    assert packing.pack((("h", 1),), 3) == ()  # h_1 = 0
+    assert packing.times_u(-42 * 7, 1) == -42
+    with pytest.raises(ArithmeticError):
+        packing.times_u(-43, 1)  # 7 does not divide 43
+    with pytest.raises(ArithmeticError):
+        packing.pack((("g", 0), ("g", 0)), 1)  # u^2 in one slot
+    with pytest.raises(ArithmeticError):
+        packing.unpack({(): {"k": 1}}, 1000)  # 7^-1000 underflows to 0.0
+    assert packing.unpack({(): {"k": 0}}, 1000) == {}
+
+
+def test_numeric_unpack_sums_every_g_part():
+    # the one-g-part property is pinned, not assumed: two parts of one
+    # entry are both summed
+    table = gauss_table(3, 7)
+    packing = NumericMode(table).packing(2, None)
+    got = packing.unpack({((1, 1),): {"k": 21}, ((2, 1),): {"k": -5}}, 2)
+    expected = 21 / 49 * table.g(1) - 5 / 49 * table.g(2)
+    assert set(got) == {"k"} and abs(got["k"] - expected) < 1e-15
+    assert abs(got["k"] - 21 / 49 * table.g(1)) > 0.01
+
+
 # -- the reduced ring --------------------------------------------------------
 
 def free_coeffs(n: int):

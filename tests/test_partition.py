@@ -138,18 +138,14 @@ def test_transfer_enumerate_and_patterns_agree(lam):
 @given(dominant_weights, st.sampled_from([(1, 61), (2, 5), (3, 7)]),
        st.sampled_from(["gamma", "delta"]), st.sampled_from(["enumerate", "transfer"]))
 def test_numeric_support_follows_exact_support(lam, nq, family, strategy):
-    # numeric Z carries no monomial the reduced exact Z lacks, and it drops
-    # none whose value is well above the settle floor
+    # numeric Z has exactly the monomials of the reduced exact Z: no floor
+    # drops one, however small its value
     n, q = nq
     b = boundary_from_lambda(lam)
-    num = numeric_mode(n, q)
-    z = partition_function(b, family, num, strategy)
+    z = partition_function(b, family, numeric_mode(n, q), strategy)
     exact = partition_function(b, family, SymbolicMode(n), strategy)
     reduced = {e: c.reduce(n, "hg") for e, c in exact.terms.items()}
-    values = {e: c.evaluate(num.table) for e, c in reduced.items() if c}
-    assert set(z.terms) <= set(values)
-    top = max(abs(v) for v in values.values())
-    assert {e for e, v in values.items() if abs(v) > 1e-13 * top} <= set(z.terms)
+    assert set(z.terms) == {e for e, c in reduced.items() if c}
 
 
 def test_boundary_profiles_follow_enumeration_order():
@@ -328,6 +324,21 @@ def test_statement_a_exact_in_the_reduced_ring():
             assert equal and gt == dt, (lam, n)
             cases += 1
     assert cases == 112
+
+
+def test_every_exact_coefficient_has_one_g_part():
+    # so each numeric entry is one exact rational times one Gauss-sum
+    # product; the numeric unpacking still sums every part
+    coefficients = 0
+    for n in (2, 3, 4):
+        mode = SymbolicMode(n)
+        for lam in lambda_grid(3, 3):
+            boundary = boundary_from_lambda(lam)
+            for family in ("gamma", "delta"):
+                for coeff in partition_function(boundary, family, mode, "transfer").terms.values():
+                    assert len({gpart for gpart, _, _ in coeff.terms}) == 1, (lam, n, family)
+                    coefficients += 1
+    assert coefficients > 5000
 
 
 def test_functional_equations_exact_in_the_reduced_ring():

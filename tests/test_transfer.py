@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from whitice import coeffs, transfer
 from whitice.coeffs import SymbolicMode
-from whitice.lattice import boundary_from_lambda, row_fills, row_variable
+from whitice.lattice import boundary_from_lambda, fill_weight, row_fills, row_variable
 from whitice.laurent import LaurentPoly
-from whitice.partition import numeric_mode, partition_function, raw_symbolic_mode
+from whitice.partition import (boundary_profiles, numeric_mode, partition_function,
+                               raw_symbolic_mode)
 from whitice.transfer import (
     TWO_ROW_ORDERS,
     check_two_row_boundary,
@@ -54,6 +56,34 @@ def same_terms(a, b) -> bool:
     return a == b and all(a.terms[k].terms == b.terms[k].terms for k in a.terms)
 
 
+def profile_sum(boundary, family, mode):
+    """Reference Z that packs nothing: the SymCoeff products of
+    ``fill_weight`` over the boundary's state profiles, summed."""
+    terms: dict = {}
+    for factors, exponents in boundary_profiles(boundary, family):
+        terms[exponents] = terms.get(exponents, mode.zero) + fill_weight(factors, mode)
+    return LaurentPoly(boundary.rank + 1, mode, terms)
+
+
+def rounded_once(exact, table):
+    """The numeric terms of an exact reduced Z: per g-part, the exact value
+    at u = 1/q as a Fraction, rounded once, times the part's Gauss sums."""
+    out = {}
+    for exponents, coeff in exact.terms.items():
+        parts: dict = {}
+        for (gpart, hpart, upow), val in coeff.terms.items():
+            assert not hpart
+            parts[gpart] = parts.get(gpart, 0) + Fraction(val, table.q ** upow)
+        value = 0j
+        for gpart, rational in parts.items():
+            gauss = 1 + 0j
+            for idx, power in gpart:
+                gauss = gauss * table.g(idx) ** power
+            value += float(rational) * gauss
+        out[exponents] = value
+    return out
+
+
 dominant_weights = st.integers(0, 3).flatmap(
     lambda rank: st.lists(st.integers(0, 3), min_size=rank, max_size=rank)).map(
     lambda parts: tuple(sorted(parts, reverse=True)) + (0,))
@@ -62,10 +92,13 @@ dominant_weights = st.integers(0, 3).flatmap(
 @settings(max_examples=40, deadline=None)
 @given(dominant_weights, st.integers(1, 4), st.sampled_from(["gamma", "delta"]))
 def test_packed_contraction_matches_enumeration_in_the_reduced_ring(lam, n, family):
+    # both strategies pack; the reference multiplies SymCoeffs state by state
     boundary = boundary_from_lambda(lam)
     mode = SymbolicMode(n)
-    assert same_terms(contract_partition(boundary, family, mode),
-                      partition_function(boundary, family, mode, strategy="enumerate"))
+    reference = profile_sum(boundary, family, mode)
+    assert same_terms(contract_partition(boundary, family, mode), reference)
+    assert same_terms(partition_function(boundary, family, mode, strategy="enumerate"),
+                      reference)
 
 
 PIN_LAMBDA = (3, 3, 2, 1, 0)
@@ -74,8 +107,7 @@ PIN_CASES = [(n, family) for n in (1, 2, 3) for family in ("gamma", "delta")]
 
 @lru_cache(maxsize=None)
 def enumerated_pin(n: int, family: str):
-    return partition_function(boundary_from_lambda(PIN_LAMBDA), family,
-                              SymbolicMode(n), strategy="enumerate")
+    return profile_sum(boundary_from_lambda(PIN_LAMBDA), family, SymbolicMode(n))
 
 
 @pytest.mark.parametrize("n, family", PIN_CASES)
@@ -86,10 +118,16 @@ def test_packed_contraction_pin(n, family):
 
 
 def test_packed_contraction_fails_when_the_digits_are_too_narrow(monkeypatch):
-    # negative control: 3-bit digits hold only coefficients in [-4, 3]
+    # negative control: 3-bit digits hold only coefficients in [-4, 3]; the
+    # reference packs nothing, so it cannot be wrong the same way
+    for n, family in PIN_CASES:
+        enumerated_pin(n, family)
     monkeypatch.setattr(coeffs, "pack_width", lambda states, rank: 3)
     boundary = boundary_from_lambda(PIN_LAMBDA)
     assert not all(same_terms(contract_partition(boundary, family, SymbolicMode(n)),
+                              enumerated_pin(n, family))
+                   for n, family in PIN_CASES)
+    assert not all(same_terms(partition_function(boundary, family, SymbolicMode(n)),
                               enumerated_pin(n, family))
                    for n, family in PIN_CASES)
 
@@ -107,7 +145,7 @@ def test_no_mode_reaches_apply_row(monkeypatch):
 
 
 def test_numeric_contraction_counts_no_states(monkeypatch):
-    # complex values need no packing width, so no state count
+    # scaled ints need no packing width, so no state count
     def no_count(boundary):
         raise AssertionError("count_states called")
 
@@ -117,6 +155,25 @@ def test_numeric_contraction_counts_no_states(monkeypatch):
             contract_partition(boundary_from_lambda(lam), family, numeric_mode(n, q))
     with pytest.raises(AssertionError, match="count_states"):
         contract_partition(boundary_from_lambda((2, 1, 0)), "gamma", SymbolicMode(2))
+
+
+def test_numeric_contraction_raises_on_a_wrong_u_shift(monkeypatch):
+    # negative control: a pairing that splits off one u too many leaves a
+    # remainder in the division by q, which raises rather than rounds
+    product = coeffs.Packing.product
+
+    def shifted(self, part1, part2):
+        part, s = product(self, part1, part2)
+        found = self.products[(part1, part2)] = (part, s + 1)
+        return found
+
+    boundary = boundary_from_lambda((3, 2, 1, 0))
+    for family in ("gamma", "delta"):
+        contract_partition(boundary, family, numeric_mode(3, 7))
+    monkeypatch.setattr(coeffs.Packing, "product", shifted)
+    for family in ("gamma", "delta"):
+        with pytest.raises(ArithmeticError, match="remainder"):
+            contract_partition(boundary, family, numeric_mode(3, 7))
 
 
 def test_row_walk_and_contraction_leave_no_reference_cycles():
@@ -137,15 +194,14 @@ def test_row_walk_and_contraction_leave_no_reference_cycles():
 
 
 def folded_rows(boundary, family, mode):
-    """Z by folding the LaurentPoly reference step apply_row over the rows,
-    settled once."""
+    """Z by folding the LaurentPoly reference step apply_row over the rows;
+    in numeric mode, with genuine complex Gauss sums throughout."""
     r = boundary.rank
     support = {boundary.top_minus: LaurentPoly.const(r + 1, mode, mode.one)}
     for row in range(r + 1):
         support = transfer.apply_row(support, family, row_variable(family, row, r),
                                      boundary.columns, mode, r + 1)
-    z = support.get((), LaurentPoly.zero(r + 1, mode))
-    return LaurentPoly(r + 1, mode, mode.settle(z.terms))
+    return support.get((), LaurentPoly.zero(r + 1, mode))
 
 
 REFERENCE_MODES = {
@@ -159,12 +215,15 @@ REFERENCE_MODES = {
 }
 
 
-def same_contraction(a, b) -> bool:
-    """Identical term maps: exact == on complex values, same_terms on
-    symbolic ones."""
-    if a.mode.name == "numeric":
-        return a.terms == b.terms
-    return same_terms(a, b)
+def matches_the_references(z, boundary, family, mode) -> bool:
+    """Symbolic: the term maps of the folded reference.  Numeric: bit for
+    bit the exact reduced Z rounded once, and within 1e-12 of the folded
+    reference in complex arithmetic."""
+    if mode.name == "symbolic":
+        return same_terms(z, folded_rows(boundary, family, mode))
+    exact = contract_partition(boundary, family, SymbolicMode(mode.n))
+    return (z.terms == rounded_once(exact, mode.table)
+            and mode.agree(z.terms, folded_rows(boundary, family, mode).terms, 1e-12))
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,21 +232,21 @@ def same_contraction(a, b) -> bool:
 def test_row_loop_matches_the_folded_reference(lam, mode_name, family):
     boundary = boundary_from_lambda(lam)
     mode = REFERENCE_MODES[mode_name]()
-    assert same_contraction(contract_partition(boundary, family, mode),
-                            folded_rows(boundary, family, mode))
+    assert matches_the_references(contract_partition(boundary, family, mode),
+                                  boundary, family, mode)
 
 
 @pytest.mark.parametrize("family", ["gamma", "delta"])
 def test_row_loop_matches_the_folded_reference_where_settle_drops_terms(family):
-    # at n = 1, q = 61 the settle floor drops terms of this Z, so both sides
-    # must settle the same unsettled values
+    # a relative floor of 1e-14 dropped 1925 of the 8442 monomials here in
+    # each family; numeric Z now keeps the exact support
     boundary = boundary_from_lambda((2, 2, 2, 2, 2, 0))
     mode = numeric_mode(1, 61)
     z = contract_partition(boundary, family, mode)
-    reference = folded_rows(boundary, family, mode)
-    assert z.terms == reference.terms
-    assert len(z.terms) < len(partition_function(boundary, family, SymbolicMode(1),
-                                                 strategy="transfer").terms)
+    assert matches_the_references(z, boundary, family, mode)
+    assert set(z.terms) == set(partition_function(boundary, family, SymbolicMode(1),
+                                                  strategy="transfer").terms)
+    assert len(z.terms) == 8442
 
 
 def test_two_row_exchange_reference_boundary():
