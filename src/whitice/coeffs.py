@@ -47,19 +47,21 @@ every admissible table.
 
 Packed coefficients
 -------------------
-Every Z, by contraction (:mod:`whitice.transfer`) or by summing state
-profiles (:mod:`whitice.partition`), is one exact int computation in the
-format of the mode's ``packing``, a :class:`Packing` at u = num/den.
-``pack`` turns a fill's (kind, raw charge) factors straight into (symbol
-part, int) pairs -- the g-part in a reduced ring, the (g-part, h-part) pair
-in the free ring -- storing sign * u^k * (1 - u)^m * part as
-sign * num^k * (den - num)^m * den^(d-k-m), scaled by den^d for the d
-- spins below the rows packed.  Each u comes from a distinct g or h vertex,
-which has - below it, so k + m <= d.  ``product`` multiplies symbol parts
-by the ring's rules and returns the power s of u that g_a*g_{n-a} = u
-splits off; ``times_u`` multiplies by num^s and divides by den^s, which is
-exact (each split-off u uses a g vertex of the row) or raises
-ArithmeticError.
+Every weight sum -- a Z by contraction (:mod:`whitice.transfer`), or the
+state profiles of a full system, a two-row slab or a set of short patterns
+summed by :func:`weigh` -- is one exact int computation in the format of
+the mode's ``packing``, a :class:`Packing` at u = num/den.  ``pack`` turns
+a fill's (kind, raw charge) factors straight into (symbol part, int) pairs
+-- the g-part in a reduced ring, the (g-part, h-part) pair in the free ring
+-- storing sign * u^k * (1 - u)^m * part as
+sign * num^k * (den - num)^m * den^(d-k-m), scaled by den^d for d slots:
+the - spins below the rows packed, or the pattern entries below the top
+row.  Each u comes from a distinct g or h factor, and each takes a slot (an
+ice vertex of kind g or h has - below it), so k + m <= d.  ``product``
+multiplies symbol parts by the ring's rules and returns the power s of u
+that g_a*g_{n-a} = u splits off; ``times_u`` multiplies by num^s and
+divides by den^s, which is exact (each split-off u uses a g vertex of the
+row) or raises ArithmeticError.
 
 * Symbolic modes pack at u = 2^K, den = 1 (Kronecker substitution, a ring
   homomorphism Z[u] -> Z).  ``unpack`` reads balanced base-2^K digits in
@@ -434,9 +436,10 @@ class SymbolicMode:
     def is_zero(self, c: SymCoeff) -> bool:
         return not c.terms
 
-    def packing(self, rank: int, states) -> Packing:
-        """Packed format of a Z; ``states()`` counts its states."""
-        return Packing(self, 1 << pack_width(states(), rank))
+    def packing(self, slots: int, states) -> Packing:
+        """Packed format of a sum of ``states()`` weights with ``slots``
+        slots each."""
+        return Packing(self, 1 << pack_width(states(), slots))
 
     def agree(self, a: dict, b: dict, tol: float = 0.0) -> bool:
         return a == b
@@ -449,24 +452,24 @@ class SymbolicMode:
         return f"SymbolicMode(n={self.n}{free})"
 
 
-def pack_width(states: int, rank: int) -> int:
-    """Bits K of one u-digit for the packed Z of a full system of this
-    rank with this many states.
+def pack_width(states: int, slots: int) -> int:
+    """Bits K of one u-digit for a packed sum of this many state weights,
+    each with this many slots.
 
-    Bound: a vertex of kind h has - below it (N, S, W, E = +, -, -, +), and
-    the layer below row k of a rank-r system has r - k minus spins, so a
-    state has at most r(r+1)/2 h vertices.  Every other factor (g = -u, a
-    formal symbol, or a pair of them turned into u) has one term, and
-    h = 1 - u has two, so a state's weight has, per symbol part, a
-    u-polynomial of l1-norm at most 2^(r(r+1)/2).  A layer vector's entry
+    Bound: every g or h factor of a weight takes a slot of its own (an ice
+    vertex of kind g or h has - below it, and a pattern entry lies below
+    the top row), so a weight has at most ``slots`` h factors.  Every other
+    factor (g = -u, a formal symbol, or a pair of them turned into u) has
+    one term, and h = 1 - u has two, so a weight has, per symbol part, a
+    u-polynomial of l1-norm at most 2^slots.  A contraction's layer entry
     sums the weights of partial paths from the top to that layer, and
     distinct paths extend by one common completion to distinct states, so
     there are at most ``states`` of them.  Hence every u-coefficient of every
-    layer, and of Z, is at most states * 2^(r(r+1)/2) in absolute value.
+    layer, and of the sum, is at most states * 2^slots in absolute value.
     K is that bound's bit length plus 2, which keeps every coefficient
     inside the balanced digit range [-2^(K-1), 2^(K-1)).
     """
-    return (states << (rank * (rank + 1) // 2)).bit_length() + 2
+    return (states << slots).bit_length() + 2
 
 
 class Packing:
@@ -594,10 +597,10 @@ class NumericMode:
         self.one_minus_u = 1 - self.u
 
     def g(self, b: int) -> complex:
-        return self.table.g(b)
+        return -self.u if b % self.n == 0 else self.table.g(b)
 
     def h(self, b: int) -> complex:
-        return self.table.h(b)
+        return self.one_minus_u if b % self.n == 0 else self.table.h(b)
 
     def from_int(self, k: int) -> complex:
         return complex(k)
@@ -605,7 +608,7 @@ class NumericMode:
     def is_zero(self, c: complex) -> bool:
         return c == 0
 
-    def packing(self, rank: int, states) -> NumericPacking:
+    def packing(self, slots: int, states) -> NumericPacking:
         """Scaled ints need no width, so ``states`` is never called."""
         return NumericPacking(self, 1, self.q)
 
@@ -625,3 +628,18 @@ class NumericMode:
 
 
 Mode = Union[SymbolicMode, NumericMode]
+
+
+def weigh(profiles, mode: Mode, slots: int) -> dict:
+    """{exponents: coefficient}: the weights of (factors, exponents)
+    profiles summed, each packed as a whole with ``slots`` slots ("Packed
+    coefficients"), unpacked once."""
+    packing = mode.packing(slots, lambda: len(profiles))
+    sums: dict[object, dict] = {}  # symbol part -> {exponents: int}
+    for factors, exponents in profiles:
+        for part, value in packing.pack(factors, slots):
+            acc = sums.get(part)
+            if acc is None:
+                acc = sums[part] = {}
+            acc[exponents] = acc.get(exponents, 0) + value
+    return packing.unpack(sums, slots)

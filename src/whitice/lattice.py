@@ -32,10 +32,12 @@ Every lattice weight in the package is built from one row transfer matrix.
 :func:`row_fills` walks one row below a given top layer and returns, for each
 bottom layer that admits a fill, the (kind, raw charge) of its g/h vertices
 left to right and its z-exponent.  The result does not depend on n or on the
-coefficient mode; :func:`fill_weight` folds such factors into a coefficient
-of a mode, and is the only place a weight kind becomes ``mode.g`` or
-``mode.h``.  Enumeration, contraction, two-row slabs, functional equations
-and the Yang-Baxter vertex weights all go through these functions.
+coefficient mode.  :func:`state_profiles` is the one walker over states: it
+stacks the kernel down any list of (family, variable) rows, a full system or
+a two-row slab, and returns each state's factors and exponents, which
+``coeffs.weigh`` sums exactly.  Contraction applies the kernel layer by
+layer instead.  :func:`fill_weight` folds the factors of one state or one
+vertex into a coefficient of a mode, for single weights and references.
 
 :func:`fill_row`, :func:`row_configs` and :func:`row_charges` recompute one
 row from both of its layers by a direct per-vertex count.  They share no
@@ -247,6 +249,48 @@ def row_fills(top: tuple[int, ...], columns: int, family: str) -> dict[tuple[int
         return {bottom: (tuple([(kind, marks - m) for kind, m in factors]), zexp)
                 for _, marks, zexp, bottom, factors in frontier}
     return {bottom: (factors, zexp) for _, _, zexp, bottom, factors in frontier}
+
+
+def state_profiles(top: tuple[int, ...], rows, columns: int,
+                   bottom: tuple[int, ...] = ()) -> tuple[tuple[Factors, tuple[int, ...]], ...]:
+    """The row kernel stacked: the (factors, exponents) profile of every state
+    of the rows below `top` that ends on `bottom`.
+
+    `rows` gives each row's (family, variable) top to bottom; every row
+    carries its own variable, numbered 0..len(rows)-1.  A profile is the
+    state's (kind, raw charge) factors, row by row and left to right, and
+    its exponent per variable.  The walk is depth first over an explicit
+    stack, each layer's children in ascending order, so a full system's
+    profiles come out in :func:`enumerate_states` order.  The fills below a
+    layer are computed once per call, and each row writes its z-exponent in
+    place; the last row looks up `bottom` alone.
+    """
+    variables = [var for _, var in rows]
+    if sorted(variables) != list(range(len(rows))):
+        raise ValueError("each row needs its own variable, numbered from 0")
+    last = len(rows) - 1
+    bottom = tuple(bottom)
+    memo: list[dict] = [{} for _ in rows]  # per row: layer -> its children
+    exponents = [0] * len(rows)
+    profiles = []
+    stack = [(0, tuple(top), (), 0)]  # (row, layer above it, factors, z-exponent above)
+    while stack:
+        row, layer, factors, zexp = stack.pop()
+        if row:
+            exponents[variables[row - 1]] = zexp
+        children = memo[row].get(layer)
+        if children is None:
+            fills = row_fills(layer, columns, rows[row][0])
+            # descending, so that the stack pops the least layer first
+            children = fills.get(bottom) if row == last else sorted(fills.items(), reverse=True)
+            memo[row][layer] = children
+        if row < last:
+            stack += [(row + 1, bot, factors + row_factors, z)
+                      for bot, (row_factors, z) in children]
+        elif children is not None:
+            exponents[variables[row]] = children[1]
+            profiles.append((factors + children[0], tuple(exponents)))
+    return tuple(profiles)
 
 
 def fill_weight(factors, mode):

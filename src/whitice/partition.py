@@ -28,11 +28,11 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
-from .coeffs import Mode, NumericMode, SymCoeff, SymbolicMode
+from .coeffs import Mode, NumericMode, SymCoeff, SymbolicMode, weigh
 from .gauss import gauss_table
 from .lattice import (FAMILIES, Boundary, IceState, boundary_from_lambda,
                       direct_fill, enumerate_states, fill_weight, row_fills,
-                      row_variable, row_vertices)
+                      row_variable, row_vertices, state_profiles)
 from .laurent import LaurentPoly
 from .patterns import pattern_exponents, pattern_factors, pattern_from_state
 from . import transfer
@@ -104,47 +104,17 @@ def profile_of(state: IceState, family: str) -> Profile:
 
 @lru_cache(maxsize=None)
 def boundary_profiles(boundary: Boundary, family: str) -> tuple[Profile, ...]:
-    """Profiles of every state of the boundary, in enumeration order.
-
-    A depth-first walk over the row kernel, children in ascending layer
-    order; the fills below a layer are computed once per call."""
-    r = boundary.rank
-    fills: dict[tuple[int, ...], list] = {}
-    exponents = [0] * (r + 1)
-    profiles: list[Profile] = []
-
-    def walk(row: int, layer: tuple[int, ...], factors: tuple) -> None:
-        if row == boundary.rows:
-            profiles.append((factors, tuple(exponents)))
-            return
-        if layer not in fills:
-            fills[layer] = sorted(row_fills(layer, boundary.columns, family).items())
-        var = row_variable(family, row, r)
-        for bot, (row_factors, zexp) in fills[layer]:
-            exponents[var] += zexp
-            walk(row + 1, bot, factors + row_factors)
-            exponents[var] -= zexp
-
-    try:
-        walk(0, boundary.top_minus, ())
-    finally:
-        del walk  # walk refers to itself through its cell: break that cycle
-    return tuple(profiles)
+    """Profiles of every state of the boundary, in enumeration order
+    (:func:`.lattice.state_profiles`)."""
+    rows = [(family, row_variable(family, row, boundary.rank)) for row in range(boundary.rows)]
+    return state_profiles(boundary.top_minus, rows, boundary.columns)
 
 
 def evaluate_profiles(profiles, mode: Mode, boundary: Boundary) -> LaurentPoly:
-    """Z as the sum of the state profiles' weights, each packed as a whole
-    state (:mod:`.coeffs`, "Packed coefficients"), unpacked once."""
-    packing = mode.packing(boundary.rank, lambda: len(profiles))
+    """Z as the sum of the state profiles' weights (:func:`.coeffs.weigh`),
+    with a slot for each - spin below the top row."""
     slots = boundary.rank * boundary.rows // 2
-    sums: dict[object, dict] = {}  # symbol part -> {exponents: int}
-    for factors, exponents in profiles:
-        for part, value in packing.pack(factors, slots):
-            acc = sums.get(part)
-            if acc is None:
-                acc = sums[part] = {}
-            acc[exponents] = acc.get(exponents, 0) + value
-    return LaurentPoly(boundary.rank + 1, mode, packing.unpack(sums, slots))
+    return LaurentPoly(boundary.rank + 1, mode, weigh(profiles, mode, slots))
 
 
 def partition_function(boundary: Boundary, family: str, mode: Mode,

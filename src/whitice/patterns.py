@@ -35,11 +35,12 @@ g(box) and free by h(box); every other entry weighs 1.
 list of row families, in the row kernel's (kind, charge) format: a full
 pattern reads every row under one family, a short pattern (three rows
 l / a / m, :class:`ShortPattern`) reads its middle and bottom rows under the
-two families of a two-row order.  ``lattice.fill_weight`` folds the factors
-into a coefficient, and :func:`pattern_exponents` gives the monomial from
-the row sums.  Together they reproduce the weight of the corresponding ice
-state; the pattern side keeps its own box sums and row -> variable rule, so
-comparing the two (``partition.matching_check``) tests the row kernel.
+two families of a two-row order.  ``coeffs.weigh`` sums the weights of such
+factors exactly (``lattice.fill_weight`` folds one set), and
+:func:`pattern_exponents` gives the monomial from the row sums.  Together
+they reproduce the weight of the corresponding ice state; the pattern side
+keeps its own box sums and row -> variable rule, so comparing the two
+(``partition.matching_check``) tests the row kernel.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .lattice import Boundary, Factors, IceState, fill_weight, strict_interleavings
+from .coeffs import weigh
+from .lattice import Boundary, Factors, IceState, strict_interleavings
 
 #: weight kind of each entry case, per family; a case left out weighs 1
 KINDS = {"gamma": {"left": "g", "free": "h"},
@@ -99,19 +101,18 @@ def state_from_pattern(pattern: GTPattern, boundary: Boundary | None = None) -> 
 
 
 def enumerate_patterns(top: tuple[int, ...]) -> Iterator[GTPattern]:
-    """All strict patterns with the given top row."""
-    rows: list[tuple[int, ...]] = [tuple(top)]
+    """All strict patterns with the given top row, in decreasing
+    lexicographic order of their rows.
 
-    def rec(k: int) -> Iterator[GTPattern]:
-        if len(rows[-1]) == 1:
-            yield GTPattern(rows=tuple(rows))
-            return
-        for y in strict_interleavings(rows[-1]):
-            rows.append(y)
-            yield from rec(k + 1)
-            rows.pop()
-
-    yield from rec(0)
+    Depth first over an explicit stack: each row's interleavings are pushed
+    in increasing order, so the greatest is popped first."""
+    stack = [(tuple(top),)]
+    while stack:
+        rows = stack.pop()
+        if len(rows[-1]) <= 1:
+            yield GTPattern(rows=rows)
+        else:
+            stack += [rows + (y,) for y in reversed(list(strict_interleavings(rows[-1])))]
 
 
 def entry_case(up: tuple[int, ...], j: int, value: int) -> str:
@@ -192,34 +193,17 @@ class ShortPattern:
 
 def enumerate_short_patterns(top: tuple[int, ...], bot: tuple[int, ...],
                              mid_sum: int | None = None) -> list[ShortPattern]:
-    """All short patterns with the given outer rows; optionally restrict the
-    middle row sum."""
-    out = []
-    p = len(top) - 1
-    if len(bot) != p - 1:
+    """All short patterns with the given outer rows, in decreasing
+    lexicographic order of the middle row; optionally restrict the middle
+    row sum.  The middle rows are the strict interleavings of `top` that
+    `bot` interleaves."""
+    top, bot = tuple(top), tuple(bot)
+    if len(bot) != len(top) - 2:
         raise ValueError("bottom row must be two shorter than the top row")
-    acc: list[int] = []
-
-    def rec(j: int):
-        if j == p:
-            sp = ShortPattern(top=tuple(top), mid=tuple(acc), bot=tuple(bot))
-            if mid_sum is None or sum(acc) == mid_sum:
-                out.append(sp)
-            return
-        hi = top[j] if not acc else min(top[j], acc[-1] - 1)
-        lo = top[j + 1]
-        if 0 <= j - 1 < len(bot):
-            hi = min(hi, bot[j - 1])
-        if j < len(bot):
-            lo = max(lo, bot[j])
-        for y in range(hi, lo - 1, -1):
-            acc.append(y)
-            rec(j + 1)
-            acc.pop()
-
-    rec(0)
-    out.sort(key=lambda s: s.mid, reverse=True)
-    return out
+    return [ShortPattern(top=top, mid=mid, bot=bot)
+            for mid in strict_interleavings(top)
+            if (mid_sum is None or sum(mid) == mid_sum)
+            and all(a >= b >= c for a, b, c in zip(mid, bot, mid[1:]))]
 
 
 def middle_reflection(sp: ShortPattern, convention: str = "outer") -> ShortPattern | None:
@@ -265,14 +249,15 @@ def statement_b_sums(top, bot, k: int, mode, convention: str = "outer"):
     bottom row under delta) over all short patterns with outer rows
     (top, bot) and middle row summing to k.  Right: sum, over the same
     patterns, of the delta-then-gamma weight of the reflected pattern,
-    counting reflections that leave the interleaving region as zero.
-    Returns (left, right) as coefficients.
+    counting reflections that leave the interleaving region as zero.  Each
+    side is weighed (:func:`.coeffs.weigh`) with a slot for each entry
+    below the top row.  Returns (left, right) as coefficients.
     """
-    left = mode.zero
-    right = mode.zero
+    left, right = [], []
     for sp in enumerate_short_patterns(top, bot, mid_sum=k):
-        left = left + fill_weight(pattern_factors(sp.rows, ("gamma", "delta")), mode)
+        left.append((pattern_factors(sp.rows, ("gamma", "delta")), ()))
         image = middle_reflection(sp, convention)
         if image is not None:
-            right = right + fill_weight(pattern_factors(image.rows, ("delta", "gamma")), mode)
-    return left, right
+            right.append((pattern_factors(image.rows, ("delta", "gamma")), ()))
+    slots = len(top) - 1 + len(bot)
+    return tuple(weigh(side, mode, slots).get((), mode.zero) for side in (left, right))

@@ -26,16 +26,20 @@ multiply-add.  Z is unpacked once.
 :func:`.lattice.fill_weight`, kept as the mode-generic reference.
 
 Two-row systems (a gamma row above a delta row or the reverse, top boundary
-carrying two more - spins than the bottom) use the same kernel with
-explicit per-row (family, variable) assignments.
+carrying two more - spins than the bottom) are slabs with explicit per-row
+(family, variable) assignments: their states are walked by
+:func:`.lattice.state_profiles` and weighed by :func:`.coeffs.weigh`, the
+way a full system's Z is by enumeration, so both orders are the exact slab
+Z rounded once.
 """
 
 from __future__ import annotations
 
 import random
 
-from .coeffs import Mode
-from .lattice import Boundary, count_states, fill_weight, row_fills, row_variable
+from .coeffs import Mode, weigh
+from .lattice import (Boundary, count_states, fill_weight, row_fills, row_variable,
+                      state_profiles)
 from .laurent import LaurentPoly
 
 Layer = tuple[int, ...]
@@ -63,7 +67,8 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
     packed coefficients (module docstring)."""
     r = boundary.rank
     columns = boundary.columns
-    packing = mode.packing(r, lambda: count_states(boundary))
+    slots = r * (r + 1) // 2  # the - spins below the top row
+    packing = mode.packing(slots, lambda: count_states(boundary))
     products = packing.products
     times_u = packing.times_u
     zbits = columns.bit_length()
@@ -100,7 +105,7 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
                 support[beta] = kept
     mask = (1 << zbits) - 1
     shifts = [zbits * v for v in range(r + 1)]
-    terms = packing.unpack(support.get((), {}), r * (r + 1) // 2)
+    terms = packing.unpack(support.get((), {}), slots)
     return LaurentPoly(r + 1, mode, {
         tuple([(z >> shift) & mask for shift in shifts]): coeff for z, coeff in terms.items()})
 
@@ -141,50 +146,26 @@ def check_two_row_boundary(top: Layer, bottom: Layer, columns: int | None) -> in
     return columns
 
 
+def slab_partition(top: Layer, bottom: Layer, rows, mode: Mode,
+                   columns: int) -> LaurentPoly:
+    """Z of a two-row slab with explicit (family, variable) per row, in
+    (z1, z2): its state profiles weighed with a slot for each - spin below
+    the top layer."""
+    profiles = state_profiles(tuple(top), rows, columns, tuple(bottom))
+    return LaurentPoly(2, mode, weigh(profiles, mode, 2 * len(top) - 3))
+
+
 def two_row_has_states(top: Layer, bottom: Layer, columns: int,
                        order: str = "gamma-delta") -> bool:
     """Whether the two-row system in this order admits a state."""
-    (fam1, _), (fam2, _) = two_row_rows(order)
-    return any(tuple(bottom) in row_fills(mid, columns, fam2)
-               for mid in row_fills(tuple(top), columns, fam1))
-
-
-def slab_middle_values(top: Layer, bottom: Layer,
-                       rows: tuple[tuple[str, int], tuple[str, int]],
-                       mode: Mode, columns: int) -> dict[Layer, LaurentPoly]:
-    """Weights of a two-row slab with explicit (family, variable) per row,
-    split by the middle layer: middle layer -> two-variable weight."""
-    (fam1, var1), (fam2, var2) = rows
-    bottom = tuple(bottom)
-    out: dict[Layer, LaurentPoly] = {}
-    for mid, (factors1, zexp1) in row_fills(tuple(top), columns, fam1).items():
-        lower = row_fills(mid, columns, fam2).get(bottom)
-        if lower is None:
-            continue
-        factors2, zexp2 = lower
-        exps = [0, 0]
-        exps[var1] += zexp1
-        exps[var2] += zexp2
-        term = LaurentPoly.monomial(2, mode, exps, fill_weight(factors1 + factors2, mode))
-        if not term.is_zero():
-            out[mid] = term
-    return out
-
-
-def two_row_middle_values(top: Layer, bottom: Layer, order: str, mode: Mode,
-                          columns: int | None = None) -> dict[Layer, LaurentPoly]:
-    """Weight of the mixed two-row system split by the middle layer."""
-    columns = check_two_row_boundary(top, bottom, columns)
-    return slab_middle_values(top, bottom, two_row_rows(order), mode, columns)
+    return bool(state_profiles(tuple(top), two_row_rows(order), columns, tuple(bottom)))
 
 
 def two_row_partition(top: Layer, bottom: Layer, order: str, mode: Mode,
                       columns: int | None = None) -> LaurentPoly:
     """Z of the two-row system with the given boundary, in (z1, z2)."""
-    total = LaurentPoly.zero(2, mode)
-    for value in two_row_middle_values(top, bottom, order, mode, columns).values():
-        total = total + value
-    return total
+    columns = check_two_row_boundary(top, bottom, columns)
+    return slab_partition(top, bottom, two_row_rows(order), mode, columns)
 
 
 def two_row_check(top: Layer, bottom: Layer, mode: Mode, tol: float = 1e-9,
@@ -204,7 +185,7 @@ def coefficient_pairs(l: Layer, m: Layer, ks, mode: Mode) -> list[tuple]:
     sum k all carry the monomial z1^(d0-k) z2^(k-d2), d0 = sum(l),
     d2 = sum(m); this returns that coefficient in both systems, as a
     (gamma-delta, delta-gamma) pair for each k in `ks`.  Each system is
-    contracted once.
+    weighed once.
     """
     d0 = sum(l)
     d2 = sum(m)

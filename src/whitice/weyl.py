@@ -45,7 +45,7 @@ from .lattice import (
 )
 from .laurent import LaurentPoly
 from .partition import partition_function
-from .transfer import check_two_row_boundary, slab_middle_values
+from .transfer import check_two_row_boundary, slab_partition
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +209,19 @@ def fe_via_rvertex_two_row(top, bottom, j: int, n: int, mode: Mode,
 
     Left attachment: each state of the slab is weighted by the all-+ entry
     whose inner class is the state's label difference c_top - c_bot, which
-    by the charge duality is exp_z1 - exp_z2 of its monomial.  Right
-    attachment: the all-- entry (charges forced to zero at the right
-    boundary) times the class-j part of the slab partition function with the
-    two variables exchanged.  The two must agree; returns (ok, left, right).
-    Only odd n is supported.
+    by the charge duality is exp_z1 - exp_z2 of its monomial; so each class
+    part of the slab partition function is weighted by its class's entry.
+    Right attachment: the all-- entry (charges forced to zero at the right
+    boundary) times the class-j part with the two variables exchanged.  The
+    two must agree; returns (ok, left, right).  Only odd n is supported.
     """
     if n % 2 == 0:
         raise ValueError("partial crossing vertex requires odd n")
     columns = check_two_row_boundary(top, bottom, columns)
-    slab = slab_middle_values(tuple(top), tuple(bottom), (("gamma", 1), ("gamma", 0)),
-                              mode, columns)
+    z = slab_partition(top, bottom, (("gamma", 1), ("gamma", 0)), mode, columns)
+    parts = decompose(z, 1, n)
     left = LaurentPoly.zero(2, mode)
-    z = LaurentPoly.zero(2, mode)
-    for monomial in slab.values():  # one state per middle layer
-        (exps,) = monomial.terms
-        z = z + monomial
-        left = left + rvertex_allplus_weight(j, exps[0] - exps[1], n, mode) * monomial
-    zj = decompose(z, 1, n)[j % n]
-    right = rvertex_allminus_weight(n, mode) * zj.swap_vars(0, 1)
+    for c, part in parts.items():
+        left = left + rvertex_allplus_weight(j, c, n, mode) * part
+    right = rvertex_allminus_weight(n, mode) * parts[j % n].swap_vars(0, 1)
     return left.equal(right, tol), left, right

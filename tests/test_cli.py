@@ -208,6 +208,18 @@ def test_verify_statement_b_coefficient_route(capsys):
     assert code == 0 and obj["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    "two-row --random 100 --coeff numeric --n 3 --q 7 --tol 0",
+    "two-row --random 100 --coeff numeric --n 2 --q 13 --tol 0",
+    "statement-b --l 6,4,1,0 --m 4,3 --coeff numeric --n 3 --q 7 --tol 0",
+    "statement-b --l 6,4,1,0 --m 4,3 --coeff numeric --n 2 --q 5 --tol 0",
+])
+def test_numeric_slab_checks_hold_at_zero_tolerance(capsys, argv):
+    # both sides of a slab check are the same exact value rounded once
+    code, obj = run_json(capsys, "verify", *argv.split())
+    assert code == 0 and obj["pass"] is True
+
+
 def test_verify_statement_b_reflection_route_reports_failure(capsys):
     # the per-summand reflection route is falsified on this boundary and the
     # command must say so rather than exit clean

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from whitice.coeffs import NumericMode, SymCoeff, SymbolicMode, reduced_ring
 from whitice.gauss import gauss_table
 from whitice.lattice import boundary_from_lambda
-from whitice.partition import partition_function
+from whitice.partition import numeric_mode, partition_function
 
 TOL = 1e-12
 
@@ -134,6 +134,16 @@ def test_mode_close_and_zero():
 def test_numeric_mode_requires_compatible_table():
     assert NumericMode(gauss_table(1, 5)).n == 1
     assert NumericMode(gauss_table(2, 13)).q == 13
+
+
+def test_numeric_class_zero_weights_are_exact():
+    # g(0) = -u and h(0) = 1 - u, not the Gauss table's direct sums
+    mode = numeric_mode(1, 61)
+    assert mode.g(0) == -1 / 61 and mode.g(61) == -1 / 61
+    assert mode.h(0) == 1 - 1 / 61
+    mode = numeric_mode(3, 7)
+    assert mode.g(3) == -1 / 7 and mode.h(-3) == 1 - 1 / 7
+    assert mode.g(1) == gauss_table(3, 7).g(1) and mode.h(2) == 0
 
 
 def test_numeric_packing_is_exact_or_raises():

@@ -28,12 +28,14 @@ from whitice.lattice import (
     row_fills,
     row_variable,
     row_vertices,
+    state_profiles,
     strict_interleavings,
     weight_table,
 )
 from whitice.coeffs import SymbolicMode
 from whitice.partition import boundary_profiles
-from whitice.transfer import contract_partition
+from whitice.patterns import enumerate_patterns, enumerate_short_patterns
+from whitice.transfer import contract_partition, two_row_rows
 
 
 def test_admissibility_rule():
@@ -115,11 +117,56 @@ def test_state_walks_leave_no_cyclic_garbage():
     try:
         for run in (lambda: count_states(boundary), lambda: enumerate_states(boundary),
                     lambda: contract_partition(boundary, "gamma", SymbolicMode(2)),
-                    lambda: boundary_profiles.__wrapped__(boundary, "delta")):
+                    lambda: boundary_profiles.__wrapped__(boundary, "delta"),
+                    lambda: state_profiles((6, 4, 1, 0), two_row_rows("delta-gamma"), 7, (4, 3)),
+                    lambda: list(enumerate_patterns(boundary.top_minus)),
+                    lambda: enumerate_short_patterns((6, 4, 1, 0), (4, 3))):
             run()
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def slab_by_lookup(top, bottom, rows, columns):
+    """Reference for :func:`state_profiles` on two rows: the fills below the
+    top layer, in ascending middle-layer order, each followed by a lookup of
+    the bottom layer among the fills below its middle layer."""
+    (family1, var1), (family2, var2) = rows
+    profiles = []
+    for mid, (factors1, zexp1) in sorted(row_fills(top, columns, family1).items()):
+        lower = row_fills(mid, columns, family2).get(bottom)
+        if lower is not None:
+            exponents = [0, 0]
+            exponents[var1] += zexp1
+            exponents[var2] += lower[1]
+            profiles.append((factors1 + lower[0], tuple(exponents)))
+    return tuple(profiles)
+
+
+SLAB_ROWS = (two_row_rows("gamma-delta"), two_row_rows("delta-gamma"),
+             (("gamma", 1), ("gamma", 0)))
+
+
+def test_state_profiles_match_the_slab_lookup():
+    # every two-row boundary of width <= 6, both mixed orders and the
+    # two-gamma-row slab of the crossing vertex
+    nonempty = 0
+    for width in range(3, 7):
+        for size in range(2, width + 1):
+            for top in itertools.combinations(range(width - 1, -1, -1), size):
+                for bot in itertools.combinations(range(width - 1, -1, -1), size - 2):
+                    for rows in SLAB_ROWS:
+                        expected = slab_by_lookup(top, bot, rows, width)
+                        assert state_profiles(top, rows, width, bot) == expected
+                        nonempty += bool(expected)
+    assert nonempty == 1488
+
+
+def test_state_profiles_need_one_variable_per_row():
+    with pytest.raises(ValueError):
+        state_profiles((2, 0), (("gamma", 0), ("delta", 0)), 3)
+    with pytest.raises(ValueError):
+        state_profiles((2, 0), (("gamma", 1), ("delta", 2)), 3)
 
 
 def test_enumerate_states_structure():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitice import partition
+from whitice import lattice
 from whitice.coeffs import SymCoeff, SymbolicMode
 from whitice.lattice import boundary_from_lambda, enumerate_states, row_fills
 from whitice.laurent import LaurentPoly
@@ -175,7 +175,8 @@ def test_matching_lattice_vs_pattern():
 
 
 def test_matching_catches_a_shifted_kernel_charge(monkeypatch):
-    # negative control: a kernel that miscounts one charge by one must fail
+    # negative control: a kernel that miscounts one charge by one must fail;
+    # the profiles walk the kernel through lattice.state_profiles
     def shifted(top, columns, family):
         out = {}
         for bot, (factors, zexp) in row_fills(top, columns, family).items():
@@ -186,7 +187,7 @@ def test_matching_catches_a_shifted_kernel_charge(monkeypatch):
         return out
 
     boundary_profiles.cache_clear()
-    monkeypatch.setattr(partition, "row_fills", shifted)
+    monkeypatch.setattr(lattice, "row_fills", shifted)
     try:
         boundary = boundary_from_lambda((3, 2, 0))
         for family in ("gamma", "delta"):

@@ -6,7 +6,8 @@ import itertools
 import pytest
 
 from whitice.coeffs import SymCoeff, SymbolicMode
-from whitice.lattice import boundary_from_lambda, enumerate_states, fill_weight, row_fills
+from whitice.lattice import (boundary_from_lambda, enumerate_states, fill_weight, row_fills,
+                             strict_interleavings)
 from whitice.patterns import (
     GTPattern,
     ShortPattern,
@@ -153,6 +154,75 @@ def test_exponent_totals_are_homogeneous():
     for pattern in enumerate_patterns((5, 3, 0)):
         assert sum(pattern_exponents(pattern, "gamma")) == 8
         assert sum(pattern_exponents(pattern, "delta")) == 8
+
+
+def patterns_by_recursion(top):
+    """Reference for :func:`enumerate_patterns`: the recursive walk over
+    each row's interleavings in the order strict_interleavings gives them."""
+    rows = [tuple(top)]
+
+    def rec():
+        if len(rows[-1]) == 1:
+            yield GTPattern(rows=tuple(rows))
+            return
+        for y in strict_interleavings(rows[-1]):
+            rows.append(y)
+            yield from rec()
+            rows.pop()
+
+    return list(rec())
+
+
+def short_patterns_by_recursion(top, bot, mid_sum=None):
+    """Reference for :func:`enumerate_short_patterns`: each middle entry
+    ranges over the interval its four neighbours allow, recursively, and
+    the patterns are sorted by middle row, largest first."""
+    out = []
+    p = len(top) - 1
+    acc = []
+
+    def rec(j):
+        if j == p:
+            if mid_sum is None or sum(acc) == mid_sum:
+                out.append(ShortPattern(top=tuple(top), mid=tuple(acc), bot=tuple(bot)))
+            return
+        hi = top[j] if not acc else min(top[j], acc[-1] - 1)
+        lo = top[j + 1]
+        if 0 <= j - 1 < len(bot):
+            hi = min(hi, bot[j - 1])
+        if j < len(bot):
+            lo = max(lo, bot[j])
+        for y in range(hi, lo - 1, -1):
+            acc.append(y)
+            rec(j + 1)
+            acc.pop()
+
+    rec(0)
+    out.sort(key=lambda sp: sp.mid, reverse=True)
+    return out
+
+
+def test_pattern_enumerators_match_the_recursive_walks():
+    # same patterns in the same order, over every top row of width <= 6
+    # with up to five entries, and every short boundary of width <= 7
+    patterns = 0
+    for size in range(1, 6):
+        for top in itertools.combinations(range(5, -1, -1), size):
+            expected = patterns_by_recursion(top)
+            assert list(enumerate_patterns(top)) == expected
+            patterns += len(expected)
+    assert patterns == 10292
+    shorts = 0
+    for size in range(2, 8):
+        for top in itertools.combinations(range(6, -1, -1), size):
+            for bot in itertools.combinations(range(6, -1, -1), size - 2):
+                expected = short_patterns_by_recursion(top, bot)
+                assert enumerate_short_patterns(top, bot) == expected
+                shorts += len(expected)
+                for k in {sum(sp.mid) for sp in expected}:
+                    assert (enumerate_short_patterns(top, bot, mid_sum=k)
+                            == short_patterns_by_recursion(top, bot, mid_sum=k))
+    assert shorts == 7718
 
 
 def test_short_pattern_validation():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from whitice import coeffs, transfer
 from whitice.coeffs import SymbolicMode
-from whitice.lattice import boundary_from_lambda, fill_weight, row_fills, row_variable
+from whitice.lattice import (boundary_from_lambda, fill_weight, row_fills, row_variable,
+                             state_profiles)
 from whitice.laurent import LaurentPoly
 from whitice.partition import (boundary_profiles, numeric_mode, partition_function,
                                raw_symbolic_mode)
@@ -23,7 +24,6 @@ from whitice.transfer import (
     contract_partition,
     random_two_row_boundary,
     two_row_check,
-    two_row_middle_values,
     two_row_partition,
     two_row_rows,
 )
@@ -260,18 +260,51 @@ def test_two_row_exchange_reference_boundary():
 
 
 def test_two_row_orders_differ_per_state_but_not_in_sum():
-    # the middle-layer decompositions differ; only the totals agree
+    # the state decompositions differ; only the totals agree
     mode = SymbolicMode(1)
-    vals_gd = two_row_middle_values(PAPER_TOP, PAPER_BOT, "gamma-delta", mode)
-    vals_dg = two_row_middle_values(PAPER_TOP, PAPER_BOT, "delta-gamma", mode)
-    assert vals_gd != vals_dg
+    columns = check_two_row_boundary(PAPER_TOP, PAPER_BOT, None)
+    states_gd, states_dg = (
+        state_profiles(PAPER_TOP, two_row_rows(order), columns, PAPER_BOT)
+        for order in TWO_ROW_ORDERS)
+    weights_gd, weights_dg = (
+        [LaurentPoly.monomial(2, mode, exponents, fill_weight(factors, mode))
+         for factors, exponents in states]
+        for states in (states_gd, states_dg))
+    assert sorted(map(str, weights_gd)) != sorted(map(str, weights_dg))
     total_gd = two_row_partition(PAPER_TOP, PAPER_BOT, "gamma-delta", mode)
     total_dg = two_row_partition(PAPER_TOP, PAPER_BOT, "delta-gamma", mode)
     assert total_gd == total_dg
-    agg = None
-    for poly in vals_gd.values():
-        agg = poly if agg is None else agg + poly
+    agg = LaurentPoly.zero(2, mode)
+    for poly in weights_gd:
+        agg = agg + poly
     assert agg == total_gd
+
+
+SLAB_MODULI = ((2, 5), (3, 7), (2, 13), (3, 13))
+
+
+@pytest.mark.parametrize("n, q", SLAB_MODULI)
+def test_numeric_two_row_orders_agree_bit_for_bit(n, q):
+    # both orders are the exact reduced slab Z rounded once, so they are
+    # equal at tol = 0 and not merely close
+    rng = random.Random(n * 1000 + q)
+    mode = numeric_mode(n, q)
+    for _ in range(40):
+        top, bot, columns = random_two_row_boundary(rng)
+        ok, z_gd, z_dg = two_row_check(top, bot, mode, tol=0, columns=columns)
+        assert ok and z_gd.terms == z_dg.terms
+        for order, z in (("gamma-delta", z_gd), ("delta-gamma", z_dg)):
+            exact = two_row_partition(top, bot, order, SymbolicMode(n), columns)
+            assert z.terms == rounded_once(exact, mode.table)
+
+
+@pytest.mark.parametrize("n, q", SLAB_MODULI)
+def test_numeric_graded_coefficients_agree_bit_for_bit(n, q):
+    mode = numeric_mode(n, q)
+    d0, d2 = sum(PAPER_TOP), sum(PAPER_BOT)
+    pairs = coefficient_pairs(PAPER_TOP, PAPER_BOT, range(d2, d0 + 1), mode)
+    assert any(a != 0 for a, _ in pairs)
+    assert all(a == b for a, b in pairs)
 
 
 def test_random_boundaries_deterministic_and_valid():
