@@ -99,7 +99,11 @@ def _lambda_arg(args) -> tuple[int, ...]:
 
 
 def _rows_arg(args, rank: int) -> list[int]:
-    """The row pairs --i selects: 1..rank, all of them by default."""
+    """The row pairs --i selects: 1..rank, all of them by default.  A rank-0
+    --lambda has no row pair, so a check on it would pass with nothing
+    checked."""
+    if rank == 0:
+        raise ConfigError("--lambda has rank 0: there is no row pair to check")
     if args.i is None:
         return list(range(1, rank + 1))
     if not 1 <= args.i <= rank:

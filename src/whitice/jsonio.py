@@ -17,15 +17,11 @@ list of the polynomial in u, as exact [numerator, denominator] pairs
 starting at u^0.  Every converter has an exact inverse.
 
 :func:`dumps` renders every JSON value the CLI prints; its text equals
-``json.dumps(obj, indent=2)`` byte for byte.  It renders a list by columns
-rather than item by item: a list of numbers is one ``map`` of the repr, a
-list of number lists one template per item, and a list of dicts with the
-same keys in the same order (a Whittaker table's entries, a polynomial's
-terms) renders each key's column once and fills one template per entry.
-:func:`dumps_whittaker` renders a ``{k: coeff}`` table as
-``dumps(whittaker_to_json(table))`` would: a numeric table of finite plain
-complex values is one template per entry with no JSON view built, and any
-other table falls back to that reference route.
+``json.dumps(obj, indent=2)`` byte for byte.  :func:`dumps_whittaker`
+renders a ``{k: coeff}`` table as ``dumps(whittaker_to_json(table))``
+would: a numeric table of finite plain complex values is one template per
+entry with no JSON view built, and any other table falls back to that
+reference route.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from fractions import Fraction
 from itertools import chain as _chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite as _isfinite
-from operator import itemgetter as _itemgetter
 
 from .coeffs import FREE, Mode, Ring, SymbolicMode, SymCoeff
 from .gauss import GaussTable
@@ -221,20 +216,10 @@ def dumps(obj) -> str:
     ``str``, ``int`` and finite ``float`` scalars are written as json writes
     them (``int.__repr__``, ``float.__repr__``, json's ASCII string encoder),
     ``True``, ``False`` and ``None`` as ``true``, ``false`` and ``null``,
-    and dicts whose keys are all plain ``str`` recurse.  A list renders its
-    items together, by the first rule that fits all of them:
-
-    - all plain ints, or all plain finite floats: one ``map`` of the repr;
-    - all non-empty lists whose items, taken together, are all plain ints or
-      all plain finite floats: one template and one join per item;
-    - two or more plain dicts with the same plain-``str`` keys in the same
-      order: each key's column of values is rendered once, by these same
-      rules, and each item is one ``%``-template filled from the columns;
-    - otherwise item by item.
-
-    Anything else (NaN and infinities, tuples, subclasses, non-``str``
-    keys) is handed to ``json.dumps(x, indent=2)`` and its newlines
-    re-indented to the current depth.  That is exact because json never
+    and plain lists, and dicts whose keys are all plain ``str``, recurse
+    item by item.  Anything else (NaN and infinities, tuples, subclasses,
+    non-``str`` keys) is handed to ``json.dumps(x, indent=2)`` and its
+    newlines re-indented to the current depth.  That is exact because json never
     writes a literal newline inside a string.
     """
     return _render(obj, "\n")
@@ -256,7 +241,9 @@ def _render(obj, newline: str) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join(_render_items(obj, inner)) + newline + "]"
+        return ("[" + inner
+                + ("," + inner).join([_render(item, inner) for item in obj])
+                + newline + "]")
     if kind is dict and all(type(key) is str for key in obj):
         if not obj:
             return "{}"
@@ -267,45 +254,3 @@ def _render(obj, newline: str) -> str:
                 + newline + "}")
     return json.dumps(obj, indent=2).replace("\n", newline)
 
-
-def _number_repr(kinds: set, values: list):
-    """``int.__repr__`` or ``float.__repr__`` if `values`, of types `kinds`,
-    are all plain ints or all plain finite floats, else None."""
-    if kinds == {int}:
-        return int.__repr__
-    if kinds == {float} and all(map(_isfinite, values)):
-        return float.__repr__
-    return None
-
-
-def _render_items(items: list, newline: str):
-    """The rendering of each of `items` (a non-empty list) at ``newline``,
-    by the rules of :func:`dumps`."""
-    kinds = set(map(type, items))
-    to_text = _number_repr(kinds, items)
-    if to_text is not None:
-        return map(to_text, items)
-    if kinds == {list} and all(items):
-        flat = list(_chain.from_iterable(items))
-        to_text = _number_repr(set(map(type, flat)), flat)
-        if to_text is not None:
-            inner = newline + "  "
-            head, sep, tail = "[" + inner, "," + inner, newline + "]"
-            return [head + sep.join(map(to_text, item)) + tail for item in items]
-    elif kinds == {dict} and len(items) > 1:
-        keys = tuple(items[0])
-        # tuples of plain str compare by value and order (dict views would
-        # compare as sets)
-        if (set(map(type, _chain.from_iterable(items))) <= {str}
-                and all(map(keys.__eq__, map(tuple, items)))):
-            if not keys:
-                return ["{}"] * len(items)
-            inner = newline + "  "
-            template = ("{" + inner
-                        + ("," + inner).join([_encode_str(key).replace("%", "%%") + ": %s"
-                                              for key in keys])
-                        + newline + "}")
-            columns = [_render_items(list(map(_itemgetter(key), items)), inner)
-                       for key in keys]
-            return [template % row for row in zip(*columns)]
-    return [_render(item, newline) for item in items]

@@ -101,6 +101,13 @@ def clearing_factor(n: int, mode: Mode, nvars: int, x: int, y: int) -> LaurentPo
             - LaurentPoly.monomial(nvars, mode, ye, mode.u))
 
 
+def _check_modulus(n: int, mode: Mode) -> None:
+    """Refuse an `n` other than the one `mode` reduces charges by: the
+    classes would be taken mod `n` and the Gauss symbols mod ``mode.n``."""
+    if n != mode.n:
+        raise ValueError(f"n = {n} disagrees with the mode's n = {mode.n}")
+
+
 # ---------------------------------------------------------------------------
 #  Functional equation on a full system
 # ---------------------------------------------------------------------------
@@ -111,7 +118,9 @@ def functional_eq_check(lam, i: int, j: int, n: int, mode: Mode,
 
     Returns (ok, lhs, rhs).  For n > 1 the identity relies on
     g(j)g(n-j) = u, which the exact reduced ring applies at every product.
+    `n` must be ``mode.n``.
     """
+    _check_modulus(n, mode)
     boundary = boundary_from_lambda(lam)
     rank = boundary.rank
     if not 1 <= i <= rank:
@@ -213,8 +222,10 @@ def fe_via_rvertex_two_row(top, bottom, j: int, n: int, mode: Mode,
     part of the slab partition function is weighted by its class's entry.
     Right attachment: the all-- entry (charges forced to zero at the right
     boundary) times the class-j part with the two variables exchanged.  The
-    two must agree; returns (ok, left, right).  Only odd n is supported.
+    two must agree; returns (ok, left, right).  Only odd n is supported, and
+    `n` must be ``mode.n``.
     """
+    _check_modulus(n, mode)
     if n % 2 == 0:
         raise ValueError("partial crossing vertex requires odd n")
     columns = check_two_row_boundary(top, bottom, columns)

@@ -30,9 +30,10 @@ for all boundary spins (sigma, tau, alpha, beta, rho, theta).
 Sliding R through two stacked rows of a full system turns this local
 equation into the global endpoint identity
 
-    (z_i - u*z_{i+1}) * Z(z)  =  (z_{i+1} - u*z_i) * Z(sigma_i z)
+    (z_i - u*z_{i+1}) * Z(z)  =  (z_{i+1} - u*z_i) * Z(sigma_i z),
 
-checked directly by :func:`commutation_check`.
+the n = 1 case of the functional equation of the weyl module, which
+:func:`commutation_check` checks.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from __future__ import annotations
 from itertools import product
 
 from .coeffs import Mode, SymbolicMode
-from .lattice import MINUS, PLUS, boundary_from_lambda, fill_weight, weight_table
+from .lattice import MINUS, PLUS, fill_weight, weight_table
 from .laurent import LaurentPoly
-from .partition import partition_function
+from .weyl import functional_eq_check
 
 RConfig = tuple[int, int, int, int]  # (west_top, west_bot, east_top, east_bot)
 
@@ -191,25 +192,13 @@ def solve_mixed_assignment(s_row=("gamma", 1), t_row=("gamma", 0),
 #  Global endpoint identities (n = 1)
 # ---------------------------------------------------------------------------
 
-def _swap_factors(i: int, nvars: int, mode: Mode) -> tuple[LaurentPoly, LaurentPoly]:
-    """(z_i - u*z_{i+1}, z_{i+1} - u*z_i) as nvars-variable polynomials."""
-    zi = LaurentPoly.var(nvars, mode, i - 1)
-    zi1 = LaurentPoly.var(nvars, mode, i)
-    return zi - zi1.scale(mode.u), zi1 - zi.scale(mode.u)
-
-
 def commutation_check(lam, i: int, family: str = "gamma",
                       mode: Mode | None = None):
     """(z_i - u*z_{i+1}) * Z(z) = (z_{i+1} - u*z_i) * Z(sigma_i z), n = 1.
 
-    Returns (ok, lhs, rhs)."""
+    This is the class-0 functional equation at n = 1, with its sides
+    exchanged.  Returns (ok, lhs, rhs)."""
     if mode is None:
         mode = SymbolicMode(1)
-    boundary = boundary_from_lambda(lam)
-    if not 1 <= i <= boundary.rank:
-        raise ValueError(f"row pair index {i} out of range")
-    z = partition_function(boundary, family, mode)
-    plus_factor, minus_factor = _swap_factors(i, boundary.rank + 1, mode)
-    lhs = plus_factor * z
-    rhs = minus_factor * z.swap_vars(i - 1, i)
-    return lhs.equal(rhs, tol=1e-10), lhs, rhs
+    ok, rhs, lhs = functional_eq_check(lam, i, 0, 1, mode, family, tol=1e-10)
+    return ok, lhs, rhs

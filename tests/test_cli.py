@@ -8,8 +8,9 @@ import pytest
 
 from whitice import cli, jsonio, partition, weyl
 from whitice.cli import main
-from whitice.lattice import boundary_from_lambda
-from whitice.partition import numeric_mode, whittaker_table
+from whitice.coeffs import SymbolicMode
+from whitice.lattice import boundary_from_lambda, enumerate_states
+from whitice.partition import numeric_mode, partition_function, whittaker_table
 
 
 def run(capsys, *argv):
@@ -123,6 +124,39 @@ def test_verify_report_leaves_no_cyclic_garbage(capsys):
     finally:
         gc.enable()
     assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def _listing(lam):
+    boundary = boundary_from_lambda(lam)
+    states = [jsonio.state_to_json(s) for s in enumerate_states(boundary)]
+    return {"columns": boundary.columns, "count": len(states), "states": states}
+
+
+@pytest.mark.parametrize("argv, library_object", [
+    # a list of dicts
+    ("enumerate --lambda 3,2,0", lambda: _listing((3, 2, 0))),
+    # lists of number lists
+    ("partition --lambda 3,2,0 --n 2 --json", lambda: jsonio.poly_to_json(
+        partition_function(boundary_from_lambda((3, 2, 0)), "gamma", SymbolicMode(2)))),
+    ("partition --lambda 3,2,0 --n 2 --q 5 --json", lambda: jsonio.poly_to_json(
+        partition_function(boundary_from_lambda((3, 2, 0)), "gamma", numeric_mode(2, 5)))),
+    # nested dicts of lists
+    ("whittaker --lambda 2,1,0 --n 2", lambda: jsonio.whittaker_to_json(
+        whittaker_table(boundary_from_lambda((2, 1, 0)), "gamma", SymbolicMode(2)))),
+])
+def test_list_heavy_output_is_exact_and_leaves_no_cyclic_garbage(capsys, argv,
+                                                                  library_object):
+    # every list is rendered item by item; the text is the stdlib's
+    main(argv.split())
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv.split()) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == json.dumps(library_object(), indent=2) + "\n"
 
 
 def test_verify_prop_matching(capsys):
@@ -365,6 +399,21 @@ def test_row_pair_out_of_range_is_refused(capsys, monkeypatch, argv, i):
     assert code == 2
     assert obj["error"] == "config"
     assert f"--i {i}" in obj["detail"]
+
+
+@pytest.mark.parametrize("check", ["functional-eq", "commute-rows"])
+def test_rank_zero_lambda_is_refused(capsys, monkeypatch, check):
+    # a rank-0 lambda has no row pair, so the check would pass having
+    # checked nothing
+    def reached(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(weyl, "functional_eq_check", reached)
+    monkeypatch.setattr(cli.ybe, "commutation_check", reached)
+    code, obj = run_json(capsys, "verify", check, "--lambda", "0")
+    assert code == 2
+    assert obj["error"] == "config"
+    assert "rank 0" in obj["detail"]
 
 
 @pytest.mark.parametrize("argv", [

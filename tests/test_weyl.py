@@ -97,6 +97,15 @@ def test_functional_equation_numeric_grid_sample():
                         assert ok
 
 
+@pytest.mark.parametrize("mode", [SymbolicMode(5), numeric_mode(5, 11)])
+def test_a_modulus_other_than_the_modes_is_refused(mode):
+    # classes taken mod 3 against Gauss symbols reduced mod 5 mean nothing
+    with pytest.raises(ValueError, match="n = 3"):
+        functional_eq_check((2, 0), 1, 0, 3, mode)
+    with pytest.raises(ValueError, match="n = 3"):
+        fe_via_rvertex_two_row((4, 2, 0), (1,), 1, 3, mode)
+
+
 def test_charge_duality():
     for lam in ((2, 0), (3, 2, 0), (2, 1, 0)):
         ok, failures = charge_duality_check(boundary_from_lambda(lam))
