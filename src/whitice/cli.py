@@ -77,8 +77,8 @@ def _configured(fn, *args, **kwargs):
 
 
 def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
+    try:  # an empty text is the empty row
+        return tuple(int(p) for p in text.split(",")) if text else ()
     except ValueError as exc:
         raise ConfigError(f"{flag} must be comma-separated integers: {exc}")
 
@@ -91,6 +91,8 @@ def _check_columns(columns: int, flag: str) -> None:
 
 def _lambda_arg(args) -> tuple[int, ...]:
     lam = _parse_parts(args.lam, "--lambda")
+    if not lam:
+        raise ConfigError("--lambda needs at least one part")
     if getattr(args, "rank", None) is not None and args.rank != len(lam) - 1:
         raise ConfigError(
             f"--rank {args.rank} inconsistent with --lambda of {len(lam)} parts")
@@ -304,9 +306,12 @@ def verify_ybe_n1(args) -> int:
 def verify_commute_rows(args) -> int:
     lam = _lambda_arg(args)
     rows = _rows_arg(args, len(lam) - 1)
+    boundary = boundary_from_lambda(lam)
+    _check_enumerable(boundary)
+    z = partition_function(boundary, "gamma", SymbolicMode(1))
     counter = None
     for i in rows:
-        ok, lhs, rhs = ybe.commutation_check(lam, i)
+        ok, lhs, rhs = ybe.commutation_check(z, i)
         if not ok:
             counter = {"i": i, "lhs": str(lhs), "rhs": str(rhs)}
             break
@@ -402,13 +407,14 @@ def verify_functional_eq(args) -> int:
     if args.j is not None and not 0 <= args.j < n:
         raise ConfigError(f"--j {args.j} is not a class in 0..{n - 1}")
     classes = [args.j] if args.j is not None else list(range(n))
+    boundary = boundary_from_lambda(lam)
+    _check_enumerable(boundary)
+    z = partition_function(boundary, args.ice, mode)
     counter = None
     sides = None
     for i in rows:
         for j in classes:
-            ok, lhs, rhs = weyl.functional_eq_check(lam, i, j, n, mode,
-                                                    family=args.ice,
-                                                    tol=tol)
+            ok, lhs, rhs = weyl.functional_eq_check(z, i, j, tol=tol)
             if sides is None:
                 sides = {"i": i, "j": j, "lhs": jsonio.poly_to_json(lhs),
                          "rhs": jsonio.poly_to_json(rhs)}

@@ -436,10 +436,10 @@ class SymbolicMode:
     def is_zero(self, c: SymCoeff) -> bool:
         return not c.terms
 
-    def packing(self, slots: int, states) -> Packing:
-        """Packed format of a sum of ``states()`` weights with ``slots``
-        slots each."""
-        return Packing(self, 1 << pack_width(states(), slots))
+    def packing(self, slots: int, states: int) -> Packing:
+        """Packed format of a sum of at most ``states`` weights with
+        ``slots`` slots each (:func:`pack_width`)."""
+        return Packing(self, 1 << pack_width(states, slots))
 
     def agree(self, a: dict, b: dict, tol: float = 0.0) -> bool:
         return a == b
@@ -462,10 +462,12 @@ def pack_width(states: int, slots: int) -> int:
     factor (g = -u, a formal symbol, or a pair of them turned into u) has
     one term, and h = 1 - u has two, so a weight has, per symbol part, a
     u-polynomial of l1-norm at most 2^slots.  A contraction's layer entry
-    sums the weights of partial paths from the top to that layer, and
-    distinct paths extend by one common completion to distinct states, so
-    there are at most ``states`` of them.  Hence every u-coefficient of every
-    layer, and of the sum, is at most states * 2^slots in absolute value.
+    sums the weights of partial paths from the top to that layer, so
+    ``states`` must bound those paths as well as the summed weights; a
+    contraction passes the number of layer sequences, prod_{j=1..r} C(C, j)
+    for rank r and C columns, which bounds both.  Hence every u-coefficient
+    of every layer, and of the sum, is at most states * 2^slots in absolute
+    value.
     K is that bound's bit length plus 2, which keeps every coefficient
     inside the balanced digit range [-2^(K-1), 2^(K-1)).
     """
@@ -608,8 +610,8 @@ class NumericMode:
     def is_zero(self, c: complex) -> bool:
         return c == 0
 
-    def packing(self, slots: int, states) -> NumericPacking:
-        """Scaled ints need no width, so ``states`` is never called."""
+    def packing(self, slots: int, states: int) -> NumericPacking:
+        """Scaled ints need no width, so ``states`` is not read."""
         return NumericPacking(self, 1, self.q)
 
     def agree(self, a: dict, b: dict, tol: float = 1e-9) -> bool:
@@ -634,7 +636,7 @@ def weigh(profiles, mode: Mode, slots: int) -> dict:
     """{exponents: coefficient}: the weights of (factors, exponents)
     profiles summed, each packed as a whole with ``slots`` slots ("Packed
     coefficients"), unpacked once."""
-    packing = mode.packing(slots, lambda: len(profiles))
+    packing = mode.packing(slots, len(profiles))
     sums: dict[object, dict] = {}  # symbol part -> {exponents: int}
     for factors, exponents in profiles:
         for part, value in packing.pack(factors, slots):

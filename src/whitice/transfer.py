@@ -36,10 +36,10 @@ Z rounded once.
 from __future__ import annotations
 
 import random
+from math import comb, prod
 
 from .coeffs import Mode, weigh
-from .lattice import (Boundary, count_states, fill_weight, row_fills, row_variable,
-                      state_profiles)
+from .lattice import Boundary, fill_weight, row_fills, row_variable, state_profiles
 from .laurent import LaurentPoly
 
 Layer = tuple[int, ...]
@@ -68,7 +68,8 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
     r = boundary.rank
     columns = boundary.columns
     slots = r * (r + 1) // 2  # the - spins below the top row
-    packing = mode.packing(slots, lambda: count_states(boundary))
+    # layer sequences: they bound the paths to any layer and the states
+    packing = mode.packing(slots, prod(comb(columns, j) for j in range(1, r + 1)))
     products = packing.products
     times_u = packing.times_u
     zbits = columns.bit_length()

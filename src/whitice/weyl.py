@@ -8,8 +8,10 @@ pieces Z_i^(j); the functional equation, in cleared polynomial form, says
         = p_j(z_{i+1}, z_i) * Z_i^(j)(z) + q_j(z_{i+1}, z_i) * Z_i^(n-j)(z)
 
 with p_j(x, y) = (1-u) x^j y^(n-j) and q_j(x, y) = g(j)(x^n - y^n), reading
-g(0) = -u.  At n = 1 there is a single class and the identity collapses to
-the row-swap endpoint identity checked in the ybe module.
+g(0) = -u.  :func:`functional_eq_check` checks it on a polynomial the
+caller computed once, with n read off the polynomial's mode; nothing here
+computes a full system's Z.  At n = 1 there is a single class and the
+identity collapses to the row-swap endpoint identity of the ybe module.
 
 The same exchange is realized locally by a partial crossing vertex that is
 only defined on the all-+ and all-- spin configurations, with entries graded
@@ -36,7 +38,6 @@ from .lattice import (
     FAMILIES,
     PLUS,
     Boundary,
-    boundary_from_lambda,
     direct_fill,
     enumerate_states,
     fill_row,
@@ -44,7 +45,6 @@ from .lattice import (
     row_vertices,
 )
 from .laurent import LaurentPoly
-from .partition import partition_function
 from .transfer import check_two_row_boundary, slab_partition
 
 
@@ -52,14 +52,13 @@ from .transfer import check_two_row_boundary, slab_partition
 #  Class decomposition
 # ---------------------------------------------------------------------------
 
-def decompose(z: LaurentPoly, i: int, n: int) -> dict[int, LaurentPoly]:
-    """Split z by the class (a_i - a_{i+1}) mod n of each monomial.
-
-    ``i`` is 1-based: variables i-1 and i of the polynomial.  Every class
-    0..n-1 is present in the result (possibly zero).
-    """
+def decompose(z: LaurentPoly, i: int) -> dict[int, LaurentPoly]:
+    """Split z by the class (a_i - a_{i+1}) mod n, n = ``z.mode.n``, of each
+    monomial.  ``i`` is 1-based: variables i-1 and i of the polynomial.
+    Every class 0..n-1 is present in the result (possibly zero)."""
     if not 1 <= i <= z.nvars - 1:
         raise ValueError(f"row pair index {i} out of range for {z.nvars} variables")
+    n = z.mode.n
     buckets: dict[int, dict] = {j: {} for j in range(n)}
     for exps, coeff in z.terms.items():
         j = (exps[i - 1] - exps[i]) % n
@@ -68,72 +67,48 @@ def decompose(z: LaurentPoly, i: int, n: int) -> dict[int, LaurentPoly]:
 
 
 # ---------------------------------------------------------------------------
-#  The p/q factors
+#  The cleared functional equation
 # ---------------------------------------------------------------------------
 
-def p_poly(j: int, n: int, mode: Mode, nvars: int, x: int, y: int) -> LaurentPoly:
-    """(1-u) * x^j * y^(n-j) with x, y variable indices and j taken mod n."""
-    j = j % n
+def _monomial(mode: Mode, nvars: int, coeff, *powers) -> LaurentPoly:
+    """coeff times the product of var^e over the (var, e) pairs."""
     exps = [0] * nvars
-    exps[x] += j
-    exps[y] += n - j
-    return LaurentPoly.monomial(nvars, mode, exps, mode.one_minus_u)
+    for var, e in powers:
+        exps[var] += e
+    return LaurentPoly.monomial(nvars, mode, exps, coeff)
 
 
-def q_poly(j: int, n: int, mode: Mode, nvars: int, x: int, y: int) -> LaurentPoly:
+def p_poly(j: int, mode: Mode, nvars: int, x: int, y: int) -> LaurentPoly:
+    """(1-u) * x^j * y^(n-j) with x, y variable indices and j taken mod n."""
+    n = mode.n
+    return _monomial(mode, nvars, mode.one_minus_u, (x, j % n), (y, n - j % n))
+
+
+def q_poly(j: int, mode: Mode, nvars: int, x: int, y: int) -> LaurentPoly:
     """g(j) * (x^n - y^n); the coefficient policy reads g(0) as -u."""
-    xe = [0] * nvars
-    xe[x] = n
-    ye = [0] * nvars
-    ye[y] = n
-    diff = (LaurentPoly.monomial(nvars, mode, xe, mode.one)
-            - LaurentPoly.monomial(nvars, mode, ye, mode.one))
-    return diff.scale(mode.g(j))
+    n = mode.n
+    return (_monomial(mode, nvars, mode.one, (x, n))
+            - _monomial(mode, nvars, mode.one, (y, n))).scale(mode.g(j))
 
 
-def clearing_factor(n: int, mode: Mode, nvars: int, x: int, y: int) -> LaurentPoly:
+def clearing_factor(mode: Mode, nvars: int, x: int, y: int) -> LaurentPoly:
     """x^n - u*y^n, the shared denominator of the rational factor pair."""
-    xe = [0] * nvars
-    xe[x] = n
-    ye = [0] * nvars
-    ye[y] = n
-    return (LaurentPoly.monomial(nvars, mode, xe, mode.one)
-            - LaurentPoly.monomial(nvars, mode, ye, mode.u))
+    n = mode.n
+    return (_monomial(mode, nvars, mode.one, (x, n))
+            - _monomial(mode, nvars, mode.u, (y, n)))
 
 
-def _check_modulus(n: int, mode: Mode) -> None:
-    """Refuse an `n` other than the one `mode` reduces charges by: the
-    classes would be taken mod `n` and the Gauss symbols mod ``mode.n``."""
-    if n != mode.n:
-        raise ValueError(f"n = {n} disagrees with the mode's n = {mode.n}")
-
-
-# ---------------------------------------------------------------------------
-#  Functional equation on a full system
-# ---------------------------------------------------------------------------
-
-def functional_eq_check(lam, i: int, j: int, n: int, mode: Mode,
-                        family: str = "gamma", tol: float = 1e-8):
-    """Check the cleared exchange identity for the row pair (i, i+1), class j.
-
-    Returns (ok, lhs, rhs).  For n > 1 the identity relies on
-    g(j)g(n-j) = u, which the exact reduced ring applies at every product.
-    `n` must be ``mode.n``.
-    """
-    _check_modulus(n, mode)
-    boundary = boundary_from_lambda(lam)
-    rank = boundary.rank
-    if not 1 <= i <= rank:
-        raise ValueError(f"row pair index {i} out of range for rank {rank}")
-    nvars = rank + 1
-    z = partition_function(boundary, family, mode)
-    parts = decompose(z, i, n)
-    zj = parts[j % n]
-    znj = parts[(n - j) % n]
+def functional_eq_check(z: LaurentPoly, i: int, j: int, tol: float = 1e-8):
+    """Check the cleared exchange identity on z, any polynomial (a full
+    system's Z among them), for the variable pair (i, i+1) and class j mod
+    n = ``z.mode.n``.  Returns (ok, lhs, rhs).  For n > 1 the identity relies
+    on g(j)g(n-j) = u, which the exact reduced ring applies at every product."""
+    mode, n = z.mode, z.mode.n
+    parts = decompose(z, i)
     x, y = i, i - 1  # z_{i+1}, z_i as variable indices
-    lhs = clearing_factor(n, mode, nvars, x, y) * zj.swap_vars(i - 1, i)
-    rhs = (p_poly(j, n, mode, nvars, x, y) * zj
-           + q_poly(j, n, mode, nvars, x, y) * znj)
+    lhs = clearing_factor(mode, z.nvars, x, y) * parts[j % n].swap_vars(i - 1, i)
+    rhs = (p_poly(j, mode, z.nvars, x, y) * parts[j % n]
+           + q_poly(j, mode, z.nvars, x, y) * parts[(n - j) % n])
     return lhs.equal(rhs, tol), lhs, rhs
 
 
@@ -185,33 +160,32 @@ def charge_duality_check(boundary: Boundary):
 #  Partial crossing vertex (odd n) on a two-row slab
 # ---------------------------------------------------------------------------
 
-def rvertex_allplus_weight(j: int, jprime: int, n: int,
-                           mode: Mode) -> LaurentPoly:
+def rvertex_allplus_weight(j: int, jprime: int, mode: Mode) -> LaurentPoly:
     """All-+ entry of the partial crossing vertex, classes j (outer) and
-    jprime (inner), as a polynomial in (z_i, z_{i+1}) = (var 0, var 1)."""
+    jprime (inner) mod n, as a polynomial in (z_i, z_{i+1}) = (var 0, var 1)."""
+    n = mode.n
     j %= n
     jprime %= n
     if j == 0:
         if jprime != 0:
             return LaurentPoly.zero(2, mode)
         # p_0 + q_0 = z_i^n - u*z_{i+1}^n
-        return clearing_factor(n, mode, 2, x=0, y=1)
+        return clearing_factor(mode, 2, x=0, y=1)
     if jprime == j:
-        return p_poly(j, n, mode, 2, x=1, y=0)
+        return p_poly(j, mode, 2, x=1, y=0)
     if jprime == (n - j) % n:
-        return q_poly(j, n, mode, 2, x=1, y=0)
+        return q_poly(j, mode, 2, x=1, y=0)
     return LaurentPoly.zero(2, mode)
 
 
-def rvertex_allminus_weight(n: int, mode: Mode, d_i: int = 0,
-                            d_i1: int = 0) -> LaurentPoly:
-    """All-- entry: zero unless both charges vanish, else z_{i+1}^n - u*z_i^n."""
-    if d_i % n or d_i1 % n:
+def rvertex_allminus_weight(mode: Mode, d_i: int = 0, d_i1: int = 0) -> LaurentPoly:
+    """All-- entry: zero unless both charges vanish mod n, else z_{i+1}^n - u*z_i^n."""
+    if d_i % mode.n or d_i1 % mode.n:
         return LaurentPoly.zero(2, mode)
-    return clearing_factor(n, mode, 2, x=1, y=0)
+    return clearing_factor(mode, 2, x=1, y=0)
 
 
-def fe_via_rvertex_two_row(top, bottom, j: int, n: int, mode: Mode,
+def fe_via_rvertex_two_row(top, bottom, j: int, mode: Mode,
                            tol: float = 1e-8, columns: int | None = None):
     """Attach the partial crossing vertex to a two-gamma-row slab, top row
     carrying z2 and bottom row z1.
@@ -222,17 +196,17 @@ def fe_via_rvertex_two_row(top, bottom, j: int, n: int, mode: Mode,
     part of the slab partition function is weighted by its class's entry.
     Right attachment: the all-- entry (charges forced to zero at the right
     boundary) times the class-j part with the two variables exchanged.  The
-    two must agree; returns (ok, left, right).  Only odd n is supported, and
-    `n` must be ``mode.n``.
+    two must agree; returns (ok, left, right).  In exact modes these are
+    the sides of :func:`functional_eq_check` on the slab's Z at i = 1,
+    exchanged.  Only odd n = ``mode.n`` is supported.
     """
-    _check_modulus(n, mode)
-    if n % 2 == 0:
+    if mode.n % 2 == 0:
         raise ValueError("partial crossing vertex requires odd n")
     columns = check_two_row_boundary(top, bottom, columns)
     z = slab_partition(top, bottom, (("gamma", 1), ("gamma", 0)), mode, columns)
-    parts = decompose(z, 1, n)
+    parts = decompose(z, 1)
     left = LaurentPoly.zero(2, mode)
     for c, part in parts.items():
-        left = left + rvertex_allplus_weight(j, c, n, mode) * part
-    right = rvertex_allminus_weight(n, mode) * parts[j % n].swap_vars(0, 1)
+        left = left + rvertex_allplus_weight(j, c, mode) * part
+    right = rvertex_allminus_weight(mode) * parts[j % mode.n].swap_vars(0, 1)
     return left.equal(right, tol), left, right

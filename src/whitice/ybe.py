@@ -33,7 +33,7 @@ equation into the global endpoint identity
     (z_i - u*z_{i+1}) * Z(z)  =  (z_{i+1} - u*z_i) * Z(sigma_i z),
 
 the n = 1 case of the functional equation of the weyl module, which
-:func:`commutation_check` checks.
+:func:`commutation_check` checks on a Z its caller computed.
 """
 
 from __future__ import annotations
@@ -192,13 +192,13 @@ def solve_mixed_assignment(s_row=("gamma", 1), t_row=("gamma", 0),
 #  Global endpoint identities (n = 1)
 # ---------------------------------------------------------------------------
 
-def commutation_check(lam, i: int, family: str = "gamma",
-                      mode: Mode | None = None):
-    """(z_i - u*z_{i+1}) * Z(z) = (z_{i+1} - u*z_i) * Z(sigma_i z), n = 1.
+def commutation_check(z: LaurentPoly, i: int):
+    """(z_i - u*z_{i+1}) * Z(z) = (z_{i+1} - u*z_i) * Z(sigma_i z) on a
+    polynomial z whose mode has n = 1.
 
     This is the class-0 functional equation at n = 1, with its sides
     exchanged.  Returns (ok, lhs, rhs)."""
-    if mode is None:
-        mode = SymbolicMode(1)
-    ok, rhs, lhs = functional_eq_check(lam, i, 0, 1, mode, family, tol=1e-10)
+    if z.mode.n != 1:
+        raise ValueError(f"the row-swap identity needs n = 1, not the mode's n = {z.mode.n}")
+    ok, rhs, lhs = functional_eq_check(z, i, 0, tol=1e-10)
     return ok, lhs, rhs

@@ -149,20 +149,23 @@ def test_criterion_6_functional_equations():
         sym1 = SymbolicMode(1)
         for lam in grid:
             rank = len(lam) - 1
+            z = partition_function(boundary_from_lambda(lam), "gamma", sym1)
             for i in range(1, rank + 1):
-                ok, lhs, rhs = functional_eq_check(lam, i, 0, 1, sym1)
+                ok, lhs, rhs = functional_eq_check(z, i, 0)
                 assert ok and lhs == rhs
         for n, q in ((2, 5), (3, 7)):
             mode = numeric_mode(n, q)
             for lam in grid:
                 rank = len(lam) - 1
+                z = partition_function(boundary_from_lambda(lam), "gamma", mode)
                 for i in range(1, rank + 1):
                     for j in range(n):
-                        ok, _, _ = functional_eq_check(lam, i, j, n, mode, tol=FE_TOL)
+                        ok, _, _ = functional_eq_check(z, i, j, tol=FE_TOL)
                         assert ok
         # hand-expanded instance at r=1, n=2, q=5, i=j=1
         mode = numeric_mode(2, 5)
-        ok, lhs, rhs = functional_eq_check((0, 0), 1, 1, 2, mode, tol=HAND_TOL)
+        z = partition_function(boundary_from_lambda((0, 0)), "gamma", mode)
+        ok, lhs, rhs = functional_eq_check(z, 1, 1, tol=HAND_TOL)
         assert ok
         g1 = gauss_table(2, 5).g(1)
         expected = {(0, 3): g1, (2, 1): -g1 / 5, (1, 2): 1.0, (3, 0): -1.0 / 5}

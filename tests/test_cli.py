@@ -389,10 +389,12 @@ def test_functional_eq_class_out_of_range_is_refused(capsys, j):
     (("commute-rows", "--lambda", "2,1,0"), "7"),
 ])
 def test_row_pair_out_of_range_is_refused(capsys, monkeypatch, argv, i):
-    # --i must name a row pair 1..rank; it is checked before any check runs
+    # --i must name a row pair 1..rank; it is checked before Z or any check
+    # is computed
     def reached(*args, **kwargs):
         raise AssertionError("a check ran")
 
+    monkeypatch.setattr(cli, "partition_function", reached)
     monkeypatch.setattr(weyl, "functional_eq_check", reached)
     monkeypatch.setattr(cli.ybe, "commutation_check", reached)
     code, obj = run_json(capsys, "verify", *argv, "--i", i)
@@ -408,6 +410,7 @@ def test_rank_zero_lambda_is_refused(capsys, monkeypatch, check):
     def reached(*args, **kwargs):
         raise AssertionError("a check ran")
 
+    monkeypatch.setattr(cli, "partition_function", reached)
     monkeypatch.setattr(weyl, "functional_eq_check", reached)
     monkeypatch.setattr(cli.ybe, "commutation_check", reached)
     code, obj = run_json(capsys, "verify", check, "--lambda", "0")
@@ -458,6 +461,51 @@ def test_statement_b_coefficient_route_contracts_once(capsys, monkeypatch):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("argv, checks", [
+    ("functional-eq --lambda 3,2,0 --n 3", 6),
+    ("functional-eq --lambda 3,2,0 --coeff numeric --n 3 --q 7", 6),
+    ("commute-rows --lambda 3,1,0", 2),
+])
+def test_exchange_checks_compute_z_once(capsys, monkeypatch, argv, checks):
+    # every (i, j) is checked against one Z, computed after the config checks
+    calls, checked = [], []
+    original, check = cli.partition_function, cli.weyl.functional_eq_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    def counted_check(z, *args, **kwargs):
+        checked.append(z)
+        return check(z, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "partition_function", counted)
+    monkeypatch.setattr(cli.weyl, "functional_eq_check", counted_check)
+    monkeypatch.setattr(cli.ybe, "functional_eq_check", counted_check)
+    code, obj = run_json(capsys, "verify", *argv.split())
+    assert code == 0 and obj["pass"] is True
+    assert len(calls) == 1
+    assert len(checked) == checks and all(z is checked[0] for z in checked)
+
+
+@pytest.mark.parametrize("argv", [
+    "two-row --l 2,1 --m",
+    "statement-b --l 3,0 --m",
+])
+def test_empty_bottom_row_is_accepted(capsys, argv):
+    # --m '' names the empty bottom row; the slab has states to compare
+    code, obj = run_json(capsys, "verify", *argv.split(), "")
+    assert code == 0 and obj["pass"] is True
+
+
+@pytest.mark.parametrize("check", ["functional-eq", "commute-rows", "statement-a"])
+def test_empty_lambda_is_a_config_error(capsys, check):
+    code, obj = run_json(capsys, "verify", check, "--lambda", "")
+    assert code == 2
+    assert obj["error"] == "config"
+    assert "--lambda" in obj["detail"]
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     argvs = [["partition", "--lambda", "2,1,0", "--n", "2"],
              ["verify", "statement-a", "--lambda", "2,1,0", "--n", "1"]]
@@ -489,6 +537,8 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     "verify statement-a --lambda 6,5,4,2,1,0 --n 1",
     "verify prop-matching --lambda 6,5,4,2,1,0",
     "verify charges --lambda 6,5,4,2,1,0",
+    "verify functional-eq --lambda 6,5,4,2,1,0 --n 1",
+    "verify commute-rows --lambda 6,5,4,2,1,0",
 ])
 def test_state_by_state_commands_refuse_huge_boundaries(capsys, monkeypatch, argv):
     # 31,406,156 states: the count decides before any state or profile is built
@@ -528,6 +578,7 @@ def test_bad_tolerance_is_refused_before_computing(capsys, monkeypatch, argv, to
     for module, attr in ((cli, "statement_a_check"), (cli.transfer, "two_row_check"),
                          (cli.transfer, "random_two_row_boundary"),
                          (cli.transfer, "coefficient_pairs"),
+                         (cli, "partition_function"),
                          (cli.weyl, "functional_eq_check")):
         monkeypatch.setattr(module, attr, refused)
     code, out = run(capsys, *argv.split(), f"--tol={tol}")

@@ -346,10 +346,11 @@ def test_functional_equations_exact_in_the_reduced_ring():
     for n in (2, 3):
         mode = SymbolicMode(n)
         for lam in lambda_grid(2, 3):
-            for i in range(1, len(lam)):
-                for j in range(n):
-                    for family in ("gamma", "delta"):
-                        ok, lhs, rhs = functional_eq_check(lam, i, j, n, mode, family=family)
+            for family in ("gamma", "delta"):
+                z = partition_function(boundary_from_lambda(lam), family, mode)
+                for i in range(1, len(lam)):
+                    for j in range(n):
+                        ok, lhs, rhs = functional_eq_check(z, i, j)
                         assert ok and lhs == rhs, (lam, n, i, j, family)
 
 

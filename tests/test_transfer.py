@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitice import coeffs, transfer
+from whitice import coeffs, lattice, transfer
 from whitice.coeffs import SymbolicMode
 from whitice.lattice import (boundary_from_lambda, fill_weight, row_fills, row_variable,
                              state_profiles)
@@ -112,7 +112,8 @@ def enumerated_pin(n: int, family: str):
 
 @pytest.mark.parametrize("n, family", PIN_CASES)
 def test_packed_contraction_pin(n, family):
-    # 19,019 states; the packed digits are 27 bits wide
+    # 19,019 states; the packed digits are 32 bits wide, sized by the
+    # 8 * 28 * 56 * 70 = 878,080 layer sequences of 8 columns and rank 4
     z = contract_partition(boundary_from_lambda(PIN_LAMBDA), family, SymbolicMode(n))
     assert same_terms(z, enumerated_pin(n, family))
 
@@ -144,17 +145,18 @@ def test_no_mode_reaches_apply_row(monkeypatch):
         contract_partition(boundary, "gamma", mode)
 
 
-def test_numeric_contraction_counts_no_states(monkeypatch):
-    # scaled ints need no packing width, so no state count
+def test_no_contraction_counts_states(monkeypatch):
+    # numeric ints need no packing width, and a symbolic width comes from
+    # the closed-form count of layer sequences, so no mode counts states
     def no_count(boundary):
         raise AssertionError("count_states called")
 
-    monkeypatch.setattr(transfer, "count_states", no_count)
+    monkeypatch.setattr(lattice, "count_states", no_count)
+    monkeypatch.setattr(transfer, "count_states", no_count, raising=False)
     for lam, n, q in (((3, 2, 0), 1, 61), ((2, 2, 1, 0), 2, 5), ((3, 1, 1, 0), 3, 7)):
-        for family in ("gamma", "delta"):
-            contract_partition(boundary_from_lambda(lam), family, numeric_mode(n, q))
-    with pytest.raises(AssertionError, match="count_states"):
-        contract_partition(boundary_from_lambda((2, 1, 0)), "gamma", SymbolicMode(2))
+        for mode in (numeric_mode(n, q), SymbolicMode(n), SymbolicMode(n, free=True)):
+            for family in ("gamma", "delta"):
+                contract_partition(boundary_from_lambda(lam), family, mode)
 
 
 def test_numeric_contraction_raises_on_a_wrong_u_shift(monkeypatch):

@@ -1,6 +1,8 @@
 """Residue-class decomposition, functional equations, and the crossing vertex."""
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from whitice import weyl
@@ -9,6 +11,7 @@ from whitice.gauss import gauss_table
 from whitice.lattice import boundary_from_lambda, row_fills
 from whitice.laurent import LaurentPoly
 from whitice.partition import numeric_mode, partition_function
+from whitice.transfer import random_two_row_boundary, slab_partition
 from whitice.weyl import (
     charge_duality_check,
     clearing_factor,
@@ -30,7 +33,7 @@ def test_decompose_recombine_round_trip():
     mode = SymbolicMode(2)
     z = partition_function(boundary_from_lambda((2, 1, 0)), "gamma", mode)
     for i in (1, 2):
-        parts = decompose(z, i, 2)
+        parts = decompose(z, i)
         assert set(parts) == {0, 1}
         total = LaurentPoly.zero(z.nvars, mode)
         for part in parts.values():
@@ -46,27 +49,33 @@ def test_decompose_rejects_bad_index():
     mode = SymbolicMode(2)
     z = partition_function(boundary_from_lambda((2, 0)), "gamma", mode)
     with pytest.raises(ValueError):
-        decompose(z, 0, 2)
+        decompose(z, 0)
     with pytest.raises(ValueError):
-        decompose(z, 2, 2)  # needs variables i and i+1
+        decompose(z, 2)  # needs variables i and i+1
 
 
 def test_pq_factor_pins():
     mode = SymbolicMode(2)
-    assert str(p_poly(1, 2, mode, 2, 1, 0)) == "(1 - u)*z1*z2"
-    assert str(q_poly(0, 2, mode, 2, 1, 0)) == "u*z1^2 - u*z2^2"
-    assert str(q_poly(1, 2, mode, 2, 1, 0)) == "-g1*z1^2 + g1*z2^2"
-    assert str(clearing_factor(2, mode, 2, 1, 0)) == "-u*z1^2 + z2^2"
+    assert str(p_poly(1, mode, 2, 1, 0)) == "(1 - u)*z1*z2"
+    assert str(p_poly(0, mode, 2, 1, 0)) == "(1 - u)*z1^2"
+    assert str(q_poly(0, mode, 2, 1, 0)) == "u*z1^2 - u*z2^2"
+    assert str(q_poly(1, mode, 2, 1, 0)) == "-g1*z1^2 + g1*z2^2"
+    assert str(clearing_factor(mode, 2, 1, 0)) == "-u*z1^2 + z2^2"
+
+
+def z_of(lam, mode, family="gamma"):
+    return partition_function(boundary_from_lambda(lam), family, mode)
 
 
 def test_functional_equation_reduces_to_commutation_at_n1():
     mode = SymbolicMode(1)
     for lam in ((0, 0), (2, 0), (2, 1, 0)):
         rank = len(lam) - 1
+        z = z_of(lam, mode)
         for i in range(1, rank + 1):
-            ok, lhs, rhs = functional_eq_check(lam, i, 0, 1, mode)
+            ok, lhs, rhs = functional_eq_check(z, i, 0)
             assert ok and lhs == rhs
-            ok_c, lhs_c, rhs_c = commutation_check(lam, i, "gamma", mode)
+            ok_c, lhs_c, rhs_c = commutation_check(z, i)
             assert ok_c and lhs == lhs_c and rhs == rhs_c
 
 
@@ -75,7 +84,7 @@ def test_functional_equation_hand_instance():
     #   g(1) z2^3 - g(1) z1^2 z2 / q + z1 z2^2 - z1^3 / q
     q = 5
     mode = numeric_mode(2, q)
-    ok, lhs, rhs = functional_eq_check((0, 0), 1, 1, 2, mode, tol=HAND_TOL)
+    ok, lhs, rhs = functional_eq_check(z_of((0, 0), mode), 1, 1, tol=HAND_TOL)
     assert ok
     g1 = gauss_table(2, q).g(1)
     expected = {(0, 3): g1, (2, 1): -g1 / q, (1, 2): 1.0, (3, 0): -1.0 / q}
@@ -90,20 +99,12 @@ def test_functional_equation_numeric_grid_sample():
         mode = numeric_mode(n, q)
         for lam in ((0, 0), (2, 0), (1, 1, 0)):
             rank = len(lam) - 1
-            for i in range(1, rank + 1):
-                for j in range(n):
-                    for family in ("gamma", "delta"):
-                        ok, _, _ = functional_eq_check(lam, i, j, n, mode, family=family, tol=TOL)
+            for family in ("gamma", "delta"):
+                z = z_of(lam, mode, family)
+                for i in range(1, rank + 1):
+                    for j in range(n):
+                        ok, _, _ = functional_eq_check(z, i, j, tol=TOL)
                         assert ok
-
-
-@pytest.mark.parametrize("mode", [SymbolicMode(5), numeric_mode(5, 11)])
-def test_a_modulus_other_than_the_modes_is_refused(mode):
-    # classes taken mod 3 against Gauss symbols reduced mod 5 mean nothing
-    with pytest.raises(ValueError, match="n = 3"):
-        functional_eq_check((2, 0), 1, 0, 3, mode)
-    with pytest.raises(ValueError, match="n = 3"):
-        fe_via_rvertex_two_row((4, 2, 0), (1,), 1, 3, mode)
 
 
 def test_charge_duality():
@@ -133,32 +134,49 @@ def test_charge_duality_catches_a_shifted_kernel_charge(monkeypatch):
 def test_crossing_vertex_weights():
     mode = SymbolicMode(3)
     # class-0 outer charge admits only class-0 inner charge
-    assert str(rvertex_allplus_weight(0, 0, 3, mode)) == "z1^3 - u*z2^3"
-    assert rvertex_allplus_weight(0, 1, 3, mode).is_zero()
-    assert rvertex_allplus_weight(0, 2, 3, mode).is_zero()
+    assert str(rvertex_allplus_weight(0, 0, mode)) == "z1^3 - u*z2^3"
+    assert rvertex_allplus_weight(0, 1, mode).is_zero()
+    assert rvertex_allplus_weight(0, 2, mode).is_zero()
     # matching inner charge carries the p factor, reflected inner the q factor
-    assert str(rvertex_allplus_weight(1, 1, 3, mode)) == "(1 - u)*z1^2*z2"
-    assert str(rvertex_allplus_weight(1, 2, 3, mode)) == "-g1*z1^3 + g1*z2^3"
-    assert str(rvertex_allplus_weight(2, 2, 3, mode)) == "(1 - u)*z1*z2^2"
-    assert rvertex_allplus_weight(1, 0, 3, mode).is_zero()
+    assert str(rvertex_allplus_weight(1, 1, mode)) == "(1 - u)*z1^2*z2"
+    assert str(rvertex_allplus_weight(1, 2, mode)) == "-g1*z1^3 + g1*z2^3"
+    assert str(rvertex_allplus_weight(2, 2, mode)) == "(1 - u)*z1*z2^2"
+    assert rvertex_allplus_weight(1, 0, mode).is_zero()
     # the all-minus entry vanishes unless both decorations are class 0
-    assert str(rvertex_allminus_weight(3, mode)) == "-u*z1^3 + z2^3"
-    assert rvertex_allminus_weight(3, mode, d_i=1).is_zero()
-    assert rvertex_allminus_weight(3, mode, d_i1=2).is_zero()
+    assert str(rvertex_allminus_weight(mode)) == "-u*z1^3 + z2^3"
+    assert rvertex_allminus_weight(mode, d_i=1).is_zero()
+    assert rvertex_allminus_weight(mode, d_i1=2).is_zero()
+    assert rvertex_allminus_weight(mode, d_i=3, d_i1=6) == rvertex_allminus_weight(mode)
 
 
 def test_crossing_vertex_two_row_identity():
     mode = numeric_mode(3, 7)
     for top, bot in (((5, 3, 0), (4,)), ((6, 4, 1), (3,))):
         for j in range(3):
-            ok, left, right = fe_via_rvertex_two_row(top, bot, j, 3, mode, tol=TOL)
+            ok, left, right = fe_via_rvertex_two_row(top, bot, j, mode, tol=TOL)
             assert ok
     # n=1 collapse stays exact
     n1 = SymbolicMode(1)
-    ok, left, right = fe_via_rvertex_two_row((3, 2, 0), (3,), 0, 1, n1)
+    ok, left, right = fe_via_rvertex_two_row((3, 2, 0), (3,), 0, n1)
     assert ok and left == right
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_crossing_vertex_is_the_functional_equation_on_its_slab(n):
+    # the vertex's left attachment is the equation's right side and its
+    # right attachment the left side, on the two-gamma slab's Z at i = 1
+    mode = SymbolicMode(n)
+    rng = Random(n)
+    for _ in range(30):
+        top, bot, columns = random_two_row_boundary(rng, 7)
+        z = slab_partition(top, bot, (("gamma", 1), ("gamma", 0)), mode, columns)
+        for j in range(n):
+            ok, left, right = fe_via_rvertex_two_row(top, bot, j, mode, columns=columns)
+            ok_fe, lhs, rhs = functional_eq_check(z, 1, j)
+            assert ok and ok_fe
+            assert (left, right) == (rhs, lhs), (top, bot, columns, j)
 
 
 def test_crossing_vertex_requires_odd_modulus():
     with pytest.raises(ValueError):
-        fe_via_rvertex_two_row((3, 2, 0), (3,), 0, 2, numeric_mode(2, 5))
+        fe_via_rvertex_two_row((3, 2, 0), (3,), 0, numeric_mode(2, 5))

@@ -4,8 +4,9 @@ from __future__ import annotations
 import pytest
 
 from whitice.coeffs import SymbolicMode
+from whitice.lattice import boundary_from_lambda
 from whitice.laurent import LaurentPoly
-from whitice.partition import numeric_mode
+from whitice.partition import numeric_mode, partition_function
 from whitice.ybe import (
     MINUS,
     MIXED_ASSIGNMENT,
@@ -80,8 +81,12 @@ def test_sides_balance_on_sample_boundary():
     assert left == right
 
 
+def z_of(lam, family="gamma", mode=None):
+    return partition_function(boundary_from_lambda(lam), family, mode or SymbolicMode(1))
+
+
 def test_commutation_pin():
-    ok, lhs, rhs = commutation_check((0, 0), 1, "gamma", SymbolicMode(1))
+    ok, lhs, rhs = commutation_check(z_of((0, 0)), 1)
     assert ok
     assert str(lhs) == "-u*z1^2 + (1 + u^2)*z1*z2 - u*z2^2"
     assert lhs == rhs
@@ -94,14 +99,22 @@ def test_commutation_across_grid():
         rank = len(lam) - 1
         for i in range(1, rank + 1):
             for family in ("gamma", "delta"):
-                ok, lhs, rhs = commutation_check(lam, i, family, n1)
+                ok, lhs, rhs = commutation_check(z_of(lam, family, n1), i)
                 assert ok and lhs == rhs
-                ok, lhs, rhs = commutation_check(lam, i, family, num)
+                ok, lhs, rhs = commutation_check(z_of(lam, family, num), i)
                 assert ok and lhs.equal(rhs, TOL)
 
 
 def test_commutation_rejects_bad_row_index():
     with pytest.raises(ValueError):
-        commutation_check((2, 0), 0)
+        commutation_check(z_of((2, 0)), 0)
     with pytest.raises(ValueError):
-        commutation_check((2, 0), 2)
+        commutation_check(z_of((2, 0)), 2)
+
+
+@pytest.mark.parametrize("mode", [SymbolicMode(2), numeric_mode(2, 5)])
+def test_commutation_refuses_a_z_at_n2(mode):
+    # the row-swap identity is the n = 1 case; at n = 2 the class-0 equation
+    # has other factors, so a Z at n = 2 is refused rather than checked
+    with pytest.raises(ValueError, match="n = 2"):
+        commutation_check(z_of((2, 0), "gamma", mode), 1)
