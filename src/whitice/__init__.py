@@ -40,7 +40,7 @@ from .patterns import (
     state_from_pattern,
 )
 from .transfer import two_row_check, two_row_partition
-from .weyl import decompose, fe_via_rvertex_two_row, functional_eq_check
+from .weyl import decompose, functional_eq_check
 from .ybe import commutation_check, rmatrix_n1, ybe_check
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "enumerate_patterns",
     "enumerate_short_patterns",
     "enumerate_states",
-    "fe_via_rvertex_two_row",
     "functional_eq_check",
     "gauss_table",
     "lambda_of",

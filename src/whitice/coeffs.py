@@ -18,11 +18,11 @@ coefficient domains:
   reduced ring of its n, Q[u][g_1, .., g_{n-1}] / (h_a, g_a*g_{n-a} - u):
   the relations the Gauss sums satisfy for n not dividing a, applied to
   every product, so a key is always in normal form (no h symbol, no pair
-  g_a*g_{n-a} left) and equality is dict equality.  The free ring
-  Q[u][g_a, h_a], with no relation, serves the relation-level report of
-  statement A, raw-charge weights (``partition.raw_symbolic_mode``) and
-  parsing.  ``reduce(n, "hg")`` maps a free coefficient to the reduced ring
-  with the same pairing rule.
+  g_a*g_{n-a} left) and equality is dict equality.  A symbol index outside
+  1..n-1 has no place in that ring and raises ValueError.  The free ring
+  Q[u][g_a, h_a], with no relation, holds parsed and JSON input
+  (``SymCoeff.parse``, ``jsonio.coeff_from_json``) until ``reduce(n, "hg")``
+  maps it to the reduced ring with the same pairing rule.
 
   Mixing rings: an int or Fraction joins the coefficient's ring, while
   arithmetic between coefficients of two different rings raises ValueError
@@ -49,11 +49,11 @@ Packed coefficients
 -------------------
 Every weight sum -- a Z by contraction (:mod:`whitice.transfer`), or the
 state profiles of a full system, a two-row slab or a set of short patterns
-summed by :func:`weigh` -- is one exact int computation in the format of
-the mode's ``packing``, a :class:`Packing` at u = num/den.  ``pack`` turns
-a fill's (kind, raw charge) factors straight into (symbol part, int) pairs
--- the g-part in a reduced ring, the (g-part, h-part) pair in the free ring
--- storing sign * u^k * (1 - u)^m * part as
+summed by :func:`weigh` -- is one exact int computation in the reduced ring
+of the mode's n, in the format of the mode's ``packing``, a
+:class:`Packing` at u = num/den.  ``pack`` turns a fill's (kind, raw
+charge) factors straight into (g-part, int) pairs, storing
+sign * u^k * (1 - u)^m * g-part as
 sign * num^k * (den - num)^m * den^(d-k-m), scaled by den^d for d slots:
 the - spins below the rows packed, or the pattern entries below the top
 row.  Each u comes from a distinct g or h factor, and each takes a slot (an
@@ -61,7 +61,7 @@ ice vertex of kind g or h has - below it), so k + m <= d.  ``product``
 multiplies symbol parts by the ring's rules and returns the power s of u
 that g_a*g_{n-a} = u splits off; ``times_u`` multiplies by num^s and
 divides by den^s, which is exact (each split-off u uses a g vertex of the
-row) or raises ArithmeticError.
+row) or raises ArithmeticError.  The free ring is never packed.
 
 * Symbolic modes pack at u = 2^K, den = 1 (Kronecker substitution, a ring
   homomorphism Z[u] -> Z).  ``unpack`` reads balanced base-2^K digits in
@@ -96,6 +96,8 @@ def _pair(powers: dict[int, int], n: int) -> tuple[SymPart, int]:
     g_a * g_{n-a} = u: (remaining g-part, power of u split off)."""
     shift = 0
     for a in sorted(powers):
+        if not 0 < a < n:
+            raise ValueError(f"g{a} is not a symbol of the reduced ring of n={n}")
         b = (n - a) % n
         if b == a:
             shift += powers[a] // 2
@@ -135,6 +137,10 @@ class Ring:
             return key
         gpart, hpart, upow = key
         if hpart:
+            for a, _ in hpart:
+                if not 0 < a < self.modulus:
+                    raise ValueError(f"h{a} is not a symbol of the reduced ring "
+                                     f"of n={self.modulus}")
             return None  # every formal h_a has n not dividing a
         gpart, shift = _pair(dict(gpart), self.modulus)
         return gpart, (), upow + shift
@@ -289,34 +295,23 @@ class SymCoeff:
     # -- specialization and relations --------------------------------------
 
     def evaluate(self, table) -> complex:
-        """Specialize u -> 1/q and the symbols to Gauss sums from `table`."""
-        u = 1.0 / table.q
-        total = 0j
-        for (gpart, hpart, upow), val in self.terms.items():
-            prod = complex(val) * (u ** upow)
-            for idx, power in gpart:
-                prod *= table.g(idx) ** power
-            for idx, power in hpart:
-                prod *= table.h(idx) ** power
-            total += prod
-        return total
+        """Specialize u -> 1/q and the symbols to Gauss sums from `table`:
+        the coefficient in the reduced ring of ``table.n``, packed at
+        u = 1/q and read back rounded once, as numeric Z is."""
+        terms = self.reduce(table.n).terms
+        slots = max((upow for _, _, upow in terms), default=0)
+        parts: dict[SymPart, dict] = {}
+        for (gpart, _, upow), val in terms.items():
+            acc = parts.setdefault(gpart, {(): 0})
+            acc[()] += val * table.q ** (slots - upow)
+        return NumericMode(table).packing(slots, 0).unpack(parts, slots).get((), 0j)
 
     def reduce(self, n: int, level: str = "hg") -> "SymCoeff":
-        """Rewrite modulo known Gauss-symbol relations.
-
-        level "none"  -- return self unchanged;
-        level "h"     -- h_a -> 0 for n not dividing a (all formal h symbols);
-        level "hg"    -- additionally pair g_a * g_{n-a} -> u: the normal
-                         form of the reduced ring of n, whose element this
-                         returns.
-        """
-        if level == "none":
-            return self
-        if level == "h":
-            return SymCoeff({key: val for key, val in self.terms.items() if not key[1]})
-        if level == "hg":
-            return SymCoeff(self.terms, reduced_ring(n))
-        raise ValueError(f"unknown relation level {level!r}")
+        """This coefficient in the reduced ring of n: h_a -> 0 and
+        g_a * g_{n-a} -> u.  "hg" is the only relation level."""
+        if level != "hg":
+            raise ValueError(f"unknown relation level {level!r}")
+        return SymCoeff(self.terms, reduced_ring(n))
 
     # -- rendering ----------------------------------------------------------
 
@@ -398,19 +393,16 @@ class SymCoeff:
 
 
 class SymbolicMode:
-    """Factory/policy object for exact symbolic coefficients at a fixed n.
-
-    Coefficients live in the reduced ring of n.  ``free=True`` gives the
-    free ring instead, where g_a and h_a stay formal; it is for library
-    callers that compare raw symbols, not for the CLI."""
+    """Factory/policy object for exact symbolic coefficients at a fixed n,
+    in the reduced ring of n."""
 
     name = "symbolic"
 
-    def __init__(self, n: int, free: bool = False):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be a positive integer")
         self.n = n
-        self.ring = FREE if free else reduced_ring(n)
+        self.ring = reduced_ring(n)
         self.one = SymCoeff.from_fraction(1, self.ring)
         self.zero = SymCoeff(ring=self.ring)
         self.u = SymCoeff.u_power(1, ring=self.ring)
@@ -448,8 +440,7 @@ class SymbolicMode:
         return a == b
 
     def __repr__(self):
-        free = ", free=True" if self.ring is FREE else ""
-        return f"SymbolicMode(n={self.n}{free})"
+        return f"SymbolicMode(n={self.n})"
 
 
 def pack_width(states: int, slots: int) -> int:
@@ -475,29 +466,26 @@ def pack_width(states: int, slots: int) -> int:
 
 
 class Packing:
-    """Packed coefficients of a mode's ring at u = num / den (module
-    docstring, "Packed coefficients"): tuples of (symbol part, int) pairs,
-    ``unit`` the symbol part of the constants."""
+    """Packed coefficients of the reduced ring of a mode's n at u = num / den
+    (module docstring, "Packed coefficients"): tuples of (g-part, int)
+    pairs, the constants under the g-part ()."""
 
     def __init__(self, mode, num: int, den: int = 1):
         self.mode = mode
         self.ring = mode.ring
         self.n = mode.n
         self.num, self.den = num, den
-        self.reduced = self.ring.modulus is not None
-        self.unit = () if self.reduced else ((), ())
-        #: (symbol part, symbol part) -> (symbol part of the product, power
-        #: of u it splits off); g powers in order of appearance -> the same
+        #: (g-part, g-part) -> (g-part of the product, power of u it splits
+        #: off); g powers in order of appearance -> the same
         self.products: dict[tuple, tuple] = {}
         self.monomials: dict[tuple, tuple] = {}
 
-    def pack(self, factors, slots: int) -> tuple[tuple[object, int], ...]:
-        """(symbol part, int) pairs of the product of a fill's (kind, raw
-        charge) factors, times den^slots (the - spins below); () for 0."""
+    def pack(self, factors, slots: int) -> tuple[tuple[SymPart, int], ...]:
+        """(g-part, int) pairs of the product of a fill's (kind, raw charge)
+        factors, times den^slots (the - spins below); () for 0."""
         n = self.n
         k = m = 0
         gs: dict[int, int] = {}
-        hs = []
         for kind, charge in factors:
             b = charge % n
             if not b:
@@ -507,17 +495,12 @@ class Packing:
                     m += 1  # h(b) = 1 - u
             elif kind == "g":
                 gs[b] = gs.get(b, 0) + 1
-            elif self.reduced:
-                return ()  # h_b = 0
             else:
-                hs.append((b, 1))
+                return ()  # h_b = 0
         sign = -1 if k & 1 else 1
-        if self.reduced:
-            key = tuple(gs.items())
-            part, s = self.monomials.get(key) or self.monomials.setdefault(key, _pair(gs, n))
-            k += s
-        else:
-            part = (_norm_part(gs.items()), _norm_part(hs))
+        key = tuple(gs.items())
+        part, s = self.monomials.get(key) or self.monomials.setdefault(key, _pair(gs, n))
+        k += s
         if k + m > slots:
             raise ArithmeticError(f"u^{k + m} does not fit {slots} slots")
         num, den = self.num, self.den
@@ -530,24 +513,19 @@ class Packing:
             raise ArithmeticError(f"packed value times u^{s} leaves a remainder")
         return value
 
-    def product(self, part1, part2) -> tuple[object, int]:
+    def product(self, part1: SymPart, part2: SymPart) -> tuple[SymPart, int]:
         """(part1 * part2, power of u it splits off), kept in ``products``."""
-        if self.reduced:
-            found = self.ring.products.get((part1, part2)) or self.ring.g_product(part1, part2)
-        else:
-            (g1, h1), (g2, h2) = part1, part2
-            found = ((_norm_part(g1 + g2), _norm_part(h1 + h2)), 0)
-        self.products[(part1, part2)] = found
+        found = self.products[(part1, part2)] = (
+            self.ring.products.get((part1, part2)) or self.ring.g_product(part1, part2))
         return found
 
-    def unpack(self, parts: dict[object, dict], slots: int) -> dict:
-        """{key: coefficient} from packed {symbol part: {key: int}}, the
+    def unpack(self, parts: dict[SymPart, dict], slots: int) -> dict:
+        """{key: coefficient} from packed {g-part: {key: int}}, the
         u-coefficients read back as balanced base-2^K digits."""
         base = self.num
         width, half = base.bit_length() - 1, base >> 1
         terms: dict[object, dict] = {}
         for part, values in parts.items():
-            gpart, hpart = (part, ()) if self.reduced else part
             for key, value in values.items():
                 upow = 0
                 while value:
@@ -555,7 +533,7 @@ class Packing:
                     if digit >= half:
                         digit -= base
                     if digit:
-                        terms.setdefault(key, {})[(gpart, hpart, upow)] = digit
+                        terms.setdefault(key, {})[(part, (), upow)] = digit
                     value = (value - digit) >> width
                     upow += 1
         return {key: SymCoeff._make(t, self.ring) for key, t in terms.items()}
@@ -637,7 +615,7 @@ def weigh(profiles, mode: Mode, slots: int) -> dict:
     profiles summed, each packed as a whole with ``slots`` slots ("Packed
     coefficients"), unpacked once."""
     packing = mode.packing(slots, len(profiles))
-    sums: dict[object, dict] = {}  # symbol part -> {exponents: int}
+    sums: dict[SymPart, dict] = {}  # g-part -> {exponents: int}
     for factors, exponents in profiles:
         for part, value in packing.pack(factors, slots):
             acc = sums.get(part)

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
-from .coeffs import Mode, NumericMode, SymCoeff, SymbolicMode, weigh
+from .coeffs import Mode, NumericMode, SymCoeff, weigh
 from .gauss import gauss_table
 from .lattice import (FAMILIES, Boundary, IceState, boundary_from_lambda,
                       direct_fill, enumerate_states, fill_weight, row_fills,
@@ -36,17 +36,6 @@ from .lattice import (FAMILIES, Boundary, IceState, boundary_from_lambda,
 from .laurent import LaurentPoly
 from .patterns import pattern_exponents, pattern_factors, pattern_from_state
 from . import transfer
-
-#: modulus large enough that desk-scale charges never wrap: symbolic weights
-#: built at this n keep every raw charge as a distinct formal symbol.
-RAW_N = 10 ** 9
-
-
-def raw_symbolic_mode() -> SymbolicMode:
-    """Free-ring symbols of raw charges: no relation may erase a charge, so
-    a polynomial in this mode shows every (kind, charge) a weight carries."""
-    return SymbolicMode(RAW_N, free=True)
-
 
 def numeric_mode(n: int, q: int) -> NumericMode:
     return NumericMode(gauss_table(n, q))
@@ -146,8 +135,8 @@ def matching_check(boundary: Boundary, family: str):
     with its pattern's: the sorted (kind, charge) factors and the exponents.
     Returns a list of offending states (empty = pass).
 
-    This is the same test as comparing the products in the free ring of raw
-    charges (:func:`raw_symbolic_mode`): every charge is >= 0, g(0) = -u and
+    This is the same test as comparing the products in the free ring with
+    every raw charge its own symbol: every charge is >= 0, g(0) = -u and
     h(0) = 1 - u, and every other charge is a distinct formal symbol, so two
     products agree exactly when their sorted factors do.  The check pins the
     charges as integers, not just their residues.
@@ -220,22 +209,6 @@ def statement_a_check(lam, mode: Mode, tol: float = 1e-9):
     gt = whittaker_table(boundary, "gamma", mode)
     dt = whittaker_table(boundary, "delta", mode)
     return mode.agree(gt, dt, tol), gt, dt
-
-
-def statement_a_symbolic_report(lam, n: int,
-                                levels=("none", "h", "hg")) -> dict[str, bool]:
-    """Whether the gamma/delta table equality is a formal identity at each
-    relation level, for one (lam, n).  Empirical: the answer is reported,
-    not assumed.  The tables are computed in the free ring, so that every
-    level starts from the unreduced coefficients."""
-    mode = SymbolicMode(n, free=True)
-    boundary = boundary_from_lambda(lam)
-    gt = whittaker_table(boundary, "gamma", mode)
-    dt = whittaker_table(boundary, "delta", mode)
-    return {level: all(gt.get(k, mode.zero).reduce(n, level)
-                       == dt.get(k, mode.zero).reduce(n, level)
-                       for k in gt.keys() | dt.keys())
-            for level in levels}
 
 
 # ---------------------------------------------------------------------------

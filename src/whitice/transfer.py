@@ -12,14 +12,14 @@ Contraction sweeps a full system top to bottom, merging layer vectors as it
 goes; many enumeration paths share layers, which is the speedup over direct
 state enumeration.
 
-One loop contracts every mode, numeric and both symbolic rings, exactly, in
-the format the mode's ``packing`` chooses (:mod:`.coeffs`, "Packed
-coefficients"): a layer vector maps each layer to {symbol part: {packed
+One loop contracts every mode, numeric and symbolic, exactly in the reduced
+ring of its n, in the format the mode's ``packing`` chooses (:mod:`.coeffs`,
+"Packed coefficients"): a layer vector maps each layer to {g-part: {packed
 z-monomial: int}}.  The z-monomial packs the exponent of variable v into
 bits [v*b, (v+1)*b), b = C.bit_length(); one row adds at most C to its one
 variable, and each variable belongs to one row.  A row's fills are packed
 once per factor tuple, scaled for the - spins below the row, and the
-u-power of a product of symbol parts is folded into the multiplier once
+u-power of a product of g-parts is folded into the multiplier once
 per (weight part, layer part) pair, so the inner step is one int
 multiply-add.  Z is unpacked once.
 :func:`apply_row` is the same step on LaurentPoly vectors through
@@ -73,7 +73,7 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
     products = packing.products
     times_u = packing.times_u
     zbits = columns.bit_length()
-    support = {boundary.top_minus: {packing.unit: {0: 1}}}
+    support = {boundary.top_minus: {(): {0: 1}}}  # the constant 1
     for row in range(r + 1):
         zshift = zbits * row_variable(family, row, r)
         weights: dict[tuple, tuple] = {}  # fill factors -> packed weight

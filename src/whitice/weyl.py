@@ -15,12 +15,13 @@ identity collapses to the row-swap endpoint identity of the ybe module.
 
 The same exchange is realized locally by a partial crossing vertex that is
 only defined on the all-+ and all-- spin configurations, with entries graded
-by the charges carried on the horizontal edges; attaching it to the left or
-right of a two-row slab must give equal partition functions, which is the
-functional equation restricted to that slab.  Whether these two entries
-extend to a full crossing-vertex table obeying the braid relation for n > 1
-is not settled; nothing here asserts such a completion (for n = 1 the
-completion is pinned and verified in the ybe module).
+by the charges carried on the horizontal edges (:func:`rvertex_allplus_weight`,
+:func:`rvertex_allminus_weight`): for odd n, attaching it to the left or
+right of a two-row slab gives the two sides of the functional equation on
+that slab's Z.  Whether these two entries extend to a full crossing-vertex
+table obeying the braid relation for n > 1 is not settled; nothing here
+asserts such a completion (for n = 1 the completion is pinned and verified
+in the ybe module).
 
 Charge/monomial duality underlies the slab computation: in every gamma row
 the z-exponent plus the left-edge charge label (the number of + horizontal
@@ -45,7 +46,6 @@ from .lattice import (
     row_vertices,
 )
 from .laurent import LaurentPoly
-from .transfer import check_two_row_boundary, slab_partition
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def charge_duality_check(boundary: Boundary):
 
 
 # ---------------------------------------------------------------------------
-#  Partial crossing vertex (odd n) on a two-row slab
+#  Partial crossing vertex (odd n)
 # ---------------------------------------------------------------------------
 
 def rvertex_allplus_weight(j: int, jprime: int, mode: Mode) -> LaurentPoly:
@@ -184,29 +184,3 @@ def rvertex_allminus_weight(mode: Mode, d_i: int = 0, d_i1: int = 0) -> LaurentP
         return LaurentPoly.zero(2, mode)
     return clearing_factor(mode, 2, x=1, y=0)
 
-
-def fe_via_rvertex_two_row(top, bottom, j: int, mode: Mode,
-                           tol: float = 1e-8, columns: int | None = None):
-    """Attach the partial crossing vertex to a two-gamma-row slab, top row
-    carrying z2 and bottom row z1.
-
-    Left attachment: each state of the slab is weighted by the all-+ entry
-    whose inner class is the state's label difference c_top - c_bot, which
-    by the charge duality is exp_z1 - exp_z2 of its monomial; so each class
-    part of the slab partition function is weighted by its class's entry.
-    Right attachment: the all-- entry (charges forced to zero at the right
-    boundary) times the class-j part with the two variables exchanged.  The
-    two must agree; returns (ok, left, right).  In exact modes these are
-    the sides of :func:`functional_eq_check` on the slab's Z at i = 1,
-    exchanged.  Only odd n = ``mode.n`` is supported.
-    """
-    if mode.n % 2 == 0:
-        raise ValueError("partial crossing vertex requires odd n")
-    columns = check_two_row_boundary(top, bottom, columns)
-    z = slab_partition(top, bottom, (("gamma", 1), ("gamma", 0)), mode, columns)
-    parts = decompose(z, 1)
-    left = LaurentPoly.zero(2, mode)
-    for c, part in parts.items():
-        left = left + rvertex_allplus_weight(j, c, mode) * part
-    right = rvertex_allminus_weight(mode) * parts[j % mode.n].swap_vars(0, 1)
-    return left.equal(right, tol), left, right

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from free_ring import RAW
 from whitice.coeffs import SymCoeff, SymbolicMode
 from whitice.gauss import gauss_table
 from whitice.lattice import boundary_from_lambda, count_states, enumerate_states
@@ -17,7 +18,6 @@ from whitice.partition import (
     matching_check,
     numeric_mode,
     partition_function,
-    raw_symbolic_mode,
     spin_vector_of_exponents,
     state_weight,
     statement_a_check,
@@ -68,7 +68,7 @@ class Budget:
 
 def test_criterion_1_worked_example():
     with Budget(1, "worked example regression", 1.0):
-        raw = raw_symbolic_mode()
+        raw = RAW
         pattern = GTPattern(((5, 3, 0), (3, 1), (3,)))
         state = state_from_pattern(pattern)
         assert pattern_from_state(state) == pattern

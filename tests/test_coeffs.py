@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitice.coeffs import NumericMode, SymCoeff, SymbolicMode, reduced_ring
+from whitice.coeffs import FREE, NumericMode, SymCoeff, SymbolicMode, reduced_ring
 from whitice.gauss import gauss_table
+from whitice.jsonio import coeff_from_json, coeff_to_json
 from whitice.lattice import boundary_from_lambda
 from whitice.partition import numeric_mode, partition_function
 
@@ -80,21 +81,36 @@ def test_parse_inverts_str(raw_terms):
 
 
 def test_reduce_levels():
+    # "hg" is the one relation level: h_a -> 0 and g_a * g_{n-a} -> u
     n = 3
     h1 = SymCoeff.symbol("h", 1)
     g1, g2 = SymCoeff.symbol("g", 1), SymCoeff.symbol("g", 2)
     u = SymCoeff.u_power(1)
     mixed = h1 * g1 + g1 * g2 + u
-    assert mixed.reduce(n, "none") == mixed
-    # dropping unsupported h symbols
-    assert mixed.reduce(n, "h") == g1 * g2 + u
-    # additionally pairing g_a * g_{n-a} -> u
     assert mixed.reduce(n, "hg") == u + u
+    assert mixed.reduce(n) == mixed.reduce(n, "hg")
+    assert mixed.reduce(n).ring is reduced_ring(n)
+    assert (h1 * g1).reduce(n) == 0
     # self-paired index (n=2: g1*g1 -> u)
     assert (g1 * g1).reduce(2, "hg") == u
     assert (g1 * g1 * g1).reduce(2, "hg") == u * g1
-    with pytest.raises(ValueError):
-        mixed.reduce(n, "bogus")
+    for level in ("none", "h", "bogus"):
+        with pytest.raises(ValueError, match="relation level"):
+            mixed.reduce(n, level)
+
+
+@pytest.mark.parametrize("text, n, symbol", [
+    ("h3", 3, "h3"),        # h(3) = 1 - u at n = 3 is no formal symbol
+    ("g3", 3, "g3"),        # nor is g(3) = -u
+    ("g4*g2", 3, "g4"),     # g4 is g1 only after a reduction mod n
+    ("g1 + u*h0", 2, "h0"),
+    ("g1", 1, "g1"),        # the reduced ring of n = 1 has no symbol
+])
+def test_a_reduced_ring_refuses_a_symbol_it_cannot_hold(text, n, symbol):
+    with pytest.raises(ValueError, match=f"{symbol} is not a symbol of the reduced ring of n={n}"):
+        SymCoeff.parse(text).reduce(n)
+    with pytest.raises(ValueError, match=symbol):
+        coeff_from_json(coeff_to_json(SymCoeff.parse(text)), reduced_ring(n))
 
 
 def test_evaluate_matches_numeric_mode():
@@ -161,6 +177,19 @@ def test_numeric_packing_is_exact_or_raises():
     assert packing.unpack({(): {"k": 0}}, 1000) == {}
 
 
+def test_symbolic_packing_keys_are_g_parts():
+    # a packed symbol part is the normal g-part of the reduced ring
+    packing = SymbolicMode(3).packing(3, 1)
+    u = packing.num
+    assert packing.pack((("g", 1), ("g", 5)), 3) == (((), u),)  # g1*g2 = u
+    assert packing.pack((("g", 4), ("h", 3)), 3) == ((((1, 1),), 1 - u),)
+    assert packing.pack((("g", 1), ("h", 2)), 3) == ()  # h_2 = 0
+    assert packing.product(((1, 1),), ((1, 1),)) == (((1, 2),), 0)
+    assert packing.product(((1, 1),), ((2, 1),)) == ((), 1)
+    z = packing.unpack({((1, 1),): {"k": 1 - u}, (): {"k": u}}, 3)
+    assert z == {"k": SymCoeff.parse("u + g1 - u*g1").reduce(3)}
+
+
 def test_numeric_unpack_sums_every_g_part():
     # the one-g-part property is pinned, not assumed: two parts of one
     # entry are both summed
@@ -218,9 +247,11 @@ def test_reduced_mode_applies_the_gauss_relations():
     assert sym.g(2) ** 3 == sym.u * sym.g(2)
     assert sym.g(1) ** 2 * sym.g(3) == sym.u * sym.g(1)
     # the free ring keeps every symbol formal
-    free = SymbolicMode(3, free=True)
-    assert free.h(1) == SymCoeff.symbol("h", 1)
-    assert free.g(1) * free.g(2) == SymCoeff.parse("g1*g2")
+    h1, g1, g2 = SymCoeff.symbol("h", 1), SymCoeff.symbol("g", 1), SymCoeff.symbol("g", 2)
+    assert h1.ring is g1.ring is FREE
+    assert h1.terms == {((), ((1, 1),), 0): 1}
+    assert (g1 * g2).terms == {(((1, 1), (2, 1)), (), 0): 1}
+    assert g1 * g2 == SymCoeff.parse("g1*g2")
 
 
 def test_integral_coefficients_are_ints():
@@ -240,20 +271,21 @@ def test_integral_coefficients_are_ints():
 
 
 def test_mixing_rings():
-    n2, n3, free = SymbolicMode(2), SymbolicMode(3), SymbolicMode(3, free=True)
+    n2, n3 = SymbolicMode(2), SymbolicMode(3)
+    free_g1, free_g2 = SymCoeff.symbol("g", 1), SymCoeff.symbol("g", 2)
     # numbers join the coefficient's ring
     assert (n3.g(1) * 2).ring is n3.ring
     assert (Fraction(1, 2) + n3.g(1)).ring is n3.ring
     assert (1 - n3.g(2)).ring is n3.ring
     # coefficients of two different rings do not mix, even without symbols
-    for a, b in ((n2.g(1), n3.g(1)), (free.g(1), n3.g(2)), (n2.u, n3.u),
-                 (n3.g(1), SymCoeff.symbol("g", 2))):
+    for a, b in ((n2.g(1), n3.g(1)), (free_g1, n3.g(2)), (n2.u, n3.u),
+                 (n3.g(1), free_g2)):
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(ValueError):
                 op(a, b)
     # a free coefficient is mapped over by reduce
-    assert (free.g(1) * free.g(2)).reduce(3, "hg") * n3.g(1) == n3.u * n3.g(1)
+    assert (free_g1 * free_g2).reduce(3, "hg") * n3.g(1) == n3.u * n3.g(1)
     # equality compares the stored terms and never raises
-    assert free.g(1) * free.g(2) != n3.u
+    assert free_g1 * free_g2 != n3.u
     assert n3.g(1) == SymCoeff.symbol("g", 1)
     assert n2.u == n3.u

@@ -5,6 +5,7 @@ import json
 import math
 
 import pytest
+from free_ring import RAW, profile_sum, profile_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from whitice.jsonio import (
 from whitice.lattice import boundary_from_lambda, enumerate_states
 from whitice.laurent import LaurentPoly
 from whitice.patterns import GTPattern, ShortPattern, state_from_pattern
-from whitice.partition import numeric_mode, partition_function, raw_symbolic_mode, whittaker_table
+from whitice.partition import numeric_mode, partition_function, whittaker_table
 
 TOL = 1e-12
 
@@ -78,12 +79,11 @@ def test_numeric_coeff_round_trip():
 
 
 def test_poly_round_trip_symbolic():
-    raw = raw_symbolic_mode()
-    z = partition_function(boundary_from_lambda((3, 2, 0)), "delta", raw)
+    z = profile_sum(boundary_from_lambda((3, 2, 0)), "delta")
     obj = poly_to_json(z)
     assert set(obj) == {"vars", "terms"}
     assert obj["vars"] == 3
-    back = poly_from_json(json.loads(json.dumps(obj)), raw)
+    back = poly_from_json(json.loads(json.dumps(obj)), RAW)
     assert back == z
 
 
@@ -104,8 +104,7 @@ def test_poly_round_trip_numeric():
 
 
 def test_whittaker_round_trip():
-    raw = raw_symbolic_mode()
-    table = whittaker_table(boundary_from_lambda((3, 2, 0)), "gamma", raw)
+    table = profile_table(boundary_from_lambda((3, 2, 0)), "gamma")
     obj = whittaker_to_json(table)
     assert set(obj) == {"entries"}
     assert all(set(e) == {"k", "coeff"} for e in obj["entries"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from free_ring import RAW, FreeSymbols, profile_sum, profile_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +22,9 @@ from whitice.partition import (
     partition_function,
     pattern_side_weight,
     profile_of,
-    raw_symbolic_mode,
     spin_vector_of_exponents,
     state_weight,
     statement_a_check,
-    statement_a_symbolic_report,
     weight_grid,
     whittaker_table,
 )
@@ -45,7 +44,7 @@ def h(i):
 
 
 def test_worked_example_state_weights():
-    raw = raw_symbolic_mode()
+    raw = RAW
     coeff, exps = state_weight(WORKED_STATE, "gamma", raw)
     assert coeff == g(2) * h(1)
     assert exps == (3, 1, 4)
@@ -55,7 +54,7 @@ def test_worked_example_state_weights():
 
 
 def test_worked_example_weight_grid_formal():
-    grid = weight_grid(WORKED_STATE, "gamma", raw_symbolic_mode())
+    grid = weight_grid(WORKED_STATE, "gamma", RAW)
     rendered = [[str(c) for c in row] for row in grid]
     assert rendered == [
         ["1", "z3", "z3", "z3", "h1*z3", "1"],
@@ -75,7 +74,7 @@ def test_worked_example_weight_grid_n1():
 
 
 def test_grid_product_equals_state_weight():
-    raw = raw_symbolic_mode()
+    raw = RAW
     for family in ("gamma", "delta"):
         grid = weight_grid(WORKED_STATE, family, raw)
         prod = None
@@ -87,24 +86,30 @@ def test_grid_product_equals_state_weight():
 
 
 def test_partition_pins_rank_one():
-    n1 = SymbolicMode(1)
-    raw = raw_symbolic_mode()
+    n1, n3 = SymbolicMode(1), SymbolicMode(3)
     b0 = boundary_from_lambda((0, 0))
     assert str(partition_function(b0, "gamma", n1)) == "-u*z1 + z2"
-    assert str(partition_function(b0, "gamma", raw)) == "g1*z1 + z2"
+    assert boundary_profiles(b0, "gamma") == (((), (0, 1)), ((("g", 1),), (1, 0)))
+    assert str(profile_sum(b0, "gamma")) == "g1*z1 + z2"
     b1 = boundary_from_lambda((1, 0))
-    assert str(partition_function(b1, "gamma", raw)) == "g2*z1^2 + h1*z1*z2 + z2^2"
+    # the raw charges: g2*z1^2, h1*z1*z2 and z2^2
+    assert boundary_profiles(b1, "gamma") == (
+        ((), (0, 2)), ((("h", 1),), (1, 1)), ((("g", 2),), (2, 0)))
+    assert str(profile_sum(b1, "gamma")) == "g2*z1^2 + h1*z1*z2 + z2^2"
+    for strategy in ("enumerate", "transfer"):
+        assert str(partition_function(b1, "gamma", n3, strategy)) == "g2*z1^2 + z2^2"
 
 
 def test_partition_strategies_agree():
-    raw = raw_symbolic_mode()
     num = numeric_mode(3, 7)
     for lam in ((0, 0), (2, 0), (3, 2, 0), (2, 1, 0)):
         boundary = boundary_from_lambda(lam)
         for family in ("gamma", "delta"):
-            a = partition_function(boundary, family, raw, strategy="enumerate")
-            b = partition_function(boundary, family, raw, strategy="transfer")
-            assert a == b
+            for n in (1, 2, 3):
+                mode = SymbolicMode(n)
+                a = partition_function(boundary, family, mode, strategy="enumerate")
+                b = partition_function(boundary, family, mode, strategy="transfer")
+                assert a == b
             an = partition_function(boundary, family, num, strategy="enumerate")
             bn = partition_function(boundary, family, num, strategy="transfer")
             assert an.equal(bn, TOL)
@@ -119,19 +124,24 @@ dominant_weights = st.integers(0, 3).flatmap(
 @given(dominant_weights)
 def test_transfer_enumerate_and_patterns_agree(lam):
     # Z by contraction, by state enumeration and by summing the pattern-side
-    # weights (which share no row code with the lattice) are one polynomial
-    raw = raw_symbolic_mode()
+    # weights (which share no row code with the lattice) are one polynomial:
+    # with raw charges as free symbols the pattern sum is the state profiles'
+    # sum, and in each reduced ring both strategies give it
     boundary = boundary_from_lambda(lam)
     nvars = boundary.rank + 1
     for family in ("gamma", "delta"):
-        terms: dict = {}
-        for t in enumerate_patterns(boundary.top_minus):
-            weight, exponents = pattern_side_weight(state_from_pattern(t), family, raw)
-            terms[exponents] = terms.get(exponents, raw.zero) + weight
-        by_patterns = LaurentPoly(nvars, raw, terms)
-        by_transfer = partition_function(boundary, family, raw, strategy="transfer")
-        by_enumeration = partition_function(boundary, family, raw, strategy="enumerate")
-        assert by_transfer == by_enumeration == by_patterns
+        for mode in (RAW, SymbolicMode(1), SymbolicMode(2), SymbolicMode(3)):
+            terms: dict = {}
+            for t in enumerate_patterns(boundary.top_minus):
+                weight, exponents = pattern_side_weight(state_from_pattern(t), family, mode)
+                terms[exponents] = terms.get(exponents, mode.zero) + weight
+            by_patterns = LaurentPoly(nvars, mode, terms)
+            if mode is RAW:
+                assert by_patterns == profile_sum(boundary, family)
+                continue
+            by_transfer = partition_function(boundary, family, mode, strategy="transfer")
+            by_enumeration = partition_function(boundary, family, mode, strategy="enumerate")
+            assert by_transfer == by_enumeration == by_patterns
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,7 +175,7 @@ def test_unknown_strategy_rejected():
 
 def test_matching_lattice_vs_pattern():
     # per-state: lattice weight equals pattern statistic times the exponent monomial
-    raw = raw_symbolic_mode()
+    raw = RAW
     for lam in ((0, 0), (2, 0), (3, 2, 0)):
         boundary = boundary_from_lambda(lam)
         for family in ("gamma", "delta"):
@@ -249,22 +259,28 @@ def test_spin_vector_refuses_a_bad_input(exponents, family, message):
 
 
 def test_whittaker_table_pins():
-    raw = raw_symbolic_mode()
+    # raw charges, then the engine's table in the reduced ring of n = 4
     b0 = boundary_from_lambda((0, 0))
-    table = whittaker_table(b0, "gamma", raw)
+    table = profile_table(b0, "gamma")
     assert table == {(0,): SymCoeff.from_fraction(1), (1,): g(1)}
     b32 = boundary_from_lambda((3, 2, 0))
-    t32 = whittaker_table(b32, "gamma", raw)
+    t32 = profile_table(b32, "gamma")
     assert len(t32) == 27
     assert t32[(0, 0)] == SymCoeff.from_fraction(1)
     assert t32[(0, 1)] == h(1)
     assert t32[(0, 3)] == g(3)
+    n4 = SymbolicMode(4)
+    assert whittaker_table(b0, "gamma", n4) == table
+    assert whittaker_table(b32, "gamma", n4)[(0, 3)] == n4.g(3)
+    assert (0, 1) not in whittaker_table(b32, "gamma", n4)  # h1 = 0
 
 
 def test_whittaker_strategies_agree():
-    raw = raw_symbolic_mode()
     b = boundary_from_lambda((2, 1, 0))
-    assert whittaker_table(b, "delta", raw) == whittaker_table(b, "delta", raw, strategy="transfer")
+    for n in (2, 3):
+        mode = SymbolicMode(n)
+        assert (whittaker_table(b, "delta", mode)
+                == whittaker_table(b, "delta", mode, strategy="transfer"))
 
 
 def test_statement_a_numeric():
@@ -282,11 +298,32 @@ def test_statement_a_exact_n1():
         assert equal and gt == dt
 
 
+def relation_report(lam, n: int) -> dict[str, bool]:
+    """Whether the gamma and delta tables coincide at each relation level,
+    starting from free tables of charges mod n: "none" as they are, "h"
+    with every formal h symbol dropped (h_a = 0 for n not dividing a), "hg"
+    mapped to the reduced ring of n.  The "hg" tables must be the engine's."""
+    mode = FreeSymbols(n)
+    boundary = boundary_from_lambda(lam)
+    tables = [profile_table(boundary, family, mode) for family in ("gamma", "delta")]
+    levels = {"none": lambda c: c,
+              "h": lambda c: SymCoeff({key: v for key, v in c.terms.items() if not key[1]}),
+              "hg": lambda c: c.reduce(n, "hg")}
+    for table, family in zip(tables, ("gamma", "delta")):
+        reduced = {k: c.reduce(n, "hg") for k, c in table.items()}
+        assert ({k: c for k, c in reduced.items() if c}
+                == whittaker_table(boundary, family, SymbolicMode(n))), (lam, n, family)
+    gt, dt = tables
+    return {level: all(rel(gt.get(k, mode.zero)) == rel(dt.get(k, mode.zero))
+                       for k in gt.keys() | dt.keys())
+            for level, rel in levels.items()}
+
+
 def test_statement_a_symbolic_relation_ladder():
     # which formal relations are needed for the two tables to coincide
-    assert statement_a_symbolic_report((1, 0), 2) == {"none": True, "h": True, "hg": True}
-    assert statement_a_symbolic_report((2, 1, 0), 2) == {"none": False, "h": True, "hg": True}
-    assert statement_a_symbolic_report((3, 2, 0), 3) == {"none": False, "h": False, "hg": True}
+    assert relation_report((1, 0), 2) == {"none": True, "h": True, "hg": True}
+    assert relation_report((2, 1, 0), 2) == {"none": False, "h": True, "hg": True}
+    assert relation_report((3, 2, 0), 3) == {"none": False, "h": False, "hg": True}
 
 
 def test_tables_equal_tolerance():
@@ -298,9 +335,8 @@ def test_tables_equal_tolerance():
 
 
 def test_dirichlet_series_round_trip():
-    raw = raw_symbolic_mode()
     b = boundary_from_lambda((3, 2, 0))
-    table = whittaker_table(b, "delta", raw)
+    table = profile_table(b, "delta")
     text = dirichlet_series_string(table)
     assert text.startswith("1 + h1*q^(1*(1-2*s2)) + h2*q^(2*(1-2*s2)) + g3*q^(3*(1-2*s2))")
     assert parse_dirichlet_series(text, 2) == table
@@ -355,7 +391,7 @@ def test_functional_equations_exact_in_the_reduced_ring():
 
 
 def test_statement_a_symbolic_report_pins():
-    # the relation-level report still starts from free-ring tables
+    # the relation-level report starts from free-ring tables
     expected = {
         ((2, 1, 0), 2): (False, True), ((2, 1, 0), 3): (False, True),
         ((3, 1, 0), 2): (False, False), ((3, 1, 0), 3): (False, False),
@@ -363,17 +399,33 @@ def test_statement_a_symbolic_report_pins():
         ((3, 2, 1, 0), 2): (False, True), ((3, 2, 1, 0), 3): (False, False),
     }
     for (lam, n), (none, h) in expected.items():
-        assert statement_a_symbolic_report(lam, n) == {"none": none, "h": h, "hg": True}
+        assert relation_report(lam, n) == {"none": none, "h": h, "hg": True}
 
 
 @settings(max_examples=40, deadline=None)
 @given(dominant_weights, st.sampled_from([(2, 5), (3, 7), (2, 13)]),
        st.sampled_from(["gamma", "delta"]), st.sampled_from(["enumerate", "transfer"]))
 def test_exact_evaluated_agrees_with_numeric(lam, nq, family, strategy):
+    # evaluate rounds once, as numeric Z does: the same entries, bit for bit
     n, q = nq
     b = boundary_from_lambda(lam)
     num = numeric_mode(n, q)
     numeric = partition_function(b, family, num, strategy)
     exact = partition_function(b, family, SymbolicMode(n), strategy)
-    evaluated = {e: c.evaluate(num.table) for e, c in exact.terms.items()}
-    assert num.agree(evaluated, numeric.terms, 1e-9)
+    evaluated = {e: v for e, c in exact.terms.items() if (v := c.evaluate(num.table))}
+    assert evaluated == numeric.terms
+
+
+@pytest.mark.parametrize("family", ["gamma", "delta"])
+def test_exact_evaluated_is_numeric_where_a_coefficient_vanishes_at_1_over_q(family):
+    # -u(1-u)^2(1-5u) is exactly 0 at u = 1/5: numeric Z has no entry there,
+    # and evaluate gives exactly 0, not a rounding residue
+    b = boundary_from_lambda((3, 2, 0, 0))
+    num = numeric_mode(1, 5)
+    exact = whittaker_table(b, family, SymbolicMode(1), "transfer")
+    numeric = whittaker_table(b, family, num, "transfer")
+    assert str(exact[(4, 5, 1)]) == "-u + 7*u^2 - 11*u^3 + 5*u^4"
+    assert exact[(4, 5, 1)].evaluate(num.table) == 0
+    evaluated = {k: v for k, c in exact.items() if (v := c.evaluate(num.table))}
+    assert len(exact) == 212 and len(numeric) == 211
+    assert evaluated == numeric

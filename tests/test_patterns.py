@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from free_ring import RAW
 
 from whitice.coeffs import SymCoeff, SymbolicMode
 from whitice.lattice import (boundary_from_lambda, enumerate_states, fill_weight, row_fills,
@@ -22,7 +23,7 @@ from whitice.patterns import (
     state_from_pattern,
     statement_b_sums,
 )
-from whitice.partition import raw_symbolic_mode, spin_vector_of_exponents
+from whitice.partition import spin_vector_of_exponents
 from whitice.transfer import TWO_ROW_ORDERS
 
 WORKED = GTPattern(((5, 3, 0), (3, 1), (3,)))
@@ -71,7 +72,7 @@ def statistic(rows, families):
 
 def test_worked_example_statistics():
     boundary = state_from_pattern(WORKED).boundary
-    raw = raw_symbolic_mode()
+    raw = RAW
     gamma = ("gamma", "gamma")
     assert statistic(WORKED.rows, gamma) == [("right", 1), ("free", 1), ("left", 2)]
     # decoration charge vector reads (1, 1, 2)
@@ -100,7 +101,7 @@ def test_short_pattern_statistics_pin():
     image = ShortPattern((5, 3, 0), (3, 0), (1,))
     assert statistic(image.rows, dg) == [("right", 2), ("right", 5), ("free", 1)]
     assert pattern_factors(image.rows, dg) == (("g", 2), ("g", 5), ("h", 1))
-    raw = raw_symbolic_mode()
+    raw = RAW
     assert fill_weight(pattern_factors(sp.rows, gd), raw) == g(3) * h(1) * g(4)
     assert fill_weight(pattern_factors(image.rows, dg), raw) == g(2) * g(5) * h(1)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from free_ring import profile_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +16,7 @@ from whitice.coeffs import SymbolicMode
 from whitice.lattice import (boundary_from_lambda, fill_weight, row_fills, row_variable,
                              state_profiles)
 from whitice.laurent import LaurentPoly
-from whitice.partition import (boundary_profiles, numeric_mode, partition_function,
-                               raw_symbolic_mode)
+from whitice.partition import numeric_mode, partition_function
 from whitice.transfer import (
     TWO_ROW_ORDERS,
     check_two_row_boundary,
@@ -54,15 +54,6 @@ def test_contract_matches_enumeration():
 def same_terms(a, b) -> bool:
     """Equal polynomials whose coefficients carry identical term maps."""
     return a == b and all(a.terms[k].terms == b.terms[k].terms for k in a.terms)
-
-
-def profile_sum(boundary, family, mode):
-    """Reference Z that packs nothing: the SymCoeff products of
-    ``fill_weight`` over the boundary's state profiles, summed."""
-    terms: dict = {}
-    for factors, exponents in boundary_profiles(boundary, family):
-        terms[exponents] = terms.get(exponents, mode.zero) + fill_weight(factors, mode)
-    return LaurentPoly(boundary.rank + 1, mode, terms)
 
 
 def rounded_once(exact, table):
@@ -140,8 +131,7 @@ def test_no_mode_reaches_apply_row(monkeypatch):
 
     monkeypatch.setattr(transfer, "apply_row", reached)
     boundary = boundary_from_lambda((2, 1, 0))
-    for mode in (SymbolicMode(1), SymbolicMode(3), raw_symbolic_mode(),
-                 numeric_mode(1, 5), numeric_mode(3, 7)):
+    for mode in (SymbolicMode(1), SymbolicMode(3), numeric_mode(1, 5), numeric_mode(3, 7)):
         contract_partition(boundary, "gamma", mode)
 
 
@@ -154,7 +144,7 @@ def test_no_contraction_counts_states(monkeypatch):
     monkeypatch.setattr(lattice, "count_states", no_count)
     monkeypatch.setattr(transfer, "count_states", no_count, raising=False)
     for lam, n, q in (((3, 2, 0), 1, 61), ((2, 2, 1, 0), 2, 5), ((3, 1, 1, 0), 3, 7)):
-        for mode in (numeric_mode(n, q), SymbolicMode(n), SymbolicMode(n, free=True)):
+        for mode in (numeric_mode(n, q), SymbolicMode(n)):
             for family in ("gamma", "delta"):
                 contract_partition(boundary_from_lambda(lam), family, mode)
 
@@ -210,7 +200,6 @@ REFERENCE_MODES = {
     "reduced n=1": lambda: SymbolicMode(1),
     "reduced n=2": lambda: SymbolicMode(2),
     "reduced n=3": lambda: SymbolicMode(3),
-    "free ring": raw_symbolic_mode,
     "numeric n=1 q=61": lambda: numeric_mode(1, 61),
     "numeric n=2 q=5": lambda: numeric_mode(2, 5),
     "numeric n=3 q=7": lambda: numeric_mode(3, 7),

@@ -16,7 +16,6 @@ from whitice.weyl import (
     charge_duality_check,
     clearing_factor,
     decompose,
-    fe_via_rvertex_two_row,
     functional_eq_check,
     p_poly,
     q_poly,
@@ -149,34 +148,59 @@ def test_crossing_vertex_weights():
     assert rvertex_allminus_weight(mode, d_i=3, d_i1=6) == rvertex_allminus_weight(mode)
 
 
+def two_gamma_slab(top, bot, mode, columns=None):
+    """Z of the two-gamma slab, top row carrying z2 and bottom row z1."""
+    columns = columns or top[0] + 1
+    return slab_partition(top, bot, (("gamma", 1), ("gamma", 0)), mode, columns)
+
+
+def crossing_vertex_sides(z, j):
+    """The partial crossing vertex attached to a two-gamma slab's Z.  Left:
+    each class c of Z (by the charge duality, the states' label difference
+    c_top - c_bot) weighted by the all-+ entry of outer class j and inner
+    class c.  Right: the all-- entry times the class-j part with z1, z2
+    exchanged."""
+    mode = z.mode
+    parts = decompose(z, 1)
+    left = LaurentPoly.zero(2, mode)
+    for c, part in parts.items():
+        left = left + rvertex_allplus_weight(j, c, mode) * part
+    right = rvertex_allminus_weight(mode) * parts[j % mode.n].swap_vars(0, 1)
+    return left, right
+
+
 def test_crossing_vertex_two_row_identity():
+    # the exchange identity on two slab Zs, numeric, and the crossing
+    # vertex's sides within the same tolerance
     mode = numeric_mode(3, 7)
     for top, bot in (((5, 3, 0), (4,)), ((6, 4, 1), (3,))):
+        z = two_gamma_slab(top, bot, mode)
         for j in range(3):
-            ok, left, right = fe_via_rvertex_two_row(top, bot, j, mode, tol=TOL)
+            ok, lhs, rhs = functional_eq_check(z, 1, j, tol=TOL)
             assert ok
+            left, right = crossing_vertex_sides(z, j)
+            assert left.equal(rhs, TOL) and right.equal(lhs, TOL)
     # n=1 collapse stays exact
-    n1 = SymbolicMode(1)
-    ok, left, right = fe_via_rvertex_two_row((3, 2, 0), (3,), 0, n1)
-    assert ok and left == right
+    z = two_gamma_slab((3, 2, 0), (3,), SymbolicMode(1))
+    ok, lhs, rhs = functional_eq_check(z, 1, 0)
+    assert ok and lhs == rhs and crossing_vertex_sides(z, 0) == (rhs, lhs)
 
 
-@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_crossing_vertex_is_the_functional_equation_on_its_slab(n):
+    # the exchange identity holds exactly on two-gamma slab Zs; for odd n
     # the vertex's left attachment is the equation's right side and its
-    # right attachment the left side, on the two-gamma slab's Z at i = 1
+    # right attachment the left side, at i = 1
     mode = SymbolicMode(n)
     rng = Random(n)
+    checks = 0
     for _ in range(30):
         top, bot, columns = random_two_row_boundary(rng, 7)
-        z = slab_partition(top, bot, (("gamma", 1), ("gamma", 0)), mode, columns)
+        z = two_gamma_slab(top, bot, mode, columns)
         for j in range(n):
-            ok, left, right = fe_via_rvertex_two_row(top, bot, j, mode, columns=columns)
-            ok_fe, lhs, rhs = functional_eq_check(z, 1, j)
-            assert ok and ok_fe
-            assert (left, right) == (rhs, lhs), (top, bot, columns, j)
-
-
-def test_crossing_vertex_requires_odd_modulus():
-    with pytest.raises(ValueError):
-        fe_via_rvertex_two_row((3, 2, 0), (3,), 0, numeric_mode(2, 5))
+            ok, lhs, rhs = functional_eq_check(z, 1, j)
+            assert ok and lhs == rhs, (top, bot, columns, j)
+            if n % 2:
+                assert crossing_vertex_sides(z, j) == (rhs, lhs), (top, bot, columns, j)
+            checks += 1
+    assert checks == 30 * n
