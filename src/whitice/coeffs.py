@@ -33,13 +33,13 @@ coefficient domains:
   Gauss sums over a finite field (see :mod:`whitice.gauss`).
 
 A mode object (:class:`SymbolicMode` or :class:`NumericMode`) hands out ring
-elements for the weight kinds used by the lattice tables and holds the whole
-numeric policy.  ``is_zero`` is exact: structural zeros (h(b) for n not
-dividing b) are exact zeros in both modes.  No term is ever floored: a
-numeric Z is computed exactly and rounded once (below).  ``agree`` is the
-one comparator of sparse maps (terms or tables): numeric entries within
-tol * (1 + the largest magnitude in either), symbolic maps equal; ``close``
-is the same rule on one coefficient.
+elements for the weight kinds used by the lattice tables.  ``is_zero`` is
+exact: structural zeros (h(b) for n not dividing b) are exact zeros in both
+modes.  No term is ever floored: a numeric Z is computed exactly and rounded
+once (below).  Every check decides by ``==``, with no tolerance: two sums of
+weights with one exact value are equal bit for bit (and their packed sums,
+:func:`packed_sums`, equal), and a check that multiplies polynomials runs in
+the reduced ring, since products of rounded values differ in the last bits.
 
 Symbols with index divisible by n are never formal: g(b) = -u and
 h(b) = 1 - u whenever n | b, which is how both specializations behave for
@@ -393,7 +393,7 @@ class SymCoeff:
 
 
 class SymbolicMode:
-    """Factory/policy object for exact symbolic coefficients at a fixed n,
+    """Factory object for exact symbolic coefficients at a fixed n,
     in the reduced ring of n."""
 
     name = "symbolic"
@@ -422,9 +422,6 @@ class SymbolicMode:
             return self.one_minus_u
         return SymCoeff.symbol("h", b, self.ring)
 
-    def from_int(self, k: int) -> SymCoeff:
-        return SymCoeff.from_fraction(k, self.ring)
-
     def is_zero(self, c: SymCoeff) -> bool:
         return not c.terms
 
@@ -432,12 +429,6 @@ class SymbolicMode:
         """Packed format of a sum of at most ``states`` weights with
         ``slots`` slots each (:func:`pack_width`)."""
         return Packing(self, 1 << pack_width(states, slots))
-
-    def agree(self, a: dict, b: dict, tol: float = 0.0) -> bool:
-        return a == b
-
-    def close(self, a: SymCoeff, b: SymCoeff, tol: float = 0.0) -> bool:
-        return a == b
 
     def __repr__(self):
         return f"SymbolicMode(n={self.n})"
@@ -562,7 +553,7 @@ class NumericPacking(Packing):
 
 
 class NumericMode:
-    """Factory/policy object for complex coefficients over a Gauss-sum table."""
+    """Factory object for complex coefficients over a Gauss-sum table."""
 
     name = "numeric"
 
@@ -582,26 +573,12 @@ class NumericMode:
     def h(self, b: int) -> complex:
         return self.one_minus_u if b % self.n == 0 else self.table.h(b)
 
-    def from_int(self, k: int) -> complex:
-        return complex(k)
-
     def is_zero(self, c: complex) -> bool:
         return c == 0
 
     def packing(self, slots: int, states: int) -> NumericPacking:
         """Scaled ints need no width, so ``states`` is not read."""
         return NumericPacking(self, 1, self.q)
-
-    def agree(self, a: dict, b: dict, tol: float = 1e-9) -> bool:
-        """Every entry of the two maps within tol * (1 + largest magnitude);
-        a missing key counts as 0."""
-        top = max((abs(c) for c in (*a.values(), *b.values())), default=0.0)
-        bound = tol * (1 + top)
-        return all(abs(a.get(key, 0j) - b.get(key, 0j)) <= bound
-                   for key in a.keys() | b.keys())
-
-    def close(self, a: complex, b: complex, tol: float = 1e-9) -> bool:
-        return self.agree({(): a}, {(): b}, tol)
 
     def __repr__(self):
         return f"NumericMode(n={self.n}, q={self.q})"
@@ -610,16 +587,24 @@ class NumericMode:
 Mode = Union[SymbolicMode, NumericMode]
 
 
-def weigh(profiles, mode: Mode, slots: int) -> dict:
-    """{exponents: coefficient}: the weights of (factors, exponents)
-    profiles summed, each packed as a whole with ``slots`` slots ("Packed
-    coefficients"), unpacked once."""
-    packing = mode.packing(slots, len(profiles))
-    sums: dict[SymPart, dict] = {}  # g-part -> {exponents: int}
+def packed_sums(profiles, packing: Packing, slots: int) -> dict:
+    """{g-part: {exponents: int}}: the weights of (factors, exponents)
+    profiles, each packed as a whole with ``slots`` slots ("Packed
+    coefficients"), summed, with zero entries dropped.  Two sums in one
+    packing are equal exactly when their maps are."""
+    sums: dict[SymPart, dict] = {}
     for factors, exponents in profiles:
         for part, value in packing.pack(factors, slots):
             acc = sums.get(part)
             if acc is None:
                 acc = sums[part] = {}
             acc[exponents] = acc.get(exponents, 0) + value
-    return packing.unpack(sums, slots)
+    return {part: kept for part, acc in sums.items()
+            if (kept := {key: value for key, value in acc.items() if value})}
+
+
+def weigh(profiles, mode: Mode, slots: int) -> dict:
+    """{exponents: coefficient}: the profiles' :func:`packed_sums` in the
+    mode's packing, unpacked once."""
+    packing = mode.packing(slots, len(profiles))
+    return packing.unpack(packed_sums(profiles, packing, slots), slots)

@@ -13,7 +13,9 @@ pairing identity needs.
 
 For n not dividing b, h(b) sums a nontrivial character, so it is 0 by
 theorem and stored as an exact 0j; the direct sum must still come out as 0
-up to rounding, or the table is refused.
+up to rounding, or the table is refused.  Numeric verdicts come from the
+reduced ring, which takes both relations as given, so a :class:`GaussTable`
+that breaks one is refused however it is built.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ class GaussTable:
     root: int
     gvals: tuple[complex, ...]
     hvals: tuple[complex, ...]
+
+    def __post_init__(self):
+        """ValueError unless h(a) is an exact 0 and g(a) * g(n - a) within
+        1e-9 of 1/q for every a with n not dividing a."""
+        for a in range(1, self.n):
+            pair = self.gvals[a] * self.gvals[self.n - a]
+            if self.hvals[a] != 0 or abs(pair - 1 / self.q) > 1e-9:
+                raise ValueError(f"h({a}) = {self.hvals[a]} and g({a}) * g({self.n - a}) = "
+                                 f"{pair} break h = 0, g*g = 1/{self.q}")
 
     def g(self, b: int) -> complex:
         return self.gvals[b % self.n]

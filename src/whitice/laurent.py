@@ -6,9 +6,10 @@ A polynomial in variables z1..z{nvars} is a dict mapping exponent vectors
     LaurentPoly.terms = { (4, 1, 3): <coeff>, ... }
 
 The zero polynomial is the empty dict, and a stored coefficient is never
-zero.  Zero tests and comparisons defer to the polynomial's mode object
+zero.  Zero tests defer to the polynomial's mode object
 (:mod:`whitice.coeffs`): a term is dropped only when its coefficient is
-exactly zero, never by a floor, and ``equal`` is the mode's one comparator.
+exactly zero, never by a floor.  Polynomials compare by ``==`` alone, term
+map against term map.
 
 Partition functions of ice systems are honest polynomials (all exponents
 nonnegative); the representation itself does not care about signs of
@@ -149,11 +150,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def equal(self, other: "LaurentPoly", tol: float = 1e-9) -> bool:
-        """The mode's comparator on the two term maps (:meth:`agree`)."""
-        self._check(other)
-        return self.mode.agree(self.terms, other.terms, tol)
 
     def coeff(self, exponents: Iterable[int]):
         return self.terms.get(tuple(exponents), self.mode.zero)

@@ -169,14 +169,14 @@ def two_row_partition(top: Layer, bottom: Layer, order: str, mode: Mode,
     return slab_partition(top, bottom, two_row_rows(order), mode, columns)
 
 
-def two_row_check(top: Layer, bottom: Layer, mode: Mode, tol: float = 1e-9,
+def two_row_check(top: Layer, bottom: Layer, mode: Mode,
                   columns: int | None = None):
-    """Compare Z(gamma-delta) with Z(delta-gamma) on one boundary.
-
-    Returns (equal, Z_gd, Z_dg)."""
+    """Compare Z(gamma-delta) with Z(delta-gamma) on one boundary by ``==``:
+    both are exact slab sums rounded once, so in numeric mode too they
+    agree bit for bit.  Returns (equal, Z_gd, Z_dg)."""
     z_gd = two_row_partition(top, bottom, "gamma-delta", mode, columns)
     z_dg = two_row_partition(top, bottom, "delta-gamma", mode, columns)
-    return z_gd.equal(z_dg, tol), z_gd, z_dg
+    return z_gd == z_dg, z_gd, z_dg
 
 
 def coefficient_pairs(l: Layer, m: Layer, ks, mode: Mode) -> list[tuple]:

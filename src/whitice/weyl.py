@@ -9,9 +9,11 @@ pieces Z_i^(j); the functional equation, in cleared polynomial form, says
 
 with p_j(x, y) = (1-u) x^j y^(n-j) and q_j(x, y) = g(j)(x^n - y^n), reading
 g(0) = -u.  :func:`functional_eq_check` checks it on a polynomial the
-caller computed once, with n read off the polynomial's mode; nothing here
-computes a full system's Z.  At n = 1 there is a single class and the
-identity collapses to the row-swap endpoint identity of the ybe module.
+caller computed once in the reduced ring, n read off its mode, by ``==``
+(products of rounded values differ in the last bits, so a numeric Z is
+refused); nothing here computes a full system's Z.  At n = 1 there is a
+single class and the identity collapses to the row-swap endpoint identity
+of the ybe module.
 
 The same exchange is realized locally by a partial crossing vertex that is
 only defined on the all-+ and all-- spin configurations, with entries graded
@@ -34,7 +36,7 @@ count that shares no code with the row kernel.
 
 from __future__ import annotations
 
-from .coeffs import Mode
+from .coeffs import Mode, SymbolicMode
 from .lattice import (
     FAMILIES,
     PLUS,
@@ -98,18 +100,21 @@ def clearing_factor(mode: Mode, nvars: int, x: int, y: int) -> LaurentPoly:
             - _monomial(mode, nvars, mode.u, (y, n)))
 
 
-def functional_eq_check(z: LaurentPoly, i: int, j: int, tol: float = 1e-8):
-    """Check the cleared exchange identity on z, any polynomial (a full
-    system's Z among them), for the variable pair (i, i+1) and class j mod
-    n = ``z.mode.n``.  Returns (ok, lhs, rhs).  For n > 1 the identity relies
-    on g(j)g(n-j) = u, which the exact reduced ring applies at every product."""
+def functional_eq_check(z: LaurentPoly, i: int, j: int):
+    """Check the cleared exchange identity on z, any polynomial of the
+    reduced ring (a full system's Z among them), for the variable pair
+    (i, i+1) and class j mod n = ``z.mode.n``.  Returns (ok, lhs, rhs).
+    For n > 1 the identity relies on g(j)g(n-j) = u, which the reduced ring
+    applies at every product.  ValueError on a numeric z."""
     mode, n = z.mode, z.mode.n
+    if not isinstance(mode, SymbolicMode):
+        raise ValueError(f"the exchange identity is checked on an exact Z, not a {mode.name} one")
     parts = decompose(z, i)
     x, y = i, i - 1  # z_{i+1}, z_i as variable indices
     lhs = clearing_factor(mode, z.nvars, x, y) * parts[j % n].swap_vars(i - 1, i)
     rhs = (p_poly(j, mode, z.nvars, x, y) * parts[j % n]
            + q_poly(j, mode, z.nvars, x, y) * parts[(n - j) % n])
-    return lhs.equal(rhs, tol), lhs, rhs
+    return lhs == rhs, lhs, rhs
 
 
 # ---------------------------------------------------------------------------

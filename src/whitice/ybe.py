@@ -3,7 +3,8 @@
 The crossing vertex R acts on two horizontal lines.  Its table is keyed by
 the four adjacent edge spins as (west_top, west_bot, east_top, east_bot) and
 is nonzero on six spin-conserving configurations.  Entries are polynomials
-in (z1, z2) = (z_i, z_{i+1}) with exact u = 1/q coefficients:
+in (z1, z2) = (z_i, z_{i+1}) over the exact ring of n = 1 (:data:`MODE`),
+where u stands for 1/q at every q at once:
 
     (+,+,+,+) -> z_i - u*z_{i+1}        (pinned)
     (-,-,-,-) -> z_{i+1} - u*z_i        (pinned)
@@ -33,17 +34,23 @@ equation into the global endpoint identity
     (z_i - u*z_{i+1}) * Z(z)  =  (z_{i+1} - u*z_i) * Z(sigma_i z),
 
 the n = 1 case of the functional equation of the weyl module, which
-:func:`commutation_check` checks on a Z its caller computed.
+:func:`commutation_check` checks on a Z its caller computed.  Every check
+here multiplies polynomials, so it runs in that exact ring and decides by
+``==``; in complex arithmetic the two sides of some boundaries differ in
+the last bits.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .coeffs import Mode, SymbolicMode
+from .coeffs import SymbolicMode
 from .lattice import MINUS, PLUS, fill_weight, weight_table
 from .laurent import LaurentPoly
 from .weyl import functional_eq_check
+
+#: the exact ring of n = 1 every entry and check of this module lives in
+MODE = SymbolicMode(1)
 
 RConfig = tuple[int, int, int, int]  # (west_top, west_bot, east_top, east_bot)
 
@@ -65,59 +72,48 @@ MIXED_ASSIGNMENT: dict[RConfig, str] = {
 }
 
 
-def _mixed_value_polys(mode: Mode) -> dict[str, LaurentPoly]:
-    z1 = LaurentPoly.var(2, mode, 0)
-    z2 = LaurentPoly.var(2, mode, 1)
-    return {
-        "u*(z2-z1)": (z2 - z1).scale(mode.u),
-        "z2-z1": z2 - z1,
-        "(1-u)*z2": z2.scale(mode.one_minus_u),
-        "(1-u)*z1": z1.scale(mode.one_minus_u),
-    }
-
-
-def rmatrix_n1(mode: Mode | None = None,
-               assignment: dict[RConfig, str] | None = None) -> dict[RConfig, LaurentPoly]:
+def rmatrix_n1(assignment: dict[RConfig, str] | None = None) -> dict[RConfig, LaurentPoly]:
     """The n=1 crossing-vertex table in variables (z1, z2) = (z_i, z_{i+1})."""
-    if mode is None:
-        mode = SymbolicMode(1)
     if assignment is None:
         assignment = MIXED_ASSIGNMENT
-    z1 = LaurentPoly.var(2, mode, 0)
-    z2 = LaurentPoly.var(2, mode, 1)
-    table = {
-        (PLUS, PLUS, PLUS, PLUS): z1 - z2.scale(mode.u),
-        (MINUS, MINUS, MINUS, MINUS): z2 - z1.scale(mode.u),
+    z1 = LaurentPoly.var(2, MODE, 0)
+    z2 = LaurentPoly.var(2, MODE, 1)
+    values = {
+        "u*(z2-z1)": (z2 - z1).scale(MODE.u),
+        "z2-z1": z2 - z1,
+        "(1-u)*z2": z2.scale(MODE.one_minus_u),
+        "(1-u)*z1": z1.scale(MODE.one_minus_u),
     }
-    values = _mixed_value_polys(mode)
-    for config in MIXED_CONFIGS:
-        table[config] = values[assignment[config]]
+    table = {
+        (PLUS, PLUS, PLUS, PLUS): z1 - z2.scale(MODE.u),
+        (MINUS, MINUS, MINUS, MINUS): z2 - z1.scale(MODE.u),
+    }
+    table.update((config, values[assignment[config]]) for config in MIXED_CONFIGS)
     return table
 
 
-def vertex_poly(family: str, config, charge: int, var_index: int,
-                mode: Mode, nvars: int = 2) -> LaurentPoly:
-    """One vertex weight as a polynomial (zero if inadmissible)."""
+def vertex_poly(family: str, config, var_index: int) -> LaurentPoly:
+    """One vertex weight as a polynomial in (z1, z2), zero if inadmissible;
+    at n = 1 every charge is of class 0."""
     entry = weight_table(family).get(config)
     if entry is None:
-        return LaurentPoly.zero(nvars, mode)
+        return LaurentPoly.zero(2, MODE)
     kind, zexp = entry
-    exps = [0] * nvars
-    exps[var_index] = zexp
-    return LaurentPoly.monomial(nvars, mode, exps, fill_weight(((kind, charge),), mode))
+    exps = (0, zexp) if var_index else (zexp, 0)
+    return LaurentPoly.monomial(2, MODE, exps, fill_weight(((kind, 0),), MODE))
 
 
 SPINS = (PLUS, MINUS)
 
 
 def ybe_sides(R: dict[RConfig, LaurentPoly], s_row: tuple[str, int],
-              t_row: tuple[str, int], boundary_spins, mode: Mode):
+              t_row: tuple[str, int], boundary_spins):
     """(left, right) partition functions of the two wirings for one choice
     of the six boundary spins (sigma, tau, alpha, beta, rho, theta)."""
     sigma, tau, alpha, beta, rho, theta = boundary_spins
     s_fam, s_var = s_row
     t_fam, t_var = t_row
-    zero = LaurentPoly.zero(2, mode)
+    zero = LaurentPoly.zero(2, MODE)
     left = zero
     for mu in SPINS:
         for nu in SPINS:
@@ -126,8 +122,8 @@ def ybe_sides(R: dict[RConfig, LaurentPoly], s_row: tuple[str, int],
                 continue
             for gam in SPINS:
                 term = (r_val
-                        * vertex_poly(s_fam, (alpha, gam, mu, beta), 0, s_var, mode)
-                        * vertex_poly(t_fam, (gam, rho, nu, theta), 0, t_var, mode))
+                        * vertex_poly(s_fam, (alpha, gam, mu, beta), s_var)
+                        * vertex_poly(t_fam, (gam, rho, nu, theta), t_var))
                 left = left + term
     right = zero
     for phi in SPINS:
@@ -136,8 +132,8 @@ def ybe_sides(R: dict[RConfig, LaurentPoly], s_row: tuple[str, int],
             if r_val is None:
                 continue
             for dlt in SPINS:
-                term = (vertex_poly(t_fam, (alpha, dlt, sigma, phi), 0, t_var, mode)
-                        * vertex_poly(s_fam, (dlt, rho, tau, psi), 0, s_var, mode)
+                term = (vertex_poly(t_fam, (alpha, dlt, sigma, phi), t_var)
+                        * vertex_poly(s_fam, (dlt, rho, tau, psi), s_var)
                         * r_val)
                 right = right + term
     return left, right
@@ -145,44 +141,37 @@ def ybe_sides(R: dict[RConfig, LaurentPoly], s_row: tuple[str, int],
 
 def ybe_check(R: dict[RConfig, LaurentPoly] | None = None,
               s_row: tuple[str, int] = ("gamma", 1),
-              t_row: tuple[str, int] = ("gamma", 0),
-              mode: Mode | None = None):
+              t_row: tuple[str, int] = ("gamma", 0)):
     """Check the local equation on all 64 boundary assignments.
 
     Default rows: S and T both gamma, S carrying z2 = z_{i+1} and T carrying
     z1 = z_i.  Returns (ok, failures) with the offending boundary tuples.
     """
-    if mode is None:
-        mode = SymbolicMode(1)
     if R is None:
-        R = rmatrix_n1(mode)
+        R = rmatrix_n1()
     failures = []
     for spins in product(SPINS, repeat=6):
-        left, right = ybe_sides(R, s_row, t_row, spins, mode)
-        if not left.equal(right, tol=1e-12):
+        left, right = ybe_sides(R, s_row, t_row, spins)
+        if left != right:
             failures.append(spins)
     return not failures, failures
 
 
-def perturbed(R: dict[RConfig, LaurentPoly], config: RConfig,
-              mode: Mode) -> dict[RConfig, LaurentPoly]:
+def perturbed(R: dict[RConfig, LaurentPoly], config: RConfig) -> dict[RConfig, LaurentPoly]:
     """Copy of R with one entry shifted by +1 (negative-control input)."""
     out = dict(R)
-    out[config] = out[config] + LaurentPoly.const(2, mode, mode.one)
+    out[config] = out[config] + LaurentPoly.const(2, MODE, MODE.one)
     return out
 
 
-def solve_mixed_assignment(s_row=("gamma", 1), t_row=("gamma", 0),
-                           mode: Mode | None = None) -> list[dict[RConfig, str]]:
+def solve_mixed_assignment(s_row=("gamma", 1), t_row=("gamma", 0)) -> list[dict[RConfig, str]]:
     """All permutations of the four mixed values that satisfy the equation
     (with the pinned pure entries), for the given rows."""
     from itertools import permutations
-    if mode is None:
-        mode = SymbolicMode(1)
     found = []
     for perm in permutations(MIXED_VALUES):
         assignment = dict(zip(MIXED_CONFIGS, perm))
-        ok, _ = ybe_check(rmatrix_n1(mode, assignment), s_row, t_row, mode)
+        ok, _ = ybe_check(rmatrix_n1(assignment), s_row, t_row)
         if ok:
             found.append(assignment)
     return found
@@ -194,11 +183,12 @@ def solve_mixed_assignment(s_row=("gamma", 1), t_row=("gamma", 0),
 
 def commutation_check(z: LaurentPoly, i: int):
     """(z_i - u*z_{i+1}) * Z(z) = (z_{i+1} - u*z_i) * Z(sigma_i z) on a
-    polynomial z whose mode has n = 1.
+    polynomial z of the reduced ring of n = 1.
 
     This is the class-0 functional equation at n = 1, with its sides
-    exchanged.  Returns (ok, lhs, rhs)."""
+    exchanged.  Returns (ok, lhs, rhs); ValueError on a z at another n or
+    a numeric z."""
     if z.mode.n != 1:
         raise ValueError(f"the row-swap identity needs n = 1, not the mode's n = {z.mode.n}")
-    ok, rhs, lhs = functional_eq_check(z, i, 0, tol=1e-10)
+    ok, rhs, lhs = functional_eq_check(z, i, 0)
     return ok, lhs, rhs

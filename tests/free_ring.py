@@ -39,9 +39,6 @@ class FreeSymbols:
     def is_zero(self, c: SymCoeff) -> bool:
         return not c.terms
 
-    def agree(self, a: dict, b: dict, tol: float = 0.0) -> bool:
-        return a == b
-
 
 #: raw charges: a product shows every (kind, charge) a weight carries
 RAW = FreeSymbols()

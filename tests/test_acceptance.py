@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Every criterion runs at its stated tolerance and asserts its runtime budget.
+Every check decides by equality, and every criterion asserts its runtime
+budget; tolerances remain only where a value is held to a hand expansion
+or a Gauss-sum invariant.
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the summary lines.
 """
 from __future__ import annotations
@@ -22,13 +24,12 @@ from whitice.partition import (
     state_weight,
     statement_a_check,
     weight_grid,
+    whittaker_table,
 )
 from whitice.transfer import contract_partition, random_two_row_boundary, two_row_check
 from whitice.weyl import functional_eq_check
 from whitice.ybe import perturbed, rmatrix_n1, ybe_check
 
-NUMERIC_TOL = 1e-9
-FE_TOL = 1e-8
 HAND_TOL = 1e-10
 GAUSS_TOL = 1e-12
 
@@ -110,25 +111,25 @@ def test_criterion_3_table_agreement():
         sym1 = SymbolicMode(1)
         modes = [numeric_mode(n, q) for n, q in NQ_GRID]
         for lam in lambda_grid(3, 4):
-            equal, gt, dt = statement_a_check(lam, sym1)
-            assert equal and gt == dt
+            boundary = boundary_from_lambda(lam)
+            assert statement_a_check(lam, sym1)
+            assert (whittaker_table(boundary, "gamma", sym1)
+                    == whittaker_table(boundary, "delta", sym1))
             for mode in modes:
-                equal, _, _ = statement_a_check(lam, mode, tol=NUMERIC_TOL)
-                assert equal
+                assert statement_a_check(lam, mode)
 
 
 def test_criterion_4_two_row_exchange():
     with Budget(4, "two-row exchange identity", 60.0):
         modes = [SymbolicMode(1), numeric_mode(2, 5), numeric_mode(3, 7)]
         for mode in modes:
-            ok, z_gd, z_dg = two_row_check((6, 4, 1, 0), (4, 3), mode, tol=NUMERIC_TOL)
-            assert ok
+            ok, z_gd, z_dg = two_row_check((6, 4, 1, 0), (4, 3), mode)
+            assert ok and z_gd == z_dg
         rng = random.Random(0)
         for _ in range(50):
             top, bottom, columns = random_two_row_boundary(rng, max_width=8)
             for mode in modes:
-                ok, _, _ = two_row_check(top, bottom, mode, tol=NUMERIC_TOL,
-                                         columns=columns)
+                ok, _, _ = two_row_check(top, bottom, mode, columns=columns)
                 assert ok
 
 
@@ -136,10 +137,9 @@ def test_criterion_5_triangle_identity():
     with Budget(5, "triangle identity, all boundaries", 5.0):
         ok, failures = ybe_check()
         assert ok and failures == []
-        mode = SymbolicMode(1)
-        R = rmatrix_n1(mode)
+        R = rmatrix_n1()
         for config in R:
-            ok, failures = ybe_check(R=perturbed(R, config, mode), mode=mode)
+            ok, failures = ybe_check(R=perturbed(R, config))
             assert not ok and failures
 
 
@@ -153,25 +153,27 @@ def test_criterion_6_functional_equations():
             for i in range(1, rank + 1):
                 ok, lhs, rhs = functional_eq_check(z, i, 0)
                 assert ok and lhs == rhs
-        for n, q in ((2, 5), (3, 7)):
-            mode = numeric_mode(n, q)
+        # the numeric (n, q) = (2, 5), (3, 7) identities, exact at that n
+        for n in (2, 3):
+            mode = SymbolicMode(n)
             for lam in grid:
                 rank = len(lam) - 1
                 z = partition_function(boundary_from_lambda(lam), "gamma", mode)
                 for i in range(1, rank + 1):
                     for j in range(n):
-                        ok, _, _ = functional_eq_check(z, i, j, tol=FE_TOL)
-                        assert ok
-        # hand-expanded instance at r=1, n=2, q=5, i=j=1
-        mode = numeric_mode(2, 5)
-        z = partition_function(boundary_from_lambda((0, 0)), "gamma", mode)
-        ok, lhs, rhs = functional_eq_check(z, 1, 1, tol=HAND_TOL)
-        assert ok
-        g1 = gauss_table(2, 5).g(1)
+                        ok, lhs, rhs = functional_eq_check(z, i, j)
+                        assert ok and lhs == rhs
+        # hand-expanded instance at r=1, n=2, q=5, i=j=1: the exact sides
+        # rounded once
+        table = gauss_table(2, 5)
+        z = partition_function(boundary_from_lambda((0, 0)), "gamma", SymbolicMode(2))
+        ok, lhs, rhs = functional_eq_check(z, 1, 1)
+        assert ok and lhs == rhs
+        g1 = table.g(1)
         expected = {(0, 3): g1, (2, 1): -g1 / 5, (1, 2): 1.0, (3, 0): -1.0 / 5}
         assert set(lhs.terms) == set(expected)
         for exps, value in expected.items():
-            assert abs(lhs.terms[exps] - value) < HAND_TOL
+            assert abs(lhs.terms[exps].evaluate(table) - value) < HAND_TOL
 
 
 def test_criterion_7_gauss_invariants():
@@ -194,14 +196,14 @@ def test_criterion_8_strategy_equivalence_and_benchmark():
             for family in ("gamma", "delta"):
                 a = contract_partition(boundary, family, num)
                 b = partition_function(boundary, family, num, strategy="enumerate")
-                assert a.equal(b, NUMERIC_TOL)
+                assert a == b
         big = boundary_from_lambda((6, 4, 2, 0))
         mode = numeric_mode(3, 7)
         start = time.perf_counter()
         z_fast = contract_partition(big, "gamma", mode)
         contraction_seconds = time.perf_counter() - start
         z_slow = partition_function(big, "gamma", mode, strategy="enumerate")
-        assert z_fast.equal(z_slow, NUMERIC_TOL)
+        assert z_fast == z_slow
         assert count_states(big) == 3892
         print(f"    benchmark: {count_states(big)} states, "
               f"contraction {contraction_seconds:.3f}s (informational budget 10s)")

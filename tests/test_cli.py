@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from whitice import cli, jsonio, partition, weyl
+from whitice import cli, jsonio, lattice, partition, weyl
 from whitice.cli import main
 from whitice.coeffs import SymbolicMode
-from whitice.lattice import boundary_from_lambda, enumerate_states
+from whitice.lattice import boundary_from_lambda, enumerate_states, row_fills
 from whitice.partition import numeric_mode, partition_function, whittaker_table
 
 
@@ -223,6 +223,48 @@ def test_verify_functional_eq(capsys):
     assert code == 0 and obj["pass"] is True
 
 
+def test_numeric_functional_eq_shows_the_exact_sides_rounded_once(capsys):
+    # the check runs on the exact Z at n; the report shows its sides at the
+    # Gauss table, each coefficient rounded once
+    code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "3,1,0",
+                         "--coeff", "numeric", "--n", "3", "--q", "7", "--i", "2", "--j", "1")
+    assert code == 0 and obj["pass"] is True
+    z = partition_function(boundary_from_lambda((3, 1, 0)), "gamma", SymbolicMode(3))
+    ok, lhs, rhs = weyl.functional_eq_check(z, 2, 1)
+    table = numeric_mode(3, 7).table
+    for side, poly in (("lhs", lhs), ("rhs", rhs)):
+        shown = {tuple(t["exponents"]): complex(*t["coeff"])
+                 for t in obj["first_instance"][side]["terms"]}
+        assert shown == {e: c.evaluate(table) for e, c in poly.terms.items()}
+        assert shown and all(shown.values())
+
+
+def test_shifted_kernel_charge_fails_statement_a_with_both_tables(capsys, monkeypatch):
+    # negative control: a kernel that miscounts one charge by one makes the
+    # gamma and delta tables differ at n = 3; the report shows both
+    def shifted(top, columns, family):
+        out = {}
+        for bot, (factors, zexp) in row_fills(top, columns, family).items():
+            if factors:
+                (kind, charge), *rest = factors
+                factors = ((kind, charge + 1), *rest)
+            out[bot] = (factors, zexp)
+        return out
+
+    partition.boundary_profiles.cache_clear()
+    monkeypatch.setattr(lattice, "row_fills", shifted)
+    try:
+        for mode in (["--n", "3"], ["--coeff", "numeric", "--n", "3", "--q", "7"]):
+            code, obj = run_json(capsys, "verify", "statement-a", "--lambda", "3,2,0", *mode)
+            assert code == 1 and obj["pass"] is False
+            counter = obj["counterexample"]
+            assert list(counter) == ["gamma", "delta"]
+            assert counter["gamma"]["entries"] and counter["delta"]["entries"]
+            assert counter["gamma"] != counter["delta"]
+    finally:
+        partition.boundary_profiles.cache_clear()
+
+
 @pytest.mark.parametrize("argv", [
     "statement-a --lambda 2,1,0 --n 2",
     "functional-eq --lambda 2,1,0 --n 2",
@@ -247,11 +289,33 @@ def test_verify_statement_b_coefficient_route(capsys):
     "two-row --random 100 --coeff numeric --n 2 --q 13 --tol 0",
     "statement-b --l 6,4,1,0 --m 4,3 --coeff numeric --n 3 --q 7 --tol 0",
     "statement-b --l 6,4,1,0 --m 4,3 --coeff numeric --n 2 --q 5 --tol 0",
+    "statement-a --lambda 3,2,1,0 --coeff numeric --n 3 --q 7 --tol 0",
+    "functional-eq --lambda 3,2,0 --coeff numeric --n 3 --q 7 --tol 0",
+    "functional-eq --lambda 3,2,0 --coeff numeric --n 2 --q 5 --tol 0",
 ])
-def test_numeric_slab_checks_hold_at_zero_tolerance(capsys, argv):
-    # both sides of a slab check are the same exact value rounded once
+def test_numeric_checks_hold_at_zero_tolerance(capsys, argv):
+    # sums of weights are one exact value rounded once on both sides, and
+    # the functional equation is checked on the exact Z at n
     code, obj = run_json(capsys, "verify", *argv.split())
     assert code == 0 and obj["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    "statement-a --lambda 3,2,0 --coeff numeric --n 3 --q 7",
+    "two-row --random 5 --coeff numeric --n 2 --q 5",
+    "statement-b --l 5,3,0 --m 4 --coeff numeric --n 3 --q 7",
+    "functional-eq --lambda 2,1,0 --coeff numeric --n 2 --q 5",
+])
+def test_tolerance_is_echoed_and_read_by_no_verdict(capsys, argv):
+    # --tol is validated and echoed in params; the report is otherwise the
+    # same at any tolerance
+    reports = []
+    for tol in ("0", "0.5"):
+        code, obj = run_json(capsys, "verify", *argv.split(), "--tol", tol)
+        assert code == 0 and obj["params"]["tol"] == float(tol)
+        obj["params"].pop("tol")
+        reports.append(obj)
+    assert reports[0] == reports[1]
 
 
 def test_verify_statement_b_reflection_route_reports_failure(capsys):

@@ -117,8 +117,8 @@ def test_evaluate_matches_numeric_mode():
     table = gauss_table(3, 7)
     sym = SymbolicMode(3)
     num = NumericMode(table)
-    expr_s = sym.g(1) * sym.h(2) + sym.u * sym.from_int(3) - sym.g(5)
-    expr_n = num.g(1) * num.h(2) + num.u * num.from_int(3) - num.g(5)
+    expr_s = sym.g(1) * sym.h(2) + sym.u * 3 - sym.g(5)
+    expr_n = num.g(1) * num.h(2) + num.u * 3 - num.g(5)
     assert abs(expr_s.evaluate(table) - expr_n) < TOL
 
 
@@ -136,15 +136,16 @@ def test_mode_charge_wrapping():
     assert abs(num.h(0) - (1 - 1 / 7)) < TOL
 
 
-def test_mode_close_and_zero():
+def test_mode_zero_and_equality():
+    # a mode has no comparator of its own: coefficients compare by ==
     sym = SymbolicMode(2)
     assert sym.is_zero(sym.zero)
-    assert sym.close(sym.g(1) + sym.zero, sym.g(1))
-    assert not sym.close(sym.g(1), sym.h(1))
+    assert sym.g(1) + sym.zero == sym.g(1)
+    assert sym.g(1) != sym.h(1)
     num = NumericMode(gauss_table(2, 5))
     assert num.is_zero(0.0)
-    assert num.close(0.5, 0.5 + 1e-12)
-    assert not num.close(0.5, 0.6)
+    for mode in (sym, num):
+        assert not any(hasattr(mode, name) for name in ("agree", "close", "from_int"))
 
 
 def test_numeric_mode_requires_compatible_table():

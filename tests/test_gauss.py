@@ -1,6 +1,8 @@
 """Gauss-sum tables over F_q: construction constraints and exact invariants."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from whitice import gauss
@@ -40,6 +42,20 @@ def test_nonvanishing_character_sum_is_refused(monkeypatch):
     monkeypatch.setattr(gauss, "primitive_root", lambda q: 4)
     with pytest.raises(RuntimeError):
         gauss_table(2, 5)
+
+
+def test_a_table_off_the_gauss_relations_is_refused():
+    # numeric verdicts come from the reduced ring, which takes h(a) = 0 and
+    # g(a) * g(n - a) = 1/q as given; a table that breaks either is refused,
+    # also when it is built by dataclasses.replace
+    t = gauss_table(3, 7)
+    with pytest.raises(ValueError, match=r"g\(1\) \* g\(2\)"):
+        dataclasses.replace(t, gvals=(t.gvals[0], t.gvals[1] * 1.5, t.gvals[2]))
+    with pytest.raises(ValueError, match=r"h\(2\)"):
+        dataclasses.replace(t, hvals=(t.hvals[0], 0j, 1e-17 + 0j))
+    with pytest.raises(ValueError, match=r"1/7"):
+        GaussTable(3, 7, t.root, (t.gvals[0], t.gvals[2], t.gvals[1] * 1j), t.hvals)
+    assert dataclasses.replace(t) == t
 
 
 @pytest.mark.parametrize("n,q", GRID)

@@ -30,7 +30,6 @@ from whitice.partition import (
 )
 from whitice.weyl import functional_eq_check
 
-TOL = 1e-9
 
 WORKED_STATE = state_from_pattern(GTPattern(((5, 3, 0), (3, 1), (3,))))
 
@@ -112,7 +111,7 @@ def test_partition_strategies_agree():
                 assert a == b
             an = partition_function(boundary, family, num, strategy="enumerate")
             bn = partition_function(boundary, family, num, strategy="transfer")
-            assert an.equal(bn, TOL)
+            assert an == bn  # the exact Z rounded once, both ways
 
 
 dominant_weights = st.integers(0, 3).flatmap(
@@ -283,19 +282,25 @@ def test_whittaker_strategies_agree():
                 == whittaker_table(b, "delta", mode, strategy="transfer"))
 
 
+def family_tables(lam, mode):
+    boundary = boundary_from_lambda(lam)
+    return [whittaker_table(boundary, family, mode) for family in ("gamma", "delta")]
+
+
 def test_statement_a_numeric():
     for lam in ((0, 0), (3, 2, 0), (2, 1, 0), (4, 4, 0)):
         for n, q in ((1, 5), (2, 13), (3, 7)):
-            equal, gt, dt = statement_a_check(lam, numeric_mode(n, q), tol=TOL)
-            assert equal
+            mode = numeric_mode(n, q)
+            assert statement_a_check(lam, mode) is True
+            gt, dt = family_tables(lam, mode)
             assert set(gt) == set(dt)
 
 
 def test_statement_a_exact_n1():
     mode = SymbolicMode(1)
     for lam in ((0, 0), (3, 2, 0), (2, 1, 0)):
-        equal, gt, dt = statement_a_check(lam, mode)
-        assert equal and gt == dt
+        gt, dt = family_tables(lam, mode)
+        assert statement_a_check(lam, mode) is True and gt == dt
 
 
 def relation_report(lam, n: int) -> dict[str, bool]:
@@ -326,12 +331,21 @@ def test_statement_a_symbolic_relation_ladder():
     assert relation_report((3, 2, 0), 3) == {"none": False, "h": False, "hg": True}
 
 
-def test_tables_equal_tolerance():
-    num = numeric_mode(2, 5)
-    a = {(0,): 1.0, (1,): 0.5}
-    assert num.agree(a, {(0,): 1.0, (1,): 0.5 + 1e-12})
-    assert not num.agree(a, {(0,): 1.0, (1,): 0.6})
-    assert not num.agree(a, {(0,): 1.0})
+NUMERIC_GRID = ((1, 5), (1, 7), (1, 13), (2, 5), (2, 13), (3, 7), (3, 13))
+
+
+def test_statement_a_verdict_is_table_equality():
+    # the packed verdict says what comparing the two tables entry by entry
+    # says, in every ring and at every (n, q) of the grid
+    cases = 0
+    modes = [SymbolicMode(n) for n in (1, 2, 3)] + [numeric_mode(n, q) for n, q in NUMERIC_GRID]
+    for mode in modes:
+        for lam in lambda_grid(3, 4):
+            gt, dt = family_tables(lam, mode)
+            verdict = statement_a_check(lam, mode)
+            assert verdict == (gt == dt) and verdict, (lam, mode)
+            cases += 1
+    assert cases == 560
 
 
 def test_dirichlet_series_round_trip():
@@ -357,8 +371,8 @@ def test_statement_a_exact_in_the_reduced_ring():
     for n in (2, 3):
         mode = SymbolicMode(n)
         for lam in lambda_grid(3, 4):
-            equal, gt, dt = statement_a_check(lam, mode)
-            assert equal and gt == dt, (lam, n)
+            gt, dt = family_tables(lam, mode)
+            assert statement_a_check(lam, mode) and gt == dt, (lam, n)
             cases += 1
     assert cases == 112
 

@@ -24,7 +24,6 @@ from whitice.weyl import (
 )
 from whitice.ybe import commutation_check
 
-TOL = 1e-8
 HAND_TOL = 1e-10
 
 
@@ -81,29 +80,39 @@ def test_functional_equation_reduces_to_commutation_at_n1():
 def test_functional_equation_hand_instance():
     # cleared left side for the two-state system at n=2, q=5, i=j=1:
     #   g(1) z2^3 - g(1) z1^2 z2 / q + z1 z2^2 - z1^3 / q
+    # checked exactly at n = 2, then both sides rounded once at q = 5
     q = 5
-    mode = numeric_mode(2, q)
-    ok, lhs, rhs = functional_eq_check(z_of((0, 0), mode), 1, 1, tol=HAND_TOL)
-    assert ok
-    g1 = gauss_table(2, q).g(1)
+    table = gauss_table(2, q)
+    ok, lhs, rhs = functional_eq_check(z_of((0, 0), SymbolicMode(2)), 1, 1)
+    assert ok and lhs == rhs
+    g1 = table.g(1)
     expected = {(0, 3): g1, (2, 1): -g1 / q, (1, 2): 1.0, (3, 0): -1.0 / q}
     assert set(lhs.terms) == set(expected)
     for exps, value in expected.items():
-        assert abs(lhs.terms[exps] - value) < HAND_TOL
-        assert abs(rhs.terms[exps] - value) < HAND_TOL
+        assert abs(lhs.terms[exps].evaluate(table) - value) < HAND_TOL
+        assert abs(rhs.terms[exps].evaluate(table) - value) < HAND_TOL
 
 
 def test_functional_equation_numeric_grid_sample():
-    for n, q in ((2, 5), (3, 7)):
-        mode = numeric_mode(n, q)
+    # the numeric grid's identities, checked exactly at the same n
+    for n in (2, 3):
+        mode = SymbolicMode(n)
         for lam in ((0, 0), (2, 0), (1, 1, 0)):
             rank = len(lam) - 1
             for family in ("gamma", "delta"):
                 z = z_of(lam, mode, family)
                 for i in range(1, rank + 1):
                     for j in range(n):
-                        ok, _, _ = functional_eq_check(z, i, j, tol=TOL)
-                        assert ok
+                        ok, lhs, rhs = functional_eq_check(z, i, j)
+                        assert ok and lhs == rhs
+
+
+@pytest.mark.parametrize("nq", [(1, 5), (2, 5), (3, 7)])
+def test_functional_equation_refuses_a_numeric_z(nq):
+    # products of rounded values differ in the last bits, so the check
+    # that multiplies polynomials runs in the reduced ring only
+    with pytest.raises(ValueError, match="numeric"):
+        functional_eq_check(z_of((2, 0), numeric_mode(*nq)), 1, 0)
 
 
 def test_charge_duality():
@@ -170,16 +179,16 @@ def crossing_vertex_sides(z, j):
 
 
 def test_crossing_vertex_two_row_identity():
-    # the exchange identity on two slab Zs, numeric, and the crossing
-    # vertex's sides within the same tolerance
-    mode = numeric_mode(3, 7)
+    # the exchange identity on two slab Zs at n = 3, exact, and the
+    # crossing vertex's sides
+    mode = SymbolicMode(3)
     for top, bot in (((5, 3, 0), (4,)), ((6, 4, 1), (3,))):
         z = two_gamma_slab(top, bot, mode)
         for j in range(3):
-            ok, lhs, rhs = functional_eq_check(z, 1, j, tol=TOL)
-            assert ok
+            ok, lhs, rhs = functional_eq_check(z, 1, j)
+            assert ok and lhs == rhs
             left, right = crossing_vertex_sides(z, j)
-            assert left.equal(rhs, TOL) and right.equal(lhs, TOL)
+            assert left == rhs and right == lhs
     # n=1 collapse stays exact
     z = two_gamma_slab((3, 2, 0), (3,), SymbolicMode(1))
     ok, lhs, rhs = functional_eq_check(z, 1, 0)
