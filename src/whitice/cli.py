@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 from random import Random
@@ -67,6 +66,10 @@ MAX_RANDOM_BOUNDARIES = 1000
 #: state's profile in a process-wide cache: 873,392 states at rank 6 took
 #: 266 MB, so this many stay near 150 MB per family.
 MAX_ENUMERATED_STATES = 500_000
+
+#: the ``tol`` of verify reports' params (functional-eq: 1e-8), the field
+#: they always carried; every check decides by equality and none reads it
+REPORTED_TOL = 1e-9
 
 
 def _configured(fn, *args, **kwargs):
@@ -141,14 +144,6 @@ def _mode(args) -> Mode:
             raise ConfigError("numeric mode requires --q")
         return _configured(numeric_mode, n, q)
     return _configured(SymbolicMode, n)
-
-
-def _tol(args) -> float:
-    """--tol, which must be a finite number >= 0, echoed in a report's
-    params.  No verdict reads it: every check decides by equality."""
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ConfigError(f"--tol {args.tol} is not a finite number >= 0")
-    return args.tol
 
 
 def _emit(obj, render=None) -> None:
@@ -251,7 +246,6 @@ def _finish(report: dict) -> int:
 
 
 def verify_statement_a(args) -> int:
-    tol = _tol(args)
     lam = _lambda_arg(args)
     mode = _mode(args)
     boundary = _boundary(args)
@@ -262,7 +256,7 @@ def verify_statement_a(args) -> int:
         family: jsonio.whittaker_to_json(whittaker_table(boundary, family, mode))
         for family in FAMILIES}
     params = {"lambda": list(lam), "n": mode.n,
-              "mode": mode.name, "tol": tol}
+              "mode": mode.name, "tol": REPORTED_TOL}
     if mode.name == "numeric":
         params["q"] = mode.q
     return _finish(jsonio.report("statement-a", params, equal, counter))
@@ -317,7 +311,6 @@ def verify_commute_rows(args) -> int:
 
 
 def verify_two_row(args) -> int:
-    tol = _tol(args)
     mode = _mode(args)
     triples = []
     if args.l is not None or args.m is not None:
@@ -354,7 +347,7 @@ def verify_two_row(args) -> int:
                        "gamma-delta": str(z_gd), "delta-gamma": str(z_dg)}
             break
     params = {"pairs": len(triples), "n": mode.n, "mode": mode.name,
-              "tol": tol, "seed": args.seed}
+              "tol": REPORTED_TOL, "seed": args.seed}
     return _finish(jsonio.report("two-row", params, counter is None, counter))
 
 
@@ -363,7 +356,6 @@ def _feasible_mid_sums(top, bot) -> list[int]:
 
 
 def verify_statement_b(args) -> int:
-    tol = _tol(args)
     top = _parse_parts(args.l, "--l")
     bot = _parse_parts(args.m, "--m")
     mode = _mode(args)
@@ -387,7 +379,7 @@ def verify_statement_b(args) -> int:
             counter = {"k": k, "left": jsonio.coeff_to_json(left),
                        "right": jsonio.coeff_to_json(right)}
     params = {"l": list(top), "m": list(bot), "route": args.route,
-              "n": mode.n, "mode": mode.name, "tol": tol}
+              "n": mode.n, "mode": mode.name, "tol": REPORTED_TOL}
     if args.route == "qr":
         params["convention"] = args.convention
     report = jsonio.report("statement-b", params, counter is None, counter)
@@ -396,7 +388,6 @@ def verify_statement_b(args) -> int:
 
 
 def verify_functional_eq(args) -> int:
-    tol = _tol(args)
     lam = _lambda_arg(args)
     rows = _rows_arg(args, len(lam) - 1)
     mode = _mode(args)
@@ -423,8 +414,8 @@ def verify_functional_eq(args) -> int:
                 break
         if counter:
             break
-    params = {"lambda": list(lam), "rows": rows, "classes": classes,
-              "n": n, "mode": mode.name, "ice": args.ice, "tol": tol}
+    params = {"lambda": list(lam), "rows": rows, "classes": classes,  # tol: REPORTED_TOL
+              "n": n, "mode": mode.name, "ice": args.ice, "tol": 1e-8}
     report = jsonio.report("functional-eq", params, counter is None, counter)
     report["first_instance"] = sides
     return _finish(report)
@@ -537,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("statement-a", help="gamma and delta tables agree")
     _add_lambda_flags(v)
     _add_mode_flags(v)
-    v.add_argument("--tol", type=float, default=1e-9)
     v.set_defaults(func=verify_statement_a)
 
     v = vsub.add_parser("prop-matching",
@@ -568,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also check N random boundaries")
     v.add_argument("--max-width", type=int, default=8)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=float, default=1e-9)
     v.set_defaults(func=verify_two_row)
 
     v = vsub.add_parser("statement-b",
@@ -583,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "qr: sum weights through the middle-row reflection")
     v.add_argument("--convention", choices=("outer", "interval"), default="outer",
                    help="reflection convention for the qr route")
-    v.add_argument("--tol", type=float, default=1e-9)
     v.set_defaults(func=verify_statement_b)
 
     v = vsub.add_parser("functional-eq",
@@ -593,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--i", type=int, default=None, help="row pair (default all)")
     v.add_argument("--j", type=int, default=None, help="class mod n (default all)")
     v.add_argument("--ice", choices=("gamma", "delta"), default="gamma")
-    v.add_argument("--tol", type=float, default=1e-8)
     v.set_defaults(func=verify_functional_eq)
 
     v = vsub.add_parser("charges", help="charge labels match z-exponent duality")

@@ -587,11 +587,13 @@ class NumericMode:
 Mode = Union[SymbolicMode, NumericMode]
 
 
-def packed_sums(profiles, packing: Packing, slots: int) -> dict:
-    """{g-part: {exponents: int}}: the weights of (factors, exponents)
-    profiles, each packed as a whole with ``slots`` slots ("Packed
-    coefficients"), summed, with zero entries dropped.  Two sums in one
-    packing are equal exactly when their maps are."""
+def packed_sums(profiles, mode: Mode, slots: int) -> tuple[Packing, dict]:
+    """The mode's packing for the profiles and {g-part: {exponents: int}}:
+    the weights of (factors, exponents) profiles, each packed as a whole
+    with ``slots`` slots ("Packed coefficients"), summed.  Profiles of one
+    state count share a packing, and two of their sums are equal exactly
+    when their maps are once zero entries are dropped."""
+    packing = mode.packing(slots, len(profiles))
     sums: dict[SymPart, dict] = {}
     for factors, exponents in profiles:
         for part, value in packing.pack(factors, slots):
@@ -599,12 +601,11 @@ def packed_sums(profiles, packing: Packing, slots: int) -> dict:
             if acc is None:
                 acc = sums[part] = {}
             acc[exponents] = acc.get(exponents, 0) + value
-    return {part: kept for part, acc in sums.items()
-            if (kept := {key: value for key, value in acc.items() if value})}
+    return packing, sums
 
 
 def weigh(profiles, mode: Mode, slots: int) -> dict:
-    """{exponents: coefficient}: the profiles' :func:`packed_sums` in the
-    mode's packing, unpacked once."""
-    packing = mode.packing(slots, len(profiles))
-    return packing.unpack(packed_sums(profiles, packing, slots), slots)
+    """{exponents: coefficient}: the profiles' :func:`packed_sums`,
+    unpacked once."""
+    packing, sums = packed_sums(profiles, mode, slots)
+    return packing.unpack(sums, slots)

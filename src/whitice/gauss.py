@@ -14,8 +14,8 @@ pairing identity needs.
 For n not dividing b, h(b) sums a nontrivial character, so it is 0 by
 theorem and stored as an exact 0j; the direct sum must still come out as 0
 up to rounding, or the table is refused.  Numeric verdicts come from the
-reduced ring, which takes both relations as given, so a :class:`GaussTable`
-that breaks one is refused however it is built.
+reduced ring, which takes both relations as given, so :class:`GaussTable`
+also refuses a table built by hand (or ``dataclasses.replace``) off them.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+#: rounding bound on a direct sum h(b) / q and on g(a) * g(n - a) - 1/q
+ROUNDING = 1e-9
 
 
 def is_prime(m: int) -> bool:
@@ -69,10 +72,11 @@ class GaussTable:
 
     def __post_init__(self):
         """ValueError unless h(a) is an exact 0 and g(a) * g(n - a) within
-        1e-9 of 1/q for every a with n not dividing a."""
+        ROUNDING of 1/q for every a with n not dividing a.  A guard on
+        tables built by hand: those of :func:`gauss_table` always pass."""
         for a in range(1, self.n):
             pair = self.gvals[a] * self.gvals[self.n - a]
-            if self.hvals[a] != 0 or abs(pair - 1 / self.q) > 1e-9:
+            if self.hvals[a] != 0 or abs(pair - 1 / self.q) > ROUNDING:
                 raise ValueError(f"h({a}) = {self.hvals[a]} and g({a}) * g({self.n - a}) = "
                                  f"{pair} break h = 0, g*g = 1/{self.q}")
 
@@ -109,7 +113,7 @@ def gauss_table(n: int, q: int) -> GaussTable:
             chi_b = zeta_n[(b * dlog[t]) % n]
             gs += chi_b * zeta_q[t]
             hs += chi_b
-        if b and abs(hs) > 1e-9 * q:
+        if b and abs(hs) > ROUNDING * q:
             raise RuntimeError(f"h({b}) at n = {n}, q = {q} sums to {hs}, not 0")
         gvals.append(gs / q)
         hvals.append(0j if b else hs / q)

@@ -100,11 +100,14 @@ def boundary_profiles(boundary: Boundary, family: str) -> tuple[Profile, ...]:
     return state_profiles(boundary.top_minus, rows, boundary.columns)
 
 
+def _slots(boundary: Boundary) -> int:
+    """Packed slots of a state's weight: one for each - spin below the top row."""
+    return boundary.rank * boundary.rows // 2
+
+
 def evaluate_profiles(profiles, mode: Mode, boundary: Boundary) -> LaurentPoly:
-    """Z as the sum of the state profiles' weights (:func:`.coeffs.weigh`),
-    with a slot for each - spin below the top row."""
-    slots = boundary.rank * boundary.rows // 2
-    return LaurentPoly(boundary.rank + 1, mode, weigh(profiles, mode, slots))
+    """Z as the sum of the state profiles' weights (:func:`.coeffs.weigh`)."""
+    return LaurentPoly(boundary.rank + 1, mode, weigh(profiles, mode, _slots(boundary)))
 
 
 def partition_function(boundary: Boundary, family: str, mode: Mode,
@@ -202,17 +205,21 @@ def whittaker_table(boundary: Boundary, family: str, mode: Mode,
     return {spin(exponents): coeff for exponents, coeff in z.terms.items()}
 
 
+def _packed_table(boundary: Boundary, family: str, mode: Mode) -> dict:
+    """The family's :func:`.coeffs.packed_sums` with zero entries dropped."""
+    _, sums = packed_sums(boundary_profiles(boundary, family), mode, _slots(boundary))
+    return {part: kept for part, acc in sums.items()
+            if (kept := {key: value for key, value in acc.items() if value})}
+
+
 def statement_a_check(lam, mode: Mode) -> bool:
     """Whether the Whittaker tables of the gamma and delta systems agree.
 
     Both tables re-key Z by one spin rule, and both families have the same
-    states and slots and so share one packing: equal packed sums
-    (:func:`.coeffs.packed_sums`) mean equal tables, read off no digit."""
+    states and slots and so share one packing: equal packed sums mean equal
+    tables, read off no digit."""
     boundary = boundary_from_lambda(lam)
-    gamma, delta = (boundary_profiles(boundary, family) for family in FAMILIES)
-    slots = boundary.rank * boundary.rows // 2
-    packing = mode.packing(slots, len(gamma))
-    return packed_sums(gamma, packing, slots) == packed_sums(delta, packing, slots)
+    return _packed_table(boundary, "gamma", mode) == _packed_table(boundary, "delta", mode)
 
 
 # ---------------------------------------------------------------------------
