@@ -67,9 +67,11 @@ MAX_RANDOM_BOUNDARIES = 1000
 #: 266 MB, so this many stay near 150 MB per family.
 MAX_ENUMERATED_STATES = 500_000
 
-#: the ``tol`` of verify reports' params (functional-eq: 1e-8), the field
-#: they always carried; every check decides by equality and none reads it
+#: the ``tol`` of verify reports' params, the field they always carried;
+#: every check decides by equality and none reads it
 REPORTED_TOL = 1e-9
+#: the same field of the functional-eq report
+REPORTED_FE_TOL = 1e-8
 
 
 def _configured(fn, *args, **kwargs):
@@ -118,7 +120,9 @@ def _rows_arg(args, rank: int) -> list[int]:
 
 
 def _boundary(args):
-    return _configured(boundary_from_lambda, _lambda_arg(args))
+    """(--lambda parts, their boundary); a bad weight is a ConfigError."""
+    lam = _lambda_arg(args)
+    return lam, _configured(boundary_from_lambda, lam)
 
 
 def _check_enumerable(boundary) -> None:
@@ -163,7 +167,7 @@ def _emit(obj, render=None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    boundary = _boundary(args)
+    _, boundary = _boundary(args)
     count = count_states(boundary)
     if args.count_only:
         _emit({"columns": boundary.columns, "count": count})
@@ -181,7 +185,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    boundary = _boundary(args)
+    _, boundary = _boundary(args)
     mode = _mode(args)
     if args.strategy == "enumerate":
         _check_enumerable(boundary)
@@ -194,7 +198,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_whittaker(args) -> int:
-    boundary = _boundary(args)
+    _, boundary = _boundary(args)
     mode = _mode(args)
     if args.strategy == "enumerate":
         _check_enumerable(boundary)
@@ -213,7 +217,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    boundary = _boundary(args)
+    _, boundary = _boundary(args)
     mode = _mode(args)
     if args.compare:
         _check_enumerable(boundary)
@@ -246,9 +250,8 @@ def _finish(report: dict) -> int:
 
 
 def verify_statement_a(args) -> int:
-    lam = _lambda_arg(args)
+    lam, boundary = _boundary(args)
     mode = _mode(args)
-    boundary = _boundary(args)
     _check_enumerable(boundary)
     equal = statement_a_check(lam, mode)
     # the tables are built only to show how they differ
@@ -263,7 +266,7 @@ def verify_statement_a(args) -> int:
 
 
 def verify_prop_matching(args) -> int:
-    boundary = _boundary(args)
+    lam, boundary = _boundary(args)
     _check_enumerable(boundary)
     families = ("gamma", "delta") if args.ice == "both" else (args.ice,)
     counter = None
@@ -273,7 +276,7 @@ def verify_prop_matching(args) -> int:
             counter = {"family": family,
                        "layers": [list(l) for l in offenders[0].layers]}
             break
-    params = {"lambda": list(_lambda_arg(args)), "families": list(families)}
+    params = {"lambda": list(lam), "families": list(families)}
     return _finish(jsonio.report("prop-matching", params, counter is None, counter))
 
 
@@ -295,9 +298,8 @@ def verify_ybe_n1(args) -> int:
 
 
 def verify_commute_rows(args) -> int:
-    lam = _lambda_arg(args)
-    rows = _rows_arg(args, len(lam) - 1)
-    boundary = boundary_from_lambda(lam)
+    lam, boundary = _boundary(args)
+    rows = _rows_arg(args, boundary.rank)
     _check_enumerable(boundary)
     z = partition_function(boundary, "gamma", SymbolicMode(1))
     counter = None
@@ -388,14 +390,13 @@ def verify_statement_b(args) -> int:
 
 
 def verify_functional_eq(args) -> int:
-    lam = _lambda_arg(args)
-    rows = _rows_arg(args, len(lam) - 1)
+    lam, boundary = _boundary(args)
+    rows = _rows_arg(args, boundary.rank)
     mode = _mode(args)
     n = mode.n
     if args.j is not None and not 0 <= args.j < n:
         raise ConfigError(f"--j {args.j} is not a class in 0..{n - 1}")
     classes = [args.j] if args.j is not None else list(range(n))
-    boundary = boundary_from_lambda(lam)
     _check_enumerable(boundary)
     # checked on the exact Z at n; a numeric mode shows the sides rounded once
     z = partition_function(boundary, args.ice, SymbolicMode(n))
@@ -414,8 +415,8 @@ def verify_functional_eq(args) -> int:
                 break
         if counter:
             break
-    params = {"lambda": list(lam), "rows": rows, "classes": classes,  # tol: REPORTED_TOL
-              "n": n, "mode": mode.name, "ice": args.ice, "tol": 1e-8}
+    params = {"lambda": list(lam), "rows": rows, "classes": classes,
+              "n": n, "mode": mode.name, "ice": args.ice, "tol": REPORTED_FE_TOL}
     report = jsonio.report("functional-eq", params, counter is None, counter)
     report["first_instance"] = sides
     return _finish(report)
@@ -430,7 +431,7 @@ def _shown(poly: LaurentPoly, mode: Mode) -> LaurentPoly:
 
 
 def verify_charges(args) -> int:
-    boundary = _boundary(args)
+    lam, boundary = _boundary(args)
     _check_enumerable(boundary)
     ok, failures = weyl.charge_duality_check(boundary)
     counter = None
@@ -438,7 +439,7 @@ def verify_charges(args) -> int:
         layers, row, reason = failures[0]
         counter = {"layers": [list(l) for l in layers], "row": row,
                    "reason": reason}
-    params = {"lambda": list(_lambda_arg(args))}
+    params = {"lambda": list(lam)}
     return _finish(jsonio.report("charges", params, ok, counter))
 
 

@@ -57,11 +57,12 @@ sign * u^k * (1 - u)^m * g-part as
 sign * num^k * (den - num)^m * den^(d-k-m), scaled by den^d for d slots:
 the - spins below the rows packed, or the pattern entries below the top
 row.  Each u comes from a distinct g or h factor, and each takes a slot (an
-ice vertex of kind g or h has - below it), so k + m <= d.  ``product``
-multiplies symbol parts by the ring's rules and returns the power s of u
-that g_a*g_{n-a} = u splits off; ``times_u`` multiplies by num^s and
-divides by den^s, which is exact (each split-off u uses a g vertex of the
-row) or raises ArithmeticError.  The free ring is never packed.
+ice vertex of kind g or h has - below it), so k + m <= d.  The ring's
+``g_product``, memoised in ``Ring.products``, multiplies symbol parts and
+returns the power s of u that g_a*g_{n-a} = u splits off; ``times_u``
+multiplies by num^s and divides by den^s, which is exact (each split-off u
+uses a g vertex of the row) or raises ArithmeticError.  The free ring is
+never packed.
 
 * Symbolic modes pack at u = 2^K, den = 1 (Kronecker substitution, a ring
   homomorphism Z[u] -> Z).  ``unpack`` reads balanced base-2^K digits in
@@ -466,9 +467,7 @@ class Packing:
         self.ring = mode.ring
         self.n = mode.n
         self.num, self.den = num, den
-        #: (g-part, g-part) -> (g-part of the product, power of u it splits
-        #: off); g powers in order of appearance -> the same
-        self.products: dict[tuple, tuple] = {}
+        #: g powers in order of appearance -> (g-part, power of u split off)
         self.monomials: dict[tuple, tuple] = {}
 
     def pack(self, factors, slots: int) -> tuple[tuple[SymPart, int], ...]:
@@ -503,12 +502,6 @@ class Packing:
         if rest:
             raise ArithmeticError(f"packed value times u^{s} leaves a remainder")
         return value
-
-    def product(self, part1: SymPart, part2: SymPart) -> tuple[SymPart, int]:
-        """(part1 * part2, power of u it splits off), kept in ``products``."""
-        found = self.products[(part1, part2)] = (
-            self.ring.products.get((part1, part2)) or self.ring.g_product(part1, part2))
-        return found
 
     def unpack(self, parts: dict[SymPart, dict], slots: int) -> dict:
         """{key: coefficient} from packed {g-part: {key: int}}, the

@@ -6,15 +6,14 @@ Schemas (all deterministic: entries are sorted canonically):
                   numeric:  [re, im]
     polynomial    {"vars": n, "terms": [{"exponents": [..], "coeff": <coefficient>}]}
     state         {"columns": C, "layers": [[..], ..], "rowOrder": "gamma"|"delta"}
-    pattern       {"rows": [[..], ..]}
-    short pattern {"l": [..], "a": [..], "m": [..]}
     whittaker     {"entries": [{"k": [..], "coeff": <coefficient>}]}
     report        {"check": .., "params": {..}, "pass": bool, "counterexample": ..?}
 
 In a symbolic coefficient, "g" and "h" list Gauss-symbol indices with
 multiplicity (g(1)^2 g(2) -> [1, 1, 2]) and "u" is the dense coefficient
 list of the polynomial in u, as exact [numerator, denominator] pairs
-starting at u^0.  Every converter has an exact inverse.
+starting at u^0.  The coefficient, polynomial, state and Whittaker
+views each have an exact inverse.
 
 :func:`dumps` renders every JSON value the CLI prints; its text equals
 ``json.dumps(obj, indent=2)`` byte for byte.  :func:`dumps_whittaker`
@@ -37,7 +36,6 @@ from .coeffs import FREE, Mode, Ring, SymbolicMode, SymCoeff
 from .gauss import GaussTable
 from .lattice import Boundary, IceState
 from .laurent import LaurentPoly
-from .patterns import GTPattern, ShortPattern
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +112,7 @@ def poly_from_json(obj: dict, mode: Mode) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-#  States and patterns
+#  States
 # ---------------------------------------------------------------------------
 
 def state_to_json(state: IceState, row_order: str = "gamma") -> dict:
@@ -129,23 +127,6 @@ def state_from_json(obj: dict) -> IceState:
     layers = tuple(tuple(layer) for layer in obj["layers"])
     boundary = Boundary(columns=obj["columns"], top_minus=layers[0])
     return IceState(boundary=boundary, layers=layers)
-
-
-def pattern_to_json(pattern: GTPattern) -> dict:
-    return {"rows": [list(row) for row in pattern.rows]}
-
-
-def pattern_from_json(obj: dict) -> GTPattern:
-    return GTPattern(tuple(tuple(row) for row in obj["rows"]))
-
-
-def short_pattern_to_json(sp: ShortPattern) -> dict:
-    return {"l": list(sp.top), "a": list(sp.mid), "m": list(sp.bot)}
-
-
-def short_pattern_from_json(obj: dict) -> ShortPattern:
-    return ShortPattern(top=tuple(obj["l"]), mid=tuple(obj["a"]),
-                        bot=tuple(obj["m"]))
 
 
 # ---------------------------------------------------------------------------

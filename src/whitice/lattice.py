@@ -40,9 +40,9 @@ layer instead.  :func:`fill_weight` folds the factors of one state or one
 vertex into a coefficient of a mode, for single weights and references.
 
 :func:`fill_row`, :func:`row_configs` and :func:`row_charges` recompute one
-row from both of its layers by a direct per-vertex count.  They share no
-code with the kernel and serve as the reference it is checked against
-(``partition.weight_grid``, ``weyl.charge_duality_check``).
+row from both of its layers by a direct per-vertex count
+(:func:`row_vertices`).  They share no code with the kernel and serve as
+the reference it is checked against (``weyl.charge_duality_check``).
 """
 
 from __future__ import annotations

@@ -126,25 +126,16 @@ class LaurentPoly:
 
     # -- variable moves --------------------------------------------------------
 
-    def permute_vars(self, perm: Iterable[int]) -> "LaurentPoly":
-        """Send variable index t to perm[t]; perm must be a permutation."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError("not a permutation of the variable indices")
+    def swap_vars(self, i: int, j: int) -> "LaurentPoly":
+        """Exchange the exponents of variables i and j in every term."""
         out = {}
         for key, val in self.terms.items():
-            exps = [0] * self.nvars
-            for t, e in enumerate(key):
-                exps[perm[t]] = e
+            exps = list(key)
+            exps[i], exps[j] = exps[j], exps[i]
             out[tuple(exps)] = val
         result = LaurentPoly(self.nvars, self.mode)
         result.terms = out
         return result
-
-    def swap_vars(self, i: int, j: int) -> "LaurentPoly":
-        perm = list(range(self.nvars))
-        perm[i], perm[j] = perm[j], perm[i]
-        return self.permute_vars(perm)
 
     # -- queries ----------------------------------------------------------------
 

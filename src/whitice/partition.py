@@ -32,8 +32,7 @@ from operator import sub
 from .coeffs import Mode, NumericMode, SymCoeff, packed_sums, weigh
 from .gauss import gauss_table
 from .lattice import (FAMILIES, Boundary, IceState, boundary_from_lambda,
-                      direct_fill, enumerate_states, fill_weight, row_fills,
-                      row_variable, row_vertices, state_profiles)
+                      enumerate_states, fill_weight, row_variable, state_profiles)
 from .laurent import LaurentPoly
 from .patterns import pattern_exponents, pattern_factors, pattern_from_state
 from . import transfer
@@ -43,53 +42,6 @@ def numeric_mode(n: int, q: int) -> NumericMode:
 
 
 Profile = tuple[tuple[tuple[str, int], ...], tuple[int, ...]]
-
-
-def weight_grid(state: IceState, family: str, mode: Mode) -> list[list[LaurentPoly]]:
-    """Per-vertex weights as (r+1)-variable polynomials, row-major.
-
-    The vertices are counted directly (:func:`.lattice.row_vertices`), and
-    each row must agree with the row kernel's fill."""
-    columns = state.boundary.columns
-    r = state.rank
-    nvars = r + 1
-    grid: list[list[LaurentPoly]] = []
-    for row, top, bot in state.vertex_rows():
-        vertices = row_vertices(top, bot, columns, family)
-        if vertices is None:
-            raise ValueError("state has no admissible horizontal completion")
-        if direct_fill(vertices) != row_fills(top, columns, family).get(bot):
-            raise RuntimeError("row kernel disagrees with the direct vertex count")
-        var = row_variable(family, row, r)
-        row_polys = []
-        for kind, zexp, charge in vertices:
-            exps = [0] * nvars
-            exps[var] = zexp
-            coeff = fill_weight(((kind, charge),), mode)
-            row_polys.append(LaurentPoly.monomial(nvars, mode, exps, coeff))
-        grid.append(row_polys)
-    return grid
-
-
-def state_weight(state: IceState, family: str, mode: Mode):
-    """(coefficient, exponent vector) of the state's one-term weight."""
-    factors, exponents = profile_of(state, family)
-    return fill_weight(factors, mode), exponents
-
-
-def profile_of(state: IceState, family: str) -> Profile:
-    """((kind, raw charge) factors, per-variable exponents) of one state."""
-    columns = state.boundary.columns
-    r = state.rank
-    factors: tuple[tuple[str, int], ...] = ()
-    exponents = [0] * (r + 1)
-    for row, top, bot in state.vertex_rows():
-        fill = row_fills(top, columns, family).get(bot)
-        if fill is None:
-            raise ValueError("state has no admissible horizontal completion")
-        factors += fill[0]
-        exponents[row_variable(family, row, r)] += fill[1]
-    return factors, tuple(exponents)
 
 
 @lru_cache(maxsize=None)

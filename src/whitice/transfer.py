@@ -70,7 +70,8 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
     slots = r * (r + 1) // 2  # the - spins below the top row
     # layer sequences: they bound the paths to any layer and the states
     packing = mode.packing(slots, prod(comb(columns, j) for j in range(1, r + 1)))
-    products = packing.products
+    ring = packing.ring
+    products = ring.products
     times_u = packing.times_u
     zbits = columns.bit_length()
     support = {boundary.top_minus: {(): {0: 1}}}  # the constant 1
@@ -89,7 +90,7 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
                 target = out.setdefault(beta, {})
                 for fpart, mult in weight:
                     for part, values in parts.items():
-                        tpart, s = products.get((part, fpart)) or packing.product(part, fpart)
+                        tpart, s = products.get((part, fpart)) or ring.g_product(part, fpart)
                         m = times_u(mult, s) if s else mult
                         acc = target.setdefault(tpart, {})
                         for z, value in values.items():

@@ -14,16 +14,16 @@ import time
 from free_ring import RAW
 from whitice.coeffs import SymCoeff, SymbolicMode
 from whitice.gauss import gauss_table
-from whitice.lattice import boundary_from_lambda, count_states, enumerate_states
+from whitice.lattice import (boundary_from_lambda, count_states, enumerate_states, fill_weight,
+                             row_vertices)
 from whitice.patterns import GTPattern, pattern_exponents, pattern_from_state, row_statistic, state_from_pattern
 from whitice.partition import (
+    boundary_profiles,
     matching_check,
     numeric_mode,
     partition_function,
     spin_vector_of_exponents,
-    state_weight,
     statement_a_check,
-    weight_grid,
     whittaker_table,
 )
 from whitice.transfer import contract_partition, random_two_row_boundary, two_row_check
@@ -69,22 +69,27 @@ class Budget:
 
 def test_criterion_1_worked_example():
     with Budget(1, "worked example regression", 1.0):
-        raw = RAW
         pattern = GTPattern(((5, 3, 0), (3, 1), (3,)))
         state = state_from_pattern(pattern)
+        boundary = state.boundary
         assert pattern_from_state(state) == pattern
         assert [charge for up, row in zip(pattern.rows, pattern.rows[1:])
                 for _case, charge in row_statistic(up, row, "gamma")] == [1, 1, 2]
-        coeff, exps = state_weight(state, "gamma", raw)
-        assert coeff == SymCoeff.symbol("g", 2) * SymCoeff.symbol("h", 1)
+        # the state's entry of the profiles, which follow enumeration order
+        index = enumerate_states(boundary).index(state)
+        factors, exps = boundary_profiles(boundary, "gamma")[index]
+        assert fill_weight(factors, RAW) == SymCoeff.symbol("g", 2) * SymCoeff.symbol("h", 1)
         assert exps == (3, 1, 4)
         assert spin_vector_of_exponents(pattern_exponents(pattern, "gamma"),
-                                        state.boundary, "gamma") == (1, 3)
-        grid = [[str(cell) for cell in row] for row in weight_grid(state, "gamma", raw)]
+                                        boundary, "gamma") == (1, 3)
+        # (kind, z-exponent, raw charge) of each vertex, counted directly:
+        # weight 1, z3, z3, z3, h1*z3, 1 / 1, 1, g2, 1, 1, z2 / 1, 1, 1, z1, z1, z1
+        grid = [row_vertices(top, bot, boundary.columns, "gamma")
+                for _, top, bot in state.vertex_rows()]
         assert grid == [
-            ["1", "z3", "z3", "z3", "h1*z3", "1"],
-            ["1", "1", "g2", "1", "1", "z2"],
-            ["1", "1", "1", "z1", "z1", "z1"],
+            [("1", 0, 1), ("1", 1, 1), ("1", 1, 1), ("1", 1, 1), ("h", 1, 1), ("1", 0, 0)],
+            [("1", 0, 4), ("1", 0, 3), ("g", 0, 2), ("1", 0, 1), ("1", 0, 0), ("1", 1, 0)],
+            [("1", 0, 2), ("1", 0, 1), ("1", 0, 0), ("1", 1, 0), ("1", 1, 0), ("1", 1, 0)],
         ]
 
 

@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from whitice import cli, jsonio, lattice, partition, weyl
+from whitice import cli, gauss, jsonio, lattice, partition, weyl
 from whitice.cli import main
 from whitice.coeffs import SymbolicMode
 from whitice.lattice import boundary_from_lambda, enumerate_states, row_fills
@@ -355,6 +359,51 @@ def test_error_incompatible_modulus(capsys):
     code, obj = run_json(capsys, "gauss", "--n", "2", "--q", "7")
     assert code == 2
     assert obj["error"] == "config"
+
+
+LAMBDA_COMMANDS = ["enumerate", "partition", "whittaker", "bench", "verify statement-a",
+                   "verify prop-matching", "verify commute-rows", "verify functional-eq",
+                   "verify charges"]
+
+
+@pytest.mark.parametrize("lam", ["3,1", "1,3,0"])
+@pytest.mark.parametrize("command", LAMBDA_COMMANDS)
+def test_every_lambda_command_reports_a_bad_weight_as_config(capsys, command, lam):
+    # a weight without its trailing 0, or not weakly decreasing, is one
+    # error kind whichever command reads it
+    code, obj = run_json(capsys, *command.split(), "--lambda", lam)
+    assert code == 2
+    assert obj["error"] == "config"
+    assert obj["detail"].startswith("lam must")
+
+
+#: a Gauss-table call that asks for about 8 GB, run only under this cap
+CAPPED_RUN = """
+import resource, sys, time
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from whitice.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", ["gauss --n 1 --q 1000000007",
+                                  "whittaker --lambda 1,0 --q 1000000007"])
+def test_oversized_gauss_table_is_refused_before_allocating(argv):
+    # the bound is checked before any list is built: exit 2 with the JSON
+    # error, well inside a 1 GB address-space cap and under a second
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", CAPPED_RUN, *argv.split()], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    obj = json.loads(out.stdout)
+    assert obj["error"] == "config"
+    assert str(gauss.MAX_GAUSS_TERMS) in obj["detail"]
+    assert float(out.stderr) < 1.0
 
 
 @pytest.mark.parametrize("argv", [

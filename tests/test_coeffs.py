@@ -185,8 +185,8 @@ def test_symbolic_packing_keys_are_g_parts():
     assert packing.pack((("g", 1), ("g", 5)), 3) == (((), u),)  # g1*g2 = u
     assert packing.pack((("g", 4), ("h", 3)), 3) == ((((1, 1),), 1 - u),)
     assert packing.pack((("g", 1), ("h", 2)), 3) == ()  # h_2 = 0
-    assert packing.product(((1, 1),), ((1, 1),)) == (((1, 2),), 0)
-    assert packing.product(((1, 1),), ((2, 1),)) == ((), 1)
+    assert packing.ring.g_product(((1, 1),), ((1, 1),)) == (((1, 2),), 0)
+    assert packing.ring.g_product(((1, 1),), ((2, 1),)) == ((), 1)
     z = packing.unpack({((1, 1),): {"k": 1 - u}, (): {"k": u}}, 3)
     assert z == {"k": SymCoeff.parse("u + g1 - u*g1").reduce(3)}
 

@@ -17,13 +17,9 @@ from whitice.jsonio import (
     dumps,
     dumps_whittaker,
     gauss_table_to_json,
-    pattern_from_json,
-    pattern_to_json,
     poly_from_json,
     poly_to_json,
     report,
-    short_pattern_from_json,
-    short_pattern_to_json,
     state_from_json,
     state_to_json,
     whittaker_from_json,
@@ -31,7 +27,7 @@ from whitice.jsonio import (
 )
 from whitice.lattice import boundary_from_lambda, enumerate_states
 from whitice.laurent import LaurentPoly
-from whitice.patterns import GTPattern, ShortPattern, state_from_pattern
+from whitice.patterns import GTPattern, state_from_pattern
 from whitice.partition import numeric_mode, partition_function, whittaker_table
 
 
@@ -46,19 +42,6 @@ def test_state_shape_and_round_trip():
     assert state_from_json(obj) == state
     for st in enumerate_states(boundary_from_lambda((2, 1, 0))):
         assert state_from_json(state_to_json(st)) == st
-
-
-def test_pattern_shape_and_round_trip():
-    obj = pattern_to_json(WORKED)
-    assert obj == {"rows": [[5, 3, 0], [3, 1], [3]]}
-    assert pattern_from_json(obj) == WORKED
-
-
-def test_short_pattern_shape_and_round_trip():
-    sp = ShortPattern((5, 3, 0), (4, 2), (4,))
-    obj = short_pattern_to_json(sp)
-    assert obj == {"l": [5, 3, 0], "a": [4, 2], "m": [4]}
-    assert short_pattern_from_json(obj) == sp
 
 
 def test_symbolic_coeff_round_trip():

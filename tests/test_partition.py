@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from whitice import lattice
 from whitice.coeffs import SymCoeff, SymbolicMode
-from whitice.lattice import boundary_from_lambda, enumerate_states, row_fills
+from whitice.lattice import (boundary_from_lambda, direct_fill, enumerate_states, fill_weight,
+                             row_fills, row_variable, row_vertices)
 from whitice.laurent import LaurentPoly
 from whitice.patterns import GTPattern, enumerate_patterns, state_from_pattern
 from whitice.partition import (
@@ -21,11 +22,8 @@ from whitice.partition import (
     parse_dirichlet_series,
     partition_function,
     pattern_side_weight,
-    profile_of,
     spin_vector_of_exponents,
-    state_weight,
     statement_a_check,
-    weight_grid,
     whittaker_table,
 )
 from whitice.weyl import functional_eq_check
@@ -42,46 +40,29 @@ def h(i):
     return SymCoeff.symbol("h", i)
 
 
+def direct_profile(state, family):
+    """A state's (factors, exponents) from the direct per-vertex count of
+    each row (:func:`.lattice.row_vertices`), sharing no code with the
+    row kernel."""
+    columns = state.boundary.columns
+    factors, exponents = (), [0] * (state.rank + 1)
+    for row, top, bot in state.vertex_rows():
+        row_factors, zexp = direct_fill(row_vertices(top, bot, columns, family))
+        factors += row_factors
+        exponents[row_variable(family, row, state.rank)] += zexp
+    return factors, tuple(exponents)
+
+
 def test_worked_example_state_weights():
-    raw = RAW
-    coeff, exps = state_weight(WORKED_STATE, "gamma", raw)
-    assert coeff == g(2) * h(1)
-    assert exps == (3, 1, 4)
-    coeff, exps = state_weight(WORKED_STATE, "delta", raw)
-    assert coeff == g(2) * h(4)
-    assert exps == (4, 1, 3)
-
-
-def test_worked_example_weight_grid_formal():
-    grid = weight_grid(WORKED_STATE, "gamma", RAW)
-    rendered = [[str(c) for c in row] for row in grid]
-    assert rendered == [
-        ["1", "z3", "z3", "z3", "h1*z3", "1"],
-        ["1", "1", "g2", "1", "1", "z2"],
-        ["1", "1", "1", "z1", "z1", "z1"],
-    ]
-
-
-def test_worked_example_weight_grid_n1():
-    grid = weight_grid(WORKED_STATE, "gamma", SymbolicMode(1))
-    rendered = [[str(c) for c in row] for row in grid]
-    assert rendered == [
-        ["1", "z3", "z3", "z3", "(1 - u)*z3", "1"],
-        ["1", "1", "-u", "1", "1", "z2"],
-        ["1", "1", "1", "z1", "z1", "z1"],
-    ]
-
-
-def test_grid_product_equals_state_weight():
-    raw = RAW
-    for family in ("gamma", "delta"):
-        grid = weight_grid(WORKED_STATE, family, raw)
-        prod = None
-        for row in grid:
-            for cell in row:
-                prod = cell if prod is None else prod * cell
-        coeff, exps = state_weight(WORKED_STATE, family, raw)
-        assert dict(prod.terms) == {exps: coeff}
+    # the worked state's entry of the profiles, and the product of its
+    # vertices counted one by one
+    boundary = WORKED_STATE.boundary
+    index = enumerate_states(boundary).index(WORKED_STATE)
+    for family, weight, exps in (("gamma", g(2) * h(1), (3, 1, 4)),
+                                 ("delta", g(2) * h(4), (4, 1, 3))):
+        profile = boundary_profiles(boundary, family)[index]
+        assert (fill_weight(profile[0], RAW), profile[1]) == (weight, exps)
+        assert direct_profile(WORKED_STATE, family) == profile
 
 
 def test_partition_pins_rank_one():
@@ -163,7 +144,7 @@ def test_boundary_profiles_follow_enumeration_order():
         boundary = boundary_from_lambda(lam)
         for family in ("gamma", "delta"):
             assert boundary_profiles(boundary, family) == tuple(
-                profile_of(state, family) for state in enumerate_states(boundary))
+                direct_profile(state, family) for state in enumerate_states(boundary))
 
 
 def test_unknown_strategy_rejected():
@@ -174,13 +155,14 @@ def test_unknown_strategy_rejected():
 
 def test_matching_lattice_vs_pattern():
     # per-state: lattice weight equals pattern statistic times the exponent monomial
-    raw = RAW
     for lam in ((0, 0), (2, 0), (3, 2, 0)):
         boundary = boundary_from_lambda(lam)
         for family in ("gamma", "delta"):
             assert matching_check(boundary, family) == []
-            for state in enumerate_states(boundary):
-                assert state_weight(state, family, raw) == pattern_side_weight(state, family, raw)
+            for state, (factors, exponents) in zip(enumerate_states(boundary),
+                                                   boundary_profiles(boundary, family)):
+                assert ((fill_weight(factors, RAW), exponents)
+                        == pattern_side_weight(state, family, RAW))
 
 
 def test_matching_catches_a_shifted_kernel_charge(monkeypatch):

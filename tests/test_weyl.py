@@ -43,6 +43,22 @@ def test_decompose_recombine_round_trip():
                 assert (exps[i - 1] - exps[i]) % 2 == j
 
 
+def test_swap_vars_exchanges_exactly_two_exponents():
+    # the variable exchange of the functional equations: an involution that
+    # moves no other exponent and no coefficient
+    mode = SymbolicMode(2)
+    poly = LaurentPoly(3, mode, {(1, 2, 3): mode.g(1), (0, 0, 4): mode.one,
+                                 (2, 5, 0): mode.u})
+    swapped = poly.swap_vars(0, 2)
+    assert swapped.terms == {(3, 2, 1): mode.g(1), (4, 0, 0): mode.one,
+                             (0, 5, 2): mode.u}
+    assert poly.swap_vars(1, 2).terms == {(1, 3, 2): mode.g(1), (0, 4, 0): mode.one,
+                                          (2, 0, 5): mode.u}
+    assert swapped.swap_vars(0, 2) == poly and swapped.swap_vars(2, 0) == poly
+    for i in range(3):
+        assert poly.swap_vars(i, i) == poly
+
+
 def test_decompose_rejects_bad_index():
     mode = SymbolicMode(2)
     z = partition_function(boundary_from_lambda((2, 0)), "gamma", mode)
