@@ -15,7 +15,10 @@ Statement A compares the two families' packed sums themselves, by ``==``.
 
 The same factors are the g/h entries of the state's pattern under the one
 pattern statistic (:mod:`.patterns`), and the exponents are row-sum
-differences; ``matching_check`` compares the two profiles state by state.
+differences.  ``matching_check`` pairs the kernel's profiles one to one
+with :func:`.patterns.pattern_profiles`, a walk over the patterns in the
+same order, and compares them state by state; a state either walk lacks
+fails the check.
 Whittaker tables re-key each monomial of Z by its integer spin vector k,
 read off the exponent vector by one rule for both families:
 k_i = P_{r-i} - T_i, with P the prefix sums of the exponents and T_i the
@@ -26,7 +29,7 @@ Dirichlet series string whose grammar round-trips losslessly.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import sub
 
 from .coeffs import Mode, NumericMode, SymCoeff, packed_sums, weigh
@@ -34,7 +37,7 @@ from .gauss import gauss_table
 from .lattice import (FAMILIES, Boundary, IceState, boundary_from_lambda,
                       enumerate_states, fill_weight, row_variable, state_profiles)
 from .laurent import LaurentPoly
-from .patterns import pattern_exponents, pattern_factors, pattern_from_state
+from .patterns import pattern_exponents, pattern_factors, pattern_from_state, pattern_profiles
 from . import transfer
 
 def numeric_mode(n: int, q: int) -> NumericMode:
@@ -88,8 +91,15 @@ def pattern_side_weight(state: IceState, family: str, mode: Mode):
 
 def matching_check(boundary: Boundary, family: str):
     """Compare the profile of every state, from :func:`boundary_profiles`,
-    with its pattern's: the sorted (kind, charge) factors and the exponents.
-    Returns a list of offending states (empty = pass).
+    with its pattern's, from :func:`.patterns.pattern_profiles`: the
+    exponents must be equal and the (kind, charge) factors equal as
+    multisets.  Both walks run in :func:`enumerate_states` order, so they
+    pair one to one.  Returns a list of offending states (empty = pass).
+
+    A position one walk reaches and the other does not is an offender too,
+    so a kernel that loses states fails from the first position where the
+    walks fall out of step.  Profiles past the last state name the last
+    state if no other state fails.
 
     This is the same test as comparing the products in the free ring with
     every raw charge its own symbol: every charge is >= 0, g(0) = -u and
@@ -97,13 +107,15 @@ def matching_check(boundary: Boundary, family: str):
     products agree exactly when their sorted factors do.  The check pins the
     charges as integers, not just their residues.
     """
-    bad = []
-    for state, (factors, exponents) in zip(enumerate_states(boundary),
-                                           boundary_profiles(boundary, family)):
-        t_factors, t_exponents = pattern_profile(state, family)
-        if exponents != t_exponents or sorted(factors) != sorted(t_factors):
-            bad.append(state)
-    return bad
+    pairs = zip_longest(boundary_profiles(boundary, family),
+                        pattern_profiles(boundary.top_minus, family))
+    bad = [index for index, (ice, pattern) in enumerate(pairs)
+           if ice != pattern and (ice is None or pattern is None or ice[1] != pattern[1]
+                                  or sorted(ice[0]) != sorted(pattern[0]))]
+    if not bad:
+        return []
+    states = enumerate_states(boundary)
+    return [states[index] for index in bad if index < len(states)] or states[-1:]
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,17 @@ factors exactly (``lattice.fill_weight`` folds one set), and
 :func:`pattern_exponents` gives the monomial from the row sums.  Together
 they reproduce the weight of the corresponding ice state; the pattern side
 keeps its own box sums and row -> variable rule, so comparing the two
-(``partition.matching_check``) tests the row kernel.
+(``partition.matching_check``) tests the row kernel.  That check reads the
+pattern side off :func:`pattern_profiles`, which walks every pattern under a
+top row in the states' enumeration order and computes each (row above, row)
+pair's factors once, without building a pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 from typing import Iterator
 
 from .coeffs import weigh
@@ -154,6 +158,16 @@ def pattern_factors(rows, families) -> Factors:
     return tuple(factors)
 
 
+def _exponents_of_sums(d, family: str) -> tuple[int, ...]:
+    """Exponents of z_1, .., z_{r+1} from the row sums d_0, .., d_r, 0."""
+    steps = tuple(map(sub, d, d[1:]))
+    if family == "gamma":
+        return steps[::-1]
+    if family == "delta":
+        return steps
+    raise ValueError(f"unknown family {family!r}")
+
+
 def pattern_exponents(pattern: GTPattern, family: str) -> tuple[int, ...]:
     """Exponent of z_1, .., z_{r+1} carried by the pattern.
 
@@ -161,13 +175,41 @@ def pattern_exponents(pattern: GTPattern, family: str) -> tuple[int, ...]:
     d_k - d_{k+1}, d_k the sum of pattern row k (d_{r+1} = 0); it carries
     z_{r+1-k} for gamma and z_{k+1} for delta.
     """
-    d = [sum(row) for row in pattern.rows] + [0]
-    steps = tuple(d[k] - d[k + 1] for k in range(pattern.rank + 1))
-    if family == "gamma":
-        return steps[::-1]
-    if family == "delta":
-        return steps
-    raise ValueError(f"unknown family {family!r}")
+    return _exponents_of_sums([sum(row) for row in pattern.rows] + [0], family)
+
+
+def pattern_profiles(top: tuple[int, ...], family: str) -> Iterator[tuple[Factors, tuple[int, ...]]]:
+    """(:func:`pattern_factors`, :func:`pattern_exponents`) of every strict
+    pattern with the given top row, every row read under `family`, in
+    increasing lexicographic order of the rows: the order of
+    ``lattice.enumerate_states`` and of the profiles the row kernel gives.
+
+    Depth first over an explicit stack, each row's interleavings pushed in
+    decreasing order so that the least is popped first.  The factors and
+    sum of each row under the row above are computed once per call, and each
+    row writes its sum in place; no pattern is built."""
+    top = tuple(top)
+    _check_rows((top,))
+    if not top:
+        raise ValueError("the top row needs at least one entry")
+    if family not in KINDS:
+        raise ValueError(f"unknown family {family!r}")
+    rank = len(top) - 1
+    sums = [0] * (rank + 2)  # d_0, .., d_r of the current pattern, then d_{r+1} = 0
+    children: dict[tuple[int, ...], list] = {}  # layer -> (row, factors, sum) below it
+    stack = [(0, top, sum(top), ())]  # (depth, row, its sum, factors down to it)
+    while stack:
+        depth, layer, total, factors = stack.pop()
+        sums[depth] = total
+        if depth == rank:
+            yield factors, _exponents_of_sums(sums, family)
+            continue
+        below = children.get(layer)
+        if below is None:
+            below = children[layer] = [(row, pattern_factors((layer, row), (family,)), sum(row))
+                                       for row in strict_interleavings(layer)]
+        stack += [(depth + 1, row, row_sum, factors + row_factors)
+                  for row, row_factors, row_sum in below]
 
 
 # ---------------------------------------------------------------------------

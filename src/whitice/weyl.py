@@ -58,14 +58,25 @@ def decompose(z: LaurentPoly, i: int) -> dict[int, LaurentPoly]:
     """Split z by the class (a_i - a_{i+1}) mod n, n = ``z.mode.n``, of each
     monomial.  ``i`` is 1-based: variables i-1 and i of the polynomial.
     Every class 0..n-1 is present in the result (possibly zero)."""
-    if not 1 <= i <= z.nvars - 1:
-        raise ValueError(f"row pair index {i} out of range for {z.nvars} variables")
+    _check_pair(z, i)
     n = z.mode.n
     buckets: dict[int, dict] = {j: {} for j in range(n)}
     for exps, coeff in z.terms.items():
         j = (exps[i - 1] - exps[i]) % n
         buckets[j][exps] = coeff
     return {j: LaurentPoly(z.nvars, z.mode, terms) for j, terms in buckets.items()}
+
+
+def _check_pair(z: LaurentPoly, i: int) -> None:
+    if not 1 <= i <= z.nvars - 1:
+        raise ValueError(f"row pair index {i} out of range for {z.nvars} variables")
+
+
+def _class_part(z: LaurentPoly, i: int, j: int) -> LaurentPoly:
+    """Class j of :func:`decompose`, built alone: one pass over z, not n."""
+    n = z.mode.n
+    return LaurentPoly(z.nvars, z.mode, {exps: coeff for exps, coeff in z.terms.items()
+                                         if (exps[i - 1] - exps[i]) % n == j % n})
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +120,12 @@ def functional_eq_check(z: LaurentPoly, i: int, j: int):
     mode, n = z.mode, z.mode.n
     if not isinstance(mode, SymbolicMode):
         raise ValueError(f"the exchange identity is checked on an exact Z, not a {mode.name} one")
-    parts = decompose(z, i)
+    _check_pair(z, i)
+    part, partner = _class_part(z, i, j), _class_part(z, i, n - j)
     x, y = i, i - 1  # z_{i+1}, z_i as variable indices
-    lhs = clearing_factor(mode, z.nvars, x, y) * parts[j % n].swap_vars(i - 1, i)
-    rhs = (p_poly(j, mode, z.nvars, x, y) * parts[j % n]
-           + q_poly(j, mode, z.nvars, x, y) * parts[(n - j) % n])
+    lhs = clearing_factor(mode, z.nvars, x, y) * part.swap_vars(i - 1, i)
+    rhs = (p_poly(j, mode, z.nvars, x, y) * part
+           + q_poly(j, mode, z.nvars, x, y) * partner)
     return lhs == rhs, lhs, rhs
 
 

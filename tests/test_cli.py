@@ -168,6 +168,26 @@ def test_verify_prop_matching(capsys):
     assert code == 0 and obj["pass"] is True
 
 
+def test_verify_prop_matching_fails_a_kernel_that_loses_states(capsys, monkeypatch):
+    # dropping the greatest fill below the top layer loses 3 of the 41
+    # states; the report fails and names the first lost state
+    def dropping(top, columns, family):
+        fills = row_fills(top, columns, family)
+        if top == (5, 3, 0):
+            del fills[max(fills)]
+        return fills
+
+    partition.boundary_profiles.cache_clear()
+    monkeypatch.setattr(lattice, "row_fills", dropping)
+    try:
+        code, obj = run_json(capsys, "verify", "prop-matching", "--lambda", "3,2,0")
+        assert code == 1 and obj["pass"] is False
+        assert obj["counterexample"] == {"family": "gamma",
+                                         "layers": [[5, 3, 0], [5, 3], [3], []]}
+    finally:
+        partition.boundary_profiles.cache_clear()
+
+
 def test_verify_charges(capsys):
     code, obj = run_json(capsys, "verify", "charges", "--lambda", "2,1,0")
     assert code == 0 and obj["pass"] is True

@@ -8,7 +8,7 @@ from free_ring import RAW, FreeSymbols, profile_sum, profile_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitice import lattice
+from whitice import lattice, partition
 from whitice.coeffs import SymCoeff, SymbolicMode
 from whitice.lattice import (boundary_from_lambda, direct_fill, enumerate_states, fill_weight,
                              row_fills, row_variable, row_vertices)
@@ -21,6 +21,7 @@ from whitice.partition import (
     numeric_mode,
     parse_dirichlet_series,
     partition_function,
+    pattern_profile,
     pattern_side_weight,
     spin_vector_of_exponents,
     statement_a_check,
@@ -139,7 +140,8 @@ def test_numeric_support_follows_exact_support(lam, nq, family, strategy):
 
 
 def test_boundary_profiles_follow_enumeration_order():
-    # matching_check pairs profiles with enumerate_states by position
+    # boundary_profiles runs in enumerate_states order, as patterns.pattern_profiles
+    # does, so matching_check pairs the two walks by position
     for lam in ((0,), (2, 0), (3, 2, 0), (2, 1, 1, 0)):
         boundary = boundary_from_lambda(lam)
         for family in ("gamma", "delta"):
@@ -165,9 +167,19 @@ def test_matching_lattice_vs_pattern():
                         == pattern_side_weight(state, family, RAW))
 
 
+def matching_offenders_by_state(boundary, family):
+    """Reference for matching_check: each state's profile against its own
+    pattern's, one state at a time."""
+    return [state for state, (factors, exponents) in zip(enumerate_states(boundary),
+                                                         boundary_profiles(boundary, family))
+            if (pattern := pattern_profile(state, family))[1] != exponents
+            or sorted(pattern[0]) != sorted(factors)]
+
+
 def test_matching_catches_a_shifted_kernel_charge(monkeypatch):
-    # negative control: a kernel that miscounts one charge by one must fail;
-    # the profiles walk the kernel through lattice.state_profiles
+    # negative control: a kernel that miscounts one charge by one must fail,
+    # on exactly the states the per-state reference names; the profiles walk
+    # the kernel through lattice.state_profiles
     def shifted(top, columns, family):
         out = {}
         for bot, (factors, zexp) in row_fills(top, columns, family).items():
@@ -182,9 +194,42 @@ def test_matching_catches_a_shifted_kernel_charge(monkeypatch):
     try:
         boundary = boundary_from_lambda((3, 2, 0))
         for family in ("gamma", "delta"):
-            assert matching_check(boundary, family)
+            offenders = matching_check(boundary, family)
+            assert len(offenders) == 40
+            assert offenders == matching_offenders_by_state(boundary, family)
     finally:
         boundary_profiles.cache_clear()
+
+
+def test_matching_catches_a_kernel_that_loses_states(monkeypatch):
+    # a kernel that drops the greatest fill below the top layer loses the 3
+    # states under it; the lost states fail the check
+    boundary = boundary_from_lambda((3, 2, 0))
+
+    def dropping(top, columns, family):
+        fills = row_fills(top, columns, family)
+        if top == boundary.top_minus:
+            del fills[max(fills)]
+        return fills
+
+    boundary_profiles.cache_clear()
+    monkeypatch.setattr(lattice, "row_fills", dropping)
+    try:
+        states = enumerate_states(boundary)
+        for family in ("gamma", "delta"):
+            assert len(boundary_profiles(boundary, family)) == len(states) - 3 == 38
+            assert matching_check(boundary, family) == states[-3:]
+    finally:
+        boundary_profiles.cache_clear()
+
+
+def test_matching_names_the_last_state_for_a_surplus_profile(monkeypatch):
+    # a profile past the last state pairs with no pattern
+    boundary = boundary_from_lambda((3, 2, 0))
+    profiles = boundary_profiles(boundary, "gamma")
+    monkeypatch.setattr(partition, "boundary_profiles",
+                        lambda b, family: profiles + profiles[-1:])
+    assert matching_check(boundary, "gamma") == enumerate_states(boundary)[-1:]
 
 
 def test_spin_vector_of_exponents_pins():

@@ -19,11 +19,12 @@ from whitice.patterns import (
     pattern_exponents,
     pattern_factors,
     pattern_from_state,
+    pattern_profiles,
     row_statistic,
     state_from_pattern,
     statement_b_sums,
 )
-from whitice.partition import spin_vector_of_exponents
+from whitice.partition import pattern_profile, spin_vector_of_exponents
 from whitice.transfer import TWO_ROW_ORDERS
 
 WORKED = GTPattern(((5, 3, 0), (3, 1), (3,)))
@@ -224,6 +225,26 @@ def test_pattern_enumerators_match_the_recursive_walks():
                     assert (enumerate_short_patterns(top, bot, mid_sum=k)
                             == short_patterns_by_recursion(top, bot, mid_sum=k))
     assert shorts == 7718
+
+
+def test_pattern_profiles_match_each_states_pattern():
+    # the walk yields, in enumerate_states order, what each state's own
+    # pattern gives
+    for lam in [(0,), *small_lambdas(), (4, 3, 2, 1, 0)]:
+        boundary = boundary_from_lambda(lam)
+        states = enumerate_states(boundary)
+        for family in ("gamma", "delta"):
+            assert list(pattern_profiles(boundary.top_minus, family)) == [
+                pattern_profile(state, family) for state in states]
+
+
+def test_pattern_profiles_reject_bad_input():
+    with pytest.raises(ValueError):
+        next(pattern_profiles((5, 3, 0), "bogus"))
+    with pytest.raises(ValueError):
+        next(pattern_profiles((3, 5, 0), "gamma"))
+    with pytest.raises(ValueError):
+        next(pattern_profiles((), "gamma"))
 
 
 def test_short_pattern_validation():

@@ -1,6 +1,7 @@
 """Residue-class decomposition, functional equations, and the crossing vertex."""
 from __future__ import annotations
 
+import time
 from random import Random
 
 import pytest
@@ -91,6 +92,16 @@ def test_functional_equation_reduces_to_commutation_at_n1():
             assert ok and lhs == rhs
             ok_c, lhs_c, rhs_c = commutation_check(z, i)
             assert ok_c and lhs == lhs_c and rhs == rhs_c
+
+
+def test_functional_equation_is_linear_in_n():
+    # each check reads classes j and n - j alone, so every class of a large
+    # modulus is checked in one pass per class, not n
+    n = 3200
+    z = z_of((2, 0), SymbolicMode(n))
+    start = time.perf_counter()
+    assert all(functional_eq_check(z, 1, j)[0] for j in range(n))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_functional_equation_hand_instance():
