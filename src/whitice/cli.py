@@ -61,6 +61,9 @@ MAX_COLUMNS = 256
 #: most random boundaries `verify two-row --random` draws in one run
 MAX_RANDOM_BOUNDARIES = 1000
 
+#: most classes `verify functional-eq` checks without --j; its report lists each
+MAX_CLASSES = 100_000
+
 #: most states a command walks one by one (the enumerate strategy,
 #: statement-a, prop-matching, charges).  The enumerate strategy keeps every
 #: state's profile in a process-wide cache: 873,392 states at rank 6 took
@@ -128,10 +131,9 @@ def _boundary(args):
 def _check_enumerable(boundary) -> None:
     """Refuse, before any state or profile is built, a boundary with more
     states than a command walks one by one."""
-    count = count_states(boundary)
-    if count > MAX_ENUMERATED_STATES:
-        raise ConfigError(f"the boundary has {count} states, more than the "
-                          f"{MAX_ENUMERATED_STATES} a command walks one by one; "
+    if count_states(boundary, MAX_ENUMERATED_STATES) > MAX_ENUMERATED_STATES:
+        raise ConfigError(f"the boundary has more than the {MAX_ENUMERATED_STATES} "
+                          f"states a command walks one by one; "
                           f"partition and whittaker take --strategy transfer")
 
 
@@ -168,13 +170,12 @@ def _emit(obj, render=None) -> None:
 
 def cmd_enumerate(args) -> int:
     _, boundary = _boundary(args)
-    count = count_states(boundary)
     if args.count_only:
-        _emit({"columns": boundary.columns, "count": count})
+        _emit({"columns": boundary.columns, "count": count_states(boundary)})
         return 0
-    if count > MAX_LISTED_STATES:
-        raise ConfigError(f"the boundary has {count} states, more than the "
-                          f"{MAX_LISTED_STATES} enumerate lists; use --count-only")
+    if count_states(boundary, MAX_LISTED_STATES) > MAX_LISTED_STATES:
+        raise ConfigError(f"the boundary has more than the {MAX_LISTED_STATES} "
+                          f"states enumerate lists; use --count-only")
     states = list(enumerate_states(boundary))
     _emit({
         "columns": boundary.columns,
@@ -396,6 +397,9 @@ def verify_functional_eq(args) -> int:
     n = mode.n
     if args.j is not None and not 0 <= args.j < n:
         raise ConfigError(f"--j {args.j} is not a class in 0..{n - 1}")
+    if args.j is None and n > MAX_CLASSES:
+        raise ConfigError(f"--n {n} has more than the {MAX_CLASSES} classes one run "
+                          f"checks; --j picks one")
     classes = [args.j] if args.j is not None else list(range(n))
     _check_enumerable(boundary)
     # checked on the exact Z at n; a numeric mode shows the sides rounded once

@@ -29,21 +29,20 @@ coefficient domains:
   (map a free coefficient over with ``reduce`` first).  ``==`` compares the
   stored terms and never raises.
 
-* numeric -- ``complex`` values, with g_a and h_a drawn from a table of
-  Gauss sums over a finite field (see :mod:`whitice.gauss`).
+* numeric -- ``complex`` values: an exact coefficient at u = 1/q and g_a
+  the Gauss sums of a table (:mod:`whitice.gauss`), rounded once.
 
-A mode object (:class:`SymbolicMode` or :class:`NumericMode`) hands out ring
-elements for the weight kinds used by the lattice tables.  ``is_zero`` is
-exact: structural zeros (h(b) for n not dividing b) are exact zeros in both
-modes.  No term is ever floored: a numeric Z is computed exactly and rounded
-once (below).  Every check decides by ``==``, with no tolerance: two sums of
-weights with one exact value are equal bit for bit (and their packed sums,
+A :class:`SymbolicMode` hands out ring elements for the weight kinds of the
+lattice tables.  A :class:`NumericMode` multiplies nothing: it names a Gauss
+table and packs the reduced ring at u = 1/q (below), so no term is ever
+floored.  A coefficient of either mode is zero exactly when it is falsy.
+Every check decides by ``==``, with no tolerance: two sums of weights with
+one exact value are equal bit for bit (and their packed sums,
 :func:`packed_sums`, equal), and a check that multiplies polynomials runs in
 the reduced ring, since products of rounded values differ in the last bits.
 
 Symbols with index divisible by n are never formal: g(b) = -u and
-h(b) = 1 - u whenever n | b, which is how both specializations behave for
-every admissible table.
+h(b) = 1 - u whenever n | b.
 
 Packed coefficients
 -------------------
@@ -423,9 +422,6 @@ class SymbolicMode:
             return self.one_minus_u
         return SymCoeff.symbol("h", b, self.ring)
 
-    def is_zero(self, c: SymCoeff) -> bool:
-        return not c.terms
-
     def packing(self, slots: int, states: int) -> Packing:
         """Packed format of a sum of at most ``states`` weights with
         ``slots`` slots each (:func:`pack_width`)."""
@@ -529,13 +525,14 @@ class NumericPacking(Packing):
 
     def unpack(self, parts: dict[SymPart, dict], slots: int) -> dict:
         """{key: complex} from packed {g-part: {key: int}}: per g-part, the
-        int / q^slots rounded once, times the part's product of Gauss sums."""
+        int / q^slots rounded once, times the part's product of the table's
+        Gauss sums (a normal g-part holds indices 1..n-1 only)."""
         scale = self.den ** slots
         out: dict[object, complex] = {}
         for part, values in parts.items():
             gauss = 1 + 0j
             for idx, power in part:
-                gauss = gauss * self.mode.g(idx) ** power
+                gauss = gauss * self.mode.table.g(idx) ** power
             for key, value in values.items():
                 if value:
                     ratio = value / scale
@@ -546,7 +543,8 @@ class NumericPacking(Packing):
 
 
 class NumericMode:
-    """Factory object for complex coefficients over a Gauss-sum table."""
+    """Complex coefficients read off the reduced ring at a Gauss table's q;
+    ``zero`` is the value of a missing coefficient."""
 
     name = "numeric"
 
@@ -555,19 +553,7 @@ class NumericMode:
         self.n = table.n
         self.q = table.q
         self.ring = reduced_ring(table.n)
-        self.one = 1 + 0j
         self.zero = 0j
-        self.u = complex(1.0 / table.q)
-        self.one_minus_u = 1 - self.u
-
-    def g(self, b: int) -> complex:
-        return -self.u if b % self.n == 0 else self.table.g(b)
-
-    def h(self, b: int) -> complex:
-        return self.one_minus_u if b % self.n == 0 else self.table.h(b)
-
-    def is_zero(self, c: complex) -> bool:
-        return c == 0
 
     def packing(self, slots: int, states: int) -> NumericPacking:
         """Scaled ints need no width, so ``states`` is not read."""

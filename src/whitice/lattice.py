@@ -37,7 +37,7 @@ stacks the kernel down any list of (family, variable) rows, a full system or
 a two-row slab, and returns each state's factors and exponents, which
 ``coeffs.weigh`` sums exactly.  Contraction applies the kernel layer by
 layer instead.  :func:`fill_weight` folds the factors of one state or one
-vertex into a coefficient of a mode, for single weights and references.
+vertex into an exact-ring coefficient, for single weights and references.
 
 :func:`fill_row`, :func:`row_configs` and :func:`row_charges` recompute one
 row from both of its layers by a direct per-vertex count
@@ -295,12 +295,13 @@ def state_profiles(top: tuple[int, ...], rows, columns: int,
 
 def fill_weight(factors, mode):
     """Coefficient of a fill: the product, left to right, of g(charge) or
-    h(charge) over its factors; factors of kind "1" contribute 1."""
+    h(charge) over its factors, in the exact ring of `mode` (a SymbolicMode,
+    or a free-ring mode with the same ``one``, ``g`` and ``h``)."""
     coeff = mode.one
     for kind, charge in factors:
         if kind != "1":
             coeff = coeff * (mode.g(charge) if kind == "g" else mode.h(charge))
-            if mode.is_zero(coeff):
+            if not coeff:
                 break
     return coeff
 
@@ -414,14 +415,22 @@ def enumerate_states(boundary: Boundary) -> list[IceState]:
     return states
 
 
-def count_states(boundary: Boundary) -> int:
+def count_states(boundary: Boundary, limit: int | None = None) -> int:
     """Number of admissible states: the paths down the layers, counted one
-    row at a time over the distinct layers that row can reach."""
+    row at a time over the distinct layers that row can reach.
+
+    With a `limit`, returns limit + 1 once the paths counted into one row
+    pass it: a strict layer always has an interleaving (``upper[:-1]``), so
+    the number of paths never falls from one row to the next."""
     paths = {boundary.top_minus: 1}
     for _ in range(boundary.rank):
         below: dict[tuple[int, ...], int] = {}
+        total = 0
         for upper, count in paths.items():
             for y in strict_interleavings(upper):
                 below[y] = below.get(y, 0) + count
+                total += count
+                if limit is not None and total > limit:
+                    return limit + 1
         paths = below
     return sum(paths.values())

@@ -6,10 +6,10 @@ A polynomial in variables z1..z{nvars} is a dict mapping exponent vectors
     LaurentPoly.terms = { (4, 1, 3): <coeff>, ... }
 
 The zero polynomial is the empty dict, and a stored coefficient is never
-zero.  Zero tests defer to the polynomial's mode object
-(:mod:`whitice.coeffs`): a term is dropped only when its coefficient is
-exactly zero, never by a floor.  Polynomials compare by ``==`` alone, term
-map against term map.
+zero: a term is dropped only when its coefficient is falsy (a ``SymCoeff``
+with no term, or ``0j``), never by a floor.  Every product the package forms
+runs in an exact ring; a numeric polynomial holds values read off that ring
+once.  Polynomials compare by ``==`` alone, term map against term map.
 
 Partition functions of ice systems are honest polynomials (all exponents
 nonnegative); the representation itself does not care about signs of
@@ -31,11 +31,8 @@ class LaurentPoly:
     def __init__(self, nvars: int, mode: Mode, terms: dict[Exponents, object] | None = None):
         self.nvars = nvars
         self.mode = mode
-        self.terms: dict[Exponents, object] = {}
-        if terms:
-            for key, val in terms.items():
-                if not mode.is_zero(val):
-                    self.terms[key] = val
+        self.terms: dict[Exponents, object] = {
+            key: val for key, val in (terms or {}).items() if val}
 
     # -- constructors --------------------------------------------------------
 
@@ -72,10 +69,10 @@ class LaurentPoly:
         for key, val in other.terms.items():
             if key in out:
                 new = out[key] + val
-                if self.mode.is_zero(new):
-                    del out[key]
-                else:
+                if new:
                     out[key] = new
+                else:
+                    del out[key]
             else:
                 out[key] = val
         result = LaurentPoly(self.nvars, self.mode)
@@ -98,10 +95,10 @@ class LaurentPoly:
                 key = tuple(a + b for a, b in zip(e1, e2))
                 if key in out:
                     new = out[key] + v1 * v2
-                    if self.mode.is_zero(new):
-                        del out[key]
-                    else:
+                    if new:
                         out[key] = new
+                    else:
+                        del out[key]
                 else:
                     out[key] = v1 * v2
         result = LaurentPoly(self.nvars, self.mode)
@@ -109,7 +106,7 @@ class LaurentPoly:
         return result
 
     def scale(self, coeff) -> "LaurentPoly":
-        if self.mode.is_zero(coeff):
+        if not coeff:
             return LaurentPoly(self.nvars, self.mode)
         result = LaurentPoly(self.nvars, self.mode)
         result.terms = {key: coeff * val for key, val in self.terms.items()}
@@ -118,7 +115,7 @@ class LaurentPoly:
     def mul_monomial(self, exponents: Iterable[int], coeff) -> "LaurentPoly":
         shift = tuple(exponents)
         result = LaurentPoly(self.nvars, self.mode)
-        if self.mode.is_zero(coeff):
+        if not coeff:
             return result
         result.terms = {tuple(a + b for a, b in zip(key, shift)): coeff * val
                         for key, val in self.terms.items()}

@@ -83,8 +83,9 @@ def pattern_profile(state: IceState, family: str) -> Profile:
 
 
 def pattern_side_weight(state: IceState, family: str, mode: Mode):
-    """The same weight computed through the state's pattern: statistic
-    product times the row-sum monomial."""
+    """The same weight computed through the state's pattern in the exact
+    ring of a :func:`.lattice.fill_weight` mode: statistic product times the
+    row-sum monomial."""
     factors, exponents = pattern_profile(state, family)
     return fill_weight(factors, mode), exponents
 

@@ -23,7 +23,7 @@ u-power of a product of g-parts is folded into the multiplier once
 per (weight part, layer part) pair, so the inner step is one int
 multiply-add.  Z is unpacked once.
 :func:`apply_row` is the same step on LaurentPoly vectors through
-:func:`.lattice.fill_weight`, kept as the mode-generic reference.
+:func:`.lattice.fill_weight`, kept as the exact-ring reference.
 
 Two-row systems (a gamma row above a delta row or the reverse, top boundary
 carrying two more - spins than the bottom) are slabs with explicit per-row
@@ -48,10 +48,10 @@ LayerVector = dict[Layer, LaurentPoly]
 
 def apply_row(support: LayerVector, family: str, var_index: int,
               columns: int, mode: Mode, nvars: int) -> LayerVector:
-    """One transfer step on LaurentPoly layer vectors, in any mode:
-    w(beta) = sum_alpha v(alpha) * V(alpha, beta).  The mode-generic
-    reference of :func:`contract_partition`'s row loop; no contraction
-    calls it."""
+    """One transfer step on LaurentPoly layer vectors in the exact ring of a
+    :func:`.lattice.fill_weight` mode: w(beta) = sum_alpha v(alpha) *
+    V(alpha, beta).  The reference of :func:`contract_partition`'s row
+    loop; no contraction calls it."""
     out: LayerVector = {}
     for alpha, acc in support.items():
         for beta, (factors, zexp) in row_fills(alpha, columns, family).items():

@@ -36,9 +36,6 @@ class FreeSymbols:
     def h(self, b: int) -> SymCoeff:
         return self._symbol("h", b, self.one_minus_u)
 
-    def is_zero(self, c: SymCoeff) -> bool:
-        return not c.terms
-
 
 #: raw charges: a product shows every (kind, charge) a weight carries
 RAW = FreeSymbols()

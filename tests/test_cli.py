@@ -44,7 +44,8 @@ def test_enumerate_refuses_a_large_listing(capsys, monkeypatch):
     code, obj = run_json(capsys, "enumerate", "--lambda", "8,6,4,2,0")
     assert code == 2
     assert obj["error"] == "config"
-    assert "941663" in obj["detail"]
+    # the capped count stops past the cap, so the refusal names the cap
+    assert str(cli.MAX_LISTED_STATES) in obj["detail"]
     assert 941663 > cli.MAX_LISTED_STATES
 
 
@@ -397,7 +398,8 @@ def test_every_lambda_command_reports_a_bad_weight_as_config(capsys, command, la
     assert obj["detail"].startswith("lam must")
 
 
-#: a Gauss-table call that asks for about 8 GB, run only under this cap
+#: a command that, unrefused, asks for gigabytes (a Gauss table of about
+#: 8 GB, every state of a rank-12 boundary), run only under this cap
 CAPPED_RUN = """
 import resource, sys, time
 cap = 1 << 30
@@ -410,11 +412,9 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv", ["gauss --n 1 --q 1000000007",
-                                  "whittaker --lambda 1,0 --q 1000000007"])
-def test_oversized_gauss_table_is_refused_before_allocating(argv):
-    # the bound is checked before any list is built: exit 2 with the JSON
-    # error, well inside a 1 GB address-space cap and under a second
+def capped_refusal(argv: str) -> tuple[dict, float]:
+    """Run `argv` under CAPPED_RUN; it must exit 2 with the JSON config
+    error.  Returns (the error object, seconds inside ``main``)."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", CAPPED_RUN, *argv.split()], env=env,
@@ -422,10 +422,39 @@ def test_oversized_gauss_table_is_refused_before_allocating(argv):
     assert out.returncode == 2, out.stderr
     obj = json.loads(out.stdout)
     assert obj["error"] == "config"
-    assert str(gauss.MAX_GAUSS_TERMS) in obj["detail"]
     # the timing is the tagged last line, so a stray warning above it is harmless
     tag, _, elapsed = out.stderr.splitlines()[-1].partition("=")
-    assert tag == "elapsed" and float(elapsed) < 1.0
+    assert tag == "elapsed"
+    return obj, float(elapsed)
+
+
+@pytest.mark.parametrize("argv", ["gauss --n 1 --q 1000000007",
+                                  "whittaker --lambda 1,0 --q 1000000007"])
+def test_oversized_gauss_table_is_refused_before_allocating(argv):
+    # the bound is checked before any list is built: exit 2 with the JSON
+    # error, well inside a 1 GB address-space cap and under a second
+    obj, elapsed = capped_refusal(argv)
+    assert str(gauss.MAX_GAUSS_TERMS) in obj["detail"]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # rank 12: counting every state died with a MemoryError under the cap
+    ("verify statement-a --lambda 24,22,20,18,16,14,12,10,8,6,4,2,0", "MAX_ENUMERATED_STATES"),
+    # a class list of 10^9 entries
+    ("verify functional-eq --lambda 2,0 --n 1000000000", "MAX_CLASSES"),
+])
+def test_oversized_checks_are_refused_within_a_memory_cap(argv, bound):
+    obj, elapsed = capped_refusal(argv)
+    assert str(getattr(cli, bound)) in obj["detail"]
+    assert elapsed < 2.0
+
+
+def test_one_class_of_a_large_n_is_checked(capsys):
+    code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "2,0",
+                         "--n", str(10 ** 9), "--j", "3")
+    assert code == 0 and obj["pass"] is True
+    assert obj["params"]["classes"] == [3]
 
 
 @pytest.mark.parametrize("argv", [
@@ -680,7 +709,7 @@ def test_state_by_state_commands_refuse_huge_boundaries(capsys, monkeypatch, arg
     code, obj = run_json(capsys, *argv.split())
     assert code == 2
     assert obj["error"] == "config"
-    assert "31406156" in obj["detail"]
+    assert str(cli.MAX_ENUMERATED_STATES) in obj["detail"]
     assert 31406156 > cli.MAX_ENUMERATED_STATES
 
 

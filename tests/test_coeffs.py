@@ -114,12 +114,12 @@ def test_a_reduced_ring_refuses_a_symbol_it_cannot_hold(text, n, symbol):
 
 
 def test_evaluate_matches_numeric_mode():
+    # g1*h2 = 0, g5 = g2 and g1*g2 = u in the reduced ring of 3, so the
+    # value at q = 7 is 3/7 - g(2) + g(1)/7, computed here from the table
     table = gauss_table(3, 7)
     sym = SymbolicMode(3)
-    num = NumericMode(table)
-    expr_s = sym.g(1) * sym.h(2) + sym.u * 3 - sym.g(5)
-    expr_n = num.g(1) * num.h(2) + num.u * 3 - num.g(5)
-    assert abs(expr_s.evaluate(table) - expr_n) < TOL
+    expr = sym.g(1) * sym.h(2) + sym.u * 3 - sym.g(5) + sym.g(1) * sym.g(2) * sym.g(1)
+    assert abs(expr.evaluate(table) - (3 / 7 - table.g(2) + table.g(1) / 7)) < TOL
 
 
 def test_mode_charge_wrapping():
@@ -131,21 +131,21 @@ def test_mode_charge_wrapping():
     assert sym.h(6) == sym.h(0)
     assert sym.g(4) == sym.g(1)
     assert sym.h(5) == sym.h(2)
-    num = NumericMode(gauss_table(3, 7))
-    assert abs(num.g(4) - num.g(1)) < TOL
-    assert abs(num.h(0) - (1 - 1 / 7)) < TOL
 
 
 def test_mode_zero_and_equality():
-    # a mode has no comparator of its own: coefficients compare by ==
+    # a mode has no comparator or zero test of its own: coefficients
+    # compare by == and are zero when falsy.  A numeric mode hands out no
+    # weight: every numeric value is read off the exact ring
     sym = SymbolicMode(2)
-    assert sym.is_zero(sym.zero)
+    assert not sym.zero and sym.h(1) == sym.zero
     assert sym.g(1) + sym.zero == sym.g(1)
     assert sym.g(1) != sym.h(1)
     num = NumericMode(gauss_table(2, 5))
-    assert num.is_zero(0.0)
+    assert not num.zero and num.zero == 0j
     for mode in (sym, num):
-        assert not any(hasattr(mode, name) for name in ("agree", "close", "from_int"))
+        assert not any(hasattr(mode, name) for name in ("agree", "close", "from_int", "is_zero"))
+    assert not any(hasattr(num, name) for name in ("one", "u", "one_minus_u", "g", "h"))
 
 
 def test_numeric_mode_requires_compatible_table():
@@ -154,13 +154,16 @@ def test_numeric_mode_requires_compatible_table():
 
 
 def test_numeric_class_zero_weights_are_exact():
-    # g(0) = -u and h(0) = 1 - u, not the Gauss table's direct sums
-    mode = numeric_mode(1, 61)
-    assert mode.g(0) == -1 / 61 and mode.g(61) == -1 / 61
-    assert mode.h(0) == 1 - 1 / 61
-    mode = numeric_mode(3, 7)
-    assert mode.g(3) == -1 / 7 and mode.h(-3) == 1 - 1 / 7
-    assert mode.g(1) == gauss_table(3, 7).g(1) and mode.h(2) == 0
+    # g(0) = -u and h(0) = 1 - u, not the Gauss table's direct sums: packed
+    # in one slot at u = 1/q they are the ints -1 and q - 1
+    packing = numeric_mode(1, 61).packing(1, None)
+    assert packing.pack((("g", 0),), 1) == packing.pack((("g", 61),), 1) == (((), -1),)
+    assert packing.pack((("h", 0),), 1) == (((), 60),)
+    packing = numeric_mode(3, 7).packing(1, None)
+    assert packing.pack((("g", 3),), 1) == (((), -1),)
+    assert packing.pack((("h", -3),), 1) == (((), 6),)
+    assert packing.pack((("g", 1),), 1) == ((((1, 1),), 7),) and packing.pack((("h", 2),), 1) == ()
+    assert packing.unpack({((1, 1),): {"k": 7}}, 1) == {"k": gauss_table(3, 7).g(1)}
 
 
 def test_numeric_packing_is_exact_or_raises():

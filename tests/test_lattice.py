@@ -108,6 +108,30 @@ def test_state_count_pins():
     assert count_states(boundary_from_lambda((10, 8, 6, 4, 2, 0))) == 891_619_506
 
 
+def small_weights():
+    """Every dominant weight of rank <= 4 with parts <= 4."""
+    for rank in range(5):
+        for parts in itertools.combinations_with_replacement(range(4, -1, -1), rank):
+            yield parts + (0,)
+
+
+def test_capped_count_agrees_below_the_cap_and_passes_it_with_the_count():
+    # small caps, so that both sides are hit on the grid
+    hits = {"below": 0, "past": 0}
+    for lam in small_weights():
+        boundary = boundary_from_lambda(lam)
+        exact = count_states(boundary)
+        for cap in sorted({0, 1, 2, 7, 40, 300, exact - 1, exact, exact + 1}):
+            capped = count_states(boundary, cap)
+            if exact <= cap:
+                assert capped == exact, (lam, cap)
+                hits["below"] += 1
+            else:
+                assert capped == cap + 1, (lam, cap)
+                hits["past"] += 1
+    assert min(hits.values()) > 100
+
+
 def test_state_walks_leave_no_cyclic_garbage():
     # a recursive closure that refers to itself is a reference cycle, freed
     # only by the cycle collector

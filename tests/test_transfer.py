@@ -188,8 +188,8 @@ def test_row_walk_and_contraction_leave_no_reference_cycles():
 
 
 def folded_rows(boundary, family, mode):
-    """Z by folding the LaurentPoly reference step apply_row over the rows;
-    in numeric mode, with genuine complex Gauss sums throughout."""
+    """Z by folding the LaurentPoly reference step apply_row over the rows,
+    multiplying SymCoeff weights in the mode's exact ring."""
     r = boundary.rank
     support = {boundary.top_minus: LaurentPoly.const(r + 1, mode, mode.one)}
     for row in range(r + 1):
@@ -208,24 +208,15 @@ REFERENCE_MODES = {
 }
 
 
-def close_terms(a: dict, b: dict, tol: float) -> bool:
-    """Every entry of two numeric term maps within tol * (1 + the largest
-    magnitude in either), a missing key read as 0: the rule for comparing
-    with a reference computed in complex arithmetic, whose products round
-    at every step."""
-    bound = tol * (1 + max(map(abs, (*a.values(), *b.values())), default=0.0))
-    return all(abs(a.get(key, 0j) - b.get(key, 0j)) <= bound for key in a.keys() | b.keys())
-
-
 def matches_the_references(z, boundary, family, mode) -> bool:
     """Symbolic: the term maps of the folded reference.  Numeric: bit for
-    bit the exact reduced Z rounded once, and within 1e-12 of the folded
-    reference in complex arithmetic."""
+    bit the exact reduced Z rounded once, that exact Z holding the term
+    maps of the folded reference in the reduced ring of the mode's n."""
     if mode.name == "symbolic":
         return same_terms(z, folded_rows(boundary, family, mode))
     exact = contract_partition(boundary, family, SymbolicMode(mode.n))
     return (z.terms == rounded_once(exact, mode.table)
-            and close_terms(z.terms, folded_rows(boundary, family, mode).terms, 1e-12))
+            and same_terms(exact, folded_rows(boundary, family, SymbolicMode(mode.n))))
 
 
 @settings(max_examples=60, deadline=None)
