@@ -13,7 +13,9 @@ Verification checks: statement-a, prop-matching, ybe-n1, commute-rows,
 two-row, statement-b, functional-eq, charges.  Every command prints JSON
 (or a rendered polynomial where noted) and is deterministic for a fixed
 --seed.  Exit codes: 0 success/pass, 1 verification failure, 2 bad usage
-or configuration (including invalid mathematical parameters).
+or configuration: any ValueError a command raises (an invalid weight or
+mathematical parameter, or an input past a size bound) is printed as
+{"error": "config", "detail": ...}.
 
 --lambda is the weight itself, comma-separated and including the trailing
 zero part, e.g. --lambda 3,2,0; the strictly decreasing boundary row is
@@ -43,10 +45,6 @@ from .partition import (
 )
 
 
-class ConfigError(Exception):
-    """Bad flag combination or invalid mathematical configuration."""
-
-
 NO_STATE = "the boundary admits no state"
 
 #: largest state count `enumerate` lists; larger boundaries take --count-only
@@ -65,9 +63,9 @@ MAX_RANDOM_BOUNDARIES = 1000
 MAX_CLASSES = 100_000
 
 #: most states a command walks one by one (the enumerate strategy,
-#: statement-a, prop-matching, charges).  The enumerate strategy keeps every
-#: state's profile in a process-wide cache: 873,392 states at rank 6 took
-#: 266 MB, so this many stay near 150 MB per family.
+#: statement-a, prop-matching; charges walks rows, but rows have no bound
+#: yet).  The enumerate strategy keeps every state's profile in a process-wide
+#: cache: 873,392 states at rank 6 took 266 MB, so this many stay near 150 MB a family.
 MAX_ENUMERATED_STATES = 500_000
 
 #: the ``tol`` of verify reports' params, the field they always carried;
@@ -77,33 +75,25 @@ REPORTED_TOL = 1e-9
 REPORTED_FE_TOL = 1e-8
 
 
-def _configured(fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a ValueError reported as a ConfigError."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def _parse_parts(text: str, flag: str) -> tuple[int, ...]:
     try:  # an empty text is the empty row
         return tuple(int(p) for p in text.split(",")) if text else ()
     except ValueError as exc:
-        raise ConfigError(f"{flag} must be comma-separated integers: {exc}")
+        raise ValueError(f"{flag} must be comma-separated integers: {exc}")
 
 
 def _check_columns(columns: int, flag: str) -> None:
     if columns > MAX_COLUMNS:
-        raise ConfigError(f"{flag} asks for {columns} columns, more than the "
-                          f"{MAX_COLUMNS} a lattice may have")
+        raise ValueError(f"{flag} asks for {columns} columns, more than the "
+                         f"{MAX_COLUMNS} a lattice may have")
 
 
 def _lambda_arg(args) -> tuple[int, ...]:
     lam = _parse_parts(args.lam, "--lambda")
     if not lam:
-        raise ConfigError("--lambda needs at least one part")
+        raise ValueError("--lambda needs at least one part")
     if getattr(args, "rank", None) is not None and args.rank != len(lam) - 1:
-        raise ConfigError(
+        raise ValueError(
             f"--rank {args.rank} inconsistent with --lambda of {len(lam)} parts")
     _check_columns(max(lam) + len(lam), "--lambda")
     return lam
@@ -114,27 +104,27 @@ def _rows_arg(args, rank: int) -> list[int]:
     --lambda has no row pair, so a check on it would pass with nothing
     checked."""
     if rank == 0:
-        raise ConfigError("--lambda has rank 0: there is no row pair to check")
+        raise ValueError("--lambda has rank 0: there is no row pair to check")
     if args.i is None:
         return list(range(1, rank + 1))
     if not 1 <= args.i <= rank:
-        raise ConfigError(f"--i {args.i} is not a row pair in 1..{rank}")
+        raise ValueError(f"--i {args.i} is not a row pair in 1..{rank}")
     return [args.i]
 
 
 def _boundary(args):
-    """(--lambda parts, their boundary); a bad weight is a ConfigError."""
+    """(--lambda parts, their boundary)."""
     lam = _lambda_arg(args)
-    return lam, _configured(boundary_from_lambda, lam)
+    return lam, boundary_from_lambda(lam)
 
 
 def _check_enumerable(boundary) -> None:
     """Refuse, before any state or profile is built, a boundary with more
     states than a command walks one by one."""
     if count_states(boundary, MAX_ENUMERATED_STATES) > MAX_ENUMERATED_STATES:
-        raise ConfigError(f"the boundary has more than the {MAX_ENUMERATED_STATES} "
-                          f"states a command walks one by one; "
-                          f"partition and whittaker take --strategy transfer")
+        raise ValueError(f"the boundary has more than the {MAX_ENUMERATED_STATES} "
+                         f"states a command walks one by one; "
+                         f"partition and whittaker take --strategy transfer")
 
 
 def _mode(args) -> Mode:
@@ -144,12 +134,12 @@ def _mode(args) -> Mode:
     n = getattr(args, "n", 1)
     q = getattr(args, "q", None)
     if coeff == "symbolic" and q is not None:
-        raise ConfigError("--coeff symbolic takes no --q; --q selects numeric coefficients")
+        raise ValueError("--coeff symbolic takes no --q; --q selects numeric coefficients")
     if coeff == "numeric" or q is not None:
         if q is None:
-            raise ConfigError("numeric mode requires --q")
-        return _configured(numeric_mode, n, q)
-    return _configured(SymbolicMode, n)
+            raise ValueError("numeric mode requires --q")
+        return numeric_mode(n, q)
+    return SymbolicMode(n)
 
 
 def _emit(obj, render=None) -> None:
@@ -174,8 +164,8 @@ def cmd_enumerate(args) -> int:
         _emit({"columns": boundary.columns, "count": count_states(boundary)})
         return 0
     if count_states(boundary, MAX_LISTED_STATES) > MAX_LISTED_STATES:
-        raise ConfigError(f"the boundary has more than the {MAX_LISTED_STATES} "
-                          f"states enumerate lists; use --count-only")
+        raise ValueError(f"the boundary has more than the {MAX_LISTED_STATES} "
+                         f"states enumerate lists; use --count-only")
     states = list(enumerate_states(boundary))
     _emit({
         "columns": boundary.columns,
@@ -212,7 +202,7 @@ def cmd_whittaker(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    table = _configured(gauss_table, args.n, args.q)
+    table = gauss_table(args.n, args.q)
     _emit(jsonio.gauss_table_to_json(table))
     return 0
 
@@ -222,13 +212,14 @@ def cmd_bench(args) -> int:
     mode = _mode(args)
     if args.compare:
         _check_enumerable(boundary)
+    states = count_states(boundary)  # refuses a boundary too wide to count
     t0 = time.perf_counter()
     via_transfer = partition_function(boundary, args.ice, mode, strategy="transfer")
     t1 = time.perf_counter()
     report = {
         "columns": boundary.columns,
         "rank": boundary.rank,
-        "states": count_states(boundary),
+        "states": states,
         "transfer_seconds": round(t1 - t0, 6),
     }
     if args.compare:
@@ -318,32 +309,31 @@ def verify_two_row(args) -> int:
     triples = []
     if args.l is not None or args.m is not None:
         if args.l is None or args.m is None:
-            raise ConfigError("two-row needs both --l and --m")
+            raise ValueError("two-row needs both --l and --m")
         top = _parse_parts(args.l, "--l")
         bottom = _parse_parts(args.m, "--m")
-        columns = _configured(transfer.check_two_row_boundary, top, bottom, args.columns)
+        columns = transfer.check_two_row_boundary(top, bottom, args.columns)
         _check_columns(columns, "--l/--m/--columns")
         if not any(transfer.two_row_has_states(top, bottom, columns, order)
                    for order in transfer.TWO_ROW_ORDERS):
-            raise ConfigError(NO_STATE)
+            raise ValueError(NO_STATE)
         triples.append((top, bottom, args.columns))
     if args.random:
         if args.random > MAX_RANDOM_BOUNDARIES:
-            raise ConfigError(f"--random {args.random} is more than the "
-                              f"{MAX_RANDOM_BOUNDARIES} boundaries one run checks")
+            raise ValueError(f"--random {args.random} is more than the "
+                             f"{MAX_RANDOM_BOUNDARIES} boundaries one run checks")
         _check_columns(args.max_width, "--max-width")
         if args.max_width < 3:
-            raise ConfigError(f"--max-width {args.max_width} is less than the "
-                              f"3 columns a random two-row boundary needs")
+            raise ValueError(f"--max-width {args.max_width} is less than the "
+                             f"3 columns a random two-row boundary needs")
         rng = Random(args.seed)
         for _ in range(args.random):
             triples.append(transfer.random_two_row_boundary(rng, args.max_width))
     if not triples:
-        raise ConfigError("two-row needs --l/--m or --random N")
+        raise ValueError("two-row needs --l/--m or --random N")
     counter = None
     for top, bottom, columns in triples:
-        equal, z_gd, z_dg = _configured(transfer.two_row_check, top, bottom, mode,
-                                        columns=columns)
+        equal, z_gd, z_dg = transfer.two_row_check(top, bottom, mode, columns=columns)
         if not equal:
             counter = {"l": list(top), "m": list(bottom),
                        "columns": columns,
@@ -362,12 +352,12 @@ def verify_statement_b(args) -> int:
     top = _parse_parts(args.l, "--l")
     bot = _parse_parts(args.m, "--m")
     mode = _mode(args)
-    columns = _configured(transfer.check_two_row_boundary, top, bot, None)
+    columns = transfer.check_two_row_boundary(top, bot, None)
     _check_columns(columns, "--l/--m")
     ks = [k for k in _feasible_mid_sums(top, bot) if args.k in (None, k)]
     if not ks:
-        raise ConfigError(NO_STATE + ("" if args.k is None else
-                                      f" with middle row sum {args.k}"))
+        raise ValueError(NO_STATE + ("" if args.k is None else
+                                     f" with middle row sum {args.k}"))
     if args.route == "coefficient":
         pairs = transfer.coefficient_pairs(top, bot, ks, mode)
     else:
@@ -396,10 +386,10 @@ def verify_functional_eq(args) -> int:
     mode = _mode(args)
     n = mode.n
     if args.j is not None and not 0 <= args.j < n:
-        raise ConfigError(f"--j {args.j} is not a class in 0..{n - 1}")
+        raise ValueError(f"--j {args.j} is not a class in 0..{n - 1}")
     if args.j is None and n > MAX_CLASSES:
-        raise ConfigError(f"--n {n} has more than the {MAX_CLASSES} classes one run "
-                          f"checks; --j picks one")
+        raise ValueError(f"--n {n} has more than the {MAX_CLASSES} classes one run "
+                         f"checks; --j picks one")
     classes = [args.j] if args.j is not None else list(range(n))
     _check_enumerable(boundary)
     # checked on the exact Z at n; a numeric mode shows the sides rounded once
@@ -606,11 +596,8 @@ def main(argv=None) -> int:
     args = parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _emit({"error": "config", "detail": str(exc)})
-        return 2
     except ValueError as exc:
-        _emit({"error": "invalid-value", "detail": str(exc)})
+        _emit({"error": "config", "detail": str(exc)})
         return 2
 
 

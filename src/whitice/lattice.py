@@ -39,10 +39,11 @@ a two-row slab, and returns each state's factors and exponents, which
 layer instead.  :func:`fill_weight` folds the factors of one state or one
 vertex into an exact-ring coefficient, for single weights and references.
 
-:func:`fill_row`, :func:`row_configs` and :func:`row_charges` recompute one
-row from both of its layers by a direct per-vertex count
-(:func:`row_vertices`).  They share no code with the kernel and serve as
-the reference it is checked against (``weyl.charge_duality_check``).
+:func:`row_vertices` recomputes one row from both of its layers by a
+direct per-vertex count: :func:`fill_row` forces its horizontal spins once
+and :func:`row_charges` counts each vertex's charge from them.  They share
+no code with the kernel and serve as the reference it is checked against
+(``weyl.charge_duality_check``).
 """
 
 from __future__ import annotations
@@ -171,38 +172,39 @@ class IceState:
     def rank(self) -> int:
         return self.boundary.rank
 
-    def vertex_rows(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-        """Yield (row index from the top, layer above, layer below)."""
-        for k in range(self.boundary.rows):
-            yield k, self.layers[k], self.layers[k + 1]
-
 
 Factors = tuple[tuple[str, int], ...]  # (kind, raw charge) of each g/h vertex
 Fill = tuple[Factors, int]  # (factors left to right, z-exponent)
 
 
-def _row_steps(table: dict[Config, tuple[str, int]]) -> dict[tuple[int, int], tuple]:
-    """(north, west) -> the admissible steps of one vertex, + south first:
-    (south is -, east spin, g/h kind or None for weight 1, z-increment)."""
+def _row_steps(table: dict[Config, tuple[str, int]]) -> dict[tuple, dict[int, tuple]]:
+    """(north, south or None for either) -> {west: the admissible steps of
+    one vertex, + south first: (south is -, east spin, g/h kind or None for
+    weight 1, z-increment)}."""
     steps = {}
     for nsp in (PLUS, MINUS):
-        for west in (PLUS, MINUS):
-            found = []
-            for ssp in (PLUS, MINUS):
-                east = nsp * ssp * west
-                entry = table.get((nsp, ssp, west, east))
-                if entry is not None:
-                    kind, inc = entry
-                    found.append((ssp == MINUS, east, None if kind == "1" else kind, inc))
-            steps[nsp, west] = tuple(found)
+        for forced in (None, PLUS, MINUS):
+            by_west = {}
+            for west in (PLUS, MINUS):
+                found = []
+                for ssp in (PLUS, MINUS) if forced is None else (forced,):
+                    east = nsp * ssp * west
+                    entry = table.get((nsp, ssp, west, east))
+                    if entry is not None:
+                        kind, inc = entry
+                        found.append((ssp == MINUS, east, None if kind == "1" else kind, inc))
+                by_west[west] = tuple(found)
+            steps[nsp, forced] = by_west
     return steps
 
 
 ROW_STEPS = {family: _row_steps(weight_table(family)) for family in FAMILIES}
 
 
-def row_fills(top: tuple[int, ...], columns: int, family: str) -> dict[tuple[int, ...], Fill]:
-    """The row kernel: every admissible fill of one row below `top`.
+def row_fills(top: tuple[int, ...], columns: int, family: str,
+              bottom: tuple[int, ...] | None = None) -> dict[tuple[int, ...], Fill]:
+    """The row kernel: every admissible fill of one row below `top`, or,
+    given a `bottom` layer, the fill that ends on it (if any).
 
     Returns {bottom layer: (factors, z-exponent)}, where the factors are the
     (kind, raw charge) of the row's g/h vertices left to right.  Both layers
@@ -211,8 +213,9 @@ def row_fills(top: tuple[int, ...], columns: int, family: str) -> dict[tuple[int
 
     The walk goes column by column, left to right from the + boundary, over
     a frontier of partial walks (west spin, marks so far, z-exponent, bottom
-    layer, factors).  Each vertex branches on its bottom spin; parity forces
-    the east spin, and a branch dies on a crossing configuration.  A branch
+    layer, factors).  Each vertex branches on its bottom spin, which a given
+    `bottom` forces, so then at most one walk lives; parity forces the east
+    spin, and a branch dies on a crossing configuration.  A branch
     whose east spin is + with no - left on the top layer from there on is cut
     at once: north + and west + admit only south +, which keeps east +, so it
     could only end on +; the cut also drops every walk that would end on +.
@@ -226,29 +229,33 @@ def row_fills(top: tuple[int, ...], columns: int, family: str) -> dict[tuple[int
     gamma = family == "gamma"
     mark = PLUS if gamma else MINUS  # the spin a charge counts
     top_set = frozenset(top)
+    below = None if bottom is None else frozenset(bottom)
     last_minus = columns - 1 - min(top) if top else -1  # position of the last top -
     # (west, marks on edges 0..p-1, z-exponent, bottom, (kind, marks on edges 0..q))
     frontier = [(PLUS, 0, 0, (), ())] if last_minus >= 0 else []
     for p in range(columns):
         label = columns - 1 - p
         north = MINUS if label in top_set else PLUS
+        by_west = steps[north, None if below is None else MINUS if label in below else PLUS]
         live_plus = p < last_minus  # an east + at p + 1 still meets a top -
         grown = []
-        for west, marks, zexp, bottom, factors in frontier:
+        for west, marks, zexp, walked, factors in frontier:
             marks += west == mark
-            for south_minus, east, kind, inc in steps[north, west]:
+            for south_minus, east, kind, inc in by_west[west]:
                 if east == PLUS and not live_plus:
                     continue
                 grown.append((east, marks, zexp + inc,
-                              bottom + (label,) if south_minus else bottom,
+                              walked + (label,) if south_minus else walked,
                               factors + ((kind, marks),) if kind else factors))
         frontier = grown
+    if bottom is not None:  # a label outside the lattice is never walked
+        frontier = [walk for walk in frontier if walk[3] == tuple(bottom)]
     # every walk left ends on -; gamma: marks is now the row's + count, and
     # the charge counts the + edges east of the vertex; delta counts - edges west
     if gamma:
-        return {bottom: (tuple([(kind, marks - m) for kind, m in factors]), zexp)
-                for _, marks, zexp, bottom, factors in frontier}
-    return {bottom: (factors, zexp) for _, _, zexp, bottom, factors in frontier}
+        return {walked: (tuple([(kind, marks - m) for kind, m in factors]), zexp)
+                for _, marks, zexp, walked, factors in frontier}
+    return {walked: (factors, zexp) for _, _, zexp, walked, factors in frontier}
 
 
 def state_profiles(top: tuple[int, ...], rows, columns: int,
@@ -263,7 +270,7 @@ def state_profiles(top: tuple[int, ...], rows, columns: int,
     stack, each layer's children in ascending order, so a full system's
     profiles come out in :func:`enumerate_states` order.  The fills below a
     layer are computed once per call, and each row writes its z-exponent in
-    place; the last row looks up `bottom` alone.
+    place; the last row walks toward `bottom` alone.
     """
     variables = [var for _, var in rows]
     if sorted(variables) != list(range(len(rows))):
@@ -280,9 +287,10 @@ def state_profiles(top: tuple[int, ...], rows, columns: int,
             exponents[variables[row - 1]] = zexp
         children = memo[row].get(layer)
         if children is None:
-            fills = row_fills(layer, columns, rows[row][0])
-            # descending, so that the stack pops the least layer first
-            children = fills.get(bottom) if row == last else sorted(fills.items(), reverse=True)
+            if row == last:
+                children = row_fills(layer, columns, rows[row][0], bottom).get(bottom)
+            else:  # descending, so that the stack pops the least layer first
+                children = sorted(row_fills(layer, columns, rows[row][0]).items(), reverse=True)
             memo[row][layer] = children
         if row < last:
             stack += [(row + 1, bot, factors + row_factors, z)
@@ -331,22 +339,6 @@ def fill_row(top: tuple[int, ...], bot: tuple[int, ...], columns: int):
     return tuple(edges)
 
 
-def row_configs(top: tuple[int, ...], bot: tuple[int, ...], columns: int):
-    """List of (N,S,W,E) configurations left to right, or None."""
-    edges = fill_row(top, bot, columns)
-    if edges is None:
-        return None
-    topset = frozenset(top)
-    botset = frozenset(bot)
-    out = []
-    for p in range(columns):
-        c = columns - 1 - p
-        nsp = MINUS if c in topset else PLUS
-        ssp = MINUS if c in botset else PLUS
-        out.append((nsp, ssp, edges[p], edges[p + 1]))
-    return out
-
-
 def row_charges(edges: tuple[int, ...], family: str) -> list[int]:
     """Raw (unreduced) charge of each vertex, left to right.
 
@@ -376,12 +368,20 @@ def row_vertices(top: tuple[int, ...], bot: tuple[int, ...], columns: int,
                  family: str):
     """(kind, z-exponent, raw charge) of each vertex of one row, left to
     right, counted directly from both layers; None if the row has no fill."""
-    configs = row_configs(top, bot, columns)
-    if configs is None:
+    edges = fill_row(top, bot, columns)
+    if edges is None:
         return None
     table = weight_table(family)
-    charges = row_charges(fill_row(top, bot, columns), family)
-    return [table[config] + (charge,) for config, charge in zip(configs, charges)]
+    topset = frozenset(top)
+    botset = frozenset(bot)
+    charges = row_charges(edges, family)
+    vertices = []
+    for p in range(columns):
+        c = columns - 1 - p
+        config = (MINUS if c in topset else PLUS, MINUS if c in botset else PLUS,
+                  edges[p], edges[p + 1])
+        vertices.append(table[config] + (charges[p],))
+    return vertices
 
 
 def direct_fill(vertices) -> Fill:
@@ -415,13 +415,22 @@ def enumerate_states(boundary: Boundary) -> list[IceState]:
     return states
 
 
+#: most distinct layers :func:`count_states` keeps for one row.  The staircase
+#: (12, 10, .., 2, 0) reaches 5,314; the top row of (24, 22, .., 2, 0) alone
+#: has 7,865,521, which took 1.42 GB to hold
+MAX_COUNTED_LAYERS = 500_000
+
+
 def count_states(boundary: Boundary, limit: int | None = None) -> int:
     """Number of admissible states: the paths down the layers, counted one
     row at a time over the distinct layers that row can reach.
 
     With a `limit`, returns limit + 1 once the paths counted into one row
     pass it: a strict layer always has an interleaving (``upper[:-1]``), so
-    the number of paths never falls from one row to the next."""
+    the number of paths never falls from one row to the next.  ValueError
+    once a row reaches more than :data:`MAX_COUNTED_LAYERS` distinct layers,
+    checked as each layer is added."""
+    bound = MAX_COUNTED_LAYERS if limit is None else min(limit, MAX_COUNTED_LAYERS)
     paths = {boundary.top_minus: 1}
     for _ in range(boundary.rank):
         below: dict[tuple[int, ...], int] = {}
@@ -430,7 +439,11 @@ def count_states(boundary: Boundary, limit: int | None = None) -> int:
             for y in strict_interleavings(upper):
                 below[y] = below.get(y, 0) + count
                 total += count
-                if limit is not None and total > limit:
-                    return limit + 1
+                if total > bound:  # each layer adds a path: len(below) <= total
+                    if limit is not None and total > limit:
+                        return limit + 1
+                    if len(below) > MAX_COUNTED_LAYERS:
+                        raise ValueError(f"a row of the boundary reaches more than the "
+                                         f"{MAX_COUNTED_LAYERS} distinct layers a count keeps")
         paths = below
     return sum(paths.values())

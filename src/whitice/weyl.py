@@ -30,8 +30,11 @@ the z-exponent plus the left-edge charge label (the number of + horizontal
 edges) equals the number of columns, hence a_i - a_{i+1} = c_{i+1} - c_i for
 the left-edge labels c.  The slab class c_top - c_bot is therefore read off
 the z-exponents of the slab's monomials; ``verify charges``
-(:func:`charge_duality_check`) checks the duality row by row against a direct
-count that shares no code with the row kernel.
+(:func:`charge_duality_check`) checks the duality, and the row kernel against
+a direct count that shares no code with it, on each distinct row of a
+boundary once: one walk over the layer graph, so the cost grows with the
+rows, not the states.  A failure names the row's two layers, its depth and
+the failed check.
 """
 
 from __future__ import annotations
@@ -39,13 +42,11 @@ from __future__ import annotations
 from .coeffs import Mode, SymbolicMode
 from .lattice import (
     FAMILIES,
-    PLUS,
     Boundary,
     direct_fill,
-    enumerate_states,
-    fill_row,
     row_fills,
     row_vertices,
+    strict_interleavings,
 )
 from .laurent import LaurentPoly
 
@@ -134,42 +135,40 @@ def functional_eq_check(z: LaurentPoly, i: int, j: int):
 # ---------------------------------------------------------------------------
 
 def charge_duality_check(boundary: Boundary):
-    """Per-state check of the row kernel against a direct count, and of the
-    charge/monomial duality.
+    """Check of the row kernel against a direct count, and of the
+    charge/monomial duality, on each distinct row of the boundary once.
 
-    For every state and both families, each row's kernel fill (factors and
-    z-exponent) must equal the one counted vertex by vertex from both layers;
-    and in each gamma row, the kernel's z-exponent plus the left-edge label
-    (the number of + horizontal edges) must equal the number of columns,
-    which forces a_i - a_{i+1} = c_{i+1} - c_i across adjacent rows.  A row's
-    verdict depends only on its two layers, so each distinct row is checked
-    once per call.  Returns (ok, failures) where failures lists
-    (layers, row, reason).
+    A row's verdict depends only on its two layers, so the check walks the
+    boundary's layer graph depth by depth: below each distinct layer, in
+    ascending order, it asks the kernel once per family for its fills and
+    checks every strict interleaving.  For both families the kernel's fill
+    (factors and z-exponent) must equal the one counted vertex by vertex from
+    both layers; and in each gamma row, the kernel's z-exponent plus the
+    left-edge label (the number of + horizontal edges) must equal the number
+    of columns, which forces a_i - a_{i+1} = c_{i+1} - c_i across adjacent
+    rows.  Returns (ok, failures) where failures lists ((top, bottom), row,
+    reason) once per failed check of a row, row counted from the top.
     """
     columns = boundary.columns
-    fills: dict[tuple, dict] = {}  # (layer, family) -> the kernel's fills below it
-    verdicts: dict[tuple, list[str]] = {}  # (layer, layer below) -> failed checks
-
-    def row_verdict(top, bot) -> list[str]:
-        failed = []
-        for family in FAMILIES:
-            if (top, family) not in fills:
-                fills[top, family] = row_fills(top, columns, family)
-            fill = fills[top, family].get(bot)
-            if fill != direct_fill(row_vertices(top, bot, columns, family)):
-                failed.append(f"{family} kernel/direct count mismatch")
-            if family == "gamma" and (
-                    fill is None
-                    or fill[1] + fill_row(top, bot, columns).count(PLUS) != columns):
-                failed.append("gamma exponent/label duality")
-        return failed
-
     failures = []
-    for state in enumerate_states(boundary):
-        for k, top, bot in state.vertex_rows():
-            if (top, bot) not in verdicts:
-                verdicts[top, bot] = row_verdict(top, bot)
-            failures.extend((state.layers, k, reason) for reason in verdicts[top, bot])
+    layers = {boundary.top_minus}
+    for row in range(boundary.rows):
+        below = set()
+        for top in sorted(layers):
+            fills = [row_fills(top, columns, family) for family in FAMILIES]
+            for bot in strict_interleavings(top):
+                below.add(bot)
+                for family, family_fills in zip(FAMILIES, fills):
+                    fill = family_fills.get(bot)
+                    vertices = row_vertices(top, bot, columns, family)
+                    if fill != direct_fill(vertices):
+                        failures.append(((top, bot), row, f"{family} kernel/direct count mismatch"))
+                    # the label: the + boundary edge and the + edges east of
+                    # the first vertex, which that vertex's gamma charge counts
+                    if family == "gamma" and (fill is None
+                                              or fill[1] + 1 + vertices[0][2] != columns):
+                        failures.append(((top, bot), row, "gamma exponent/label duality"))
+        layers = below
     return not failures, failures
 
 

@@ -85,7 +85,7 @@ def test_criterion_1_worked_example():
         # (kind, z-exponent, raw charge) of each vertex, counted directly:
         # weight 1, z3, z3, z3, h1*z3, 1 / 1, 1, g2, 1, 1, z2 / 1, 1, 1, z1, z1, z1
         grid = [row_vertices(top, bot, boundary.columns, "gamma")
-                for _, top, bot in state.vertex_rows()]
+                for top, bot in zip(state.layers, state.layers[1:])]
         assert grid == [
             [("1", 0, 1), ("1", 1, 1), ("1", 1, 1), ("1", 1, 1), ("h", 1, 1), ("1", 0, 0)],
             [("1", 0, 4), ("1", 0, 3), ("g", 0, 2), ("1", 0, 1), ("1", 0, 0), ("1", 1, 0)],

@@ -172,7 +172,7 @@ def test_verify_prop_matching(capsys):
 def test_verify_prop_matching_fails_a_kernel_that_loses_states(capsys, monkeypatch):
     # dropping the greatest fill below the top layer loses 3 of the 41
     # states; the report fails and names the first lost state
-    def dropping(top, columns, family):
+    def dropping(top, columns, family, bottom=None):  # every fill; callers look bottom up
         fills = row_fills(top, columns, family)
         if top == (5, 3, 0):
             del fills[max(fills)]
@@ -192,6 +192,32 @@ def test_verify_prop_matching_fails_a_kernel_that_loses_states(capsys, monkeypat
 def test_verify_charges(capsys):
     code, obj = run_json(capsys, "verify", "charges", "--lambda", "2,1,0")
     assert code == 0 and obj["pass"] is True
+
+
+def test_verify_charges_fails_a_kernel_that_drops_a_fill(capsys, monkeypatch):
+    # the greatest fill below the top layer is lost; its row is the first
+    # the walk checks, and the counterexample names that row's two layers
+    def dropping(top, columns, family):
+        fills = row_fills(top, columns, family)
+        if top == (5, 3, 0):
+            del fills[max(fills)]
+        return fills
+
+    monkeypatch.setattr(weyl, "row_fills", dropping)
+    code, obj = run_json(capsys, "verify", "charges", "--lambda", "3,2,0")
+    assert code == 1 and obj["pass"] is False
+    assert obj["counterexample"] == {"layers": [[5, 3, 0], [5, 3]], "row": 0,
+                                     "reason": "gamma kernel/direct count mismatch"}
+
+
+def test_a_value_error_inside_a_command_is_a_config_error(capsys, monkeypatch):
+    def failing(boundary):
+        raise ValueError("no such row")
+
+    monkeypatch.setattr(weyl, "charge_duality_check", failing)
+    code, obj = run_json(capsys, "verify", "charges", "--lambda", "2,1,0")
+    assert code == 2
+    assert obj == {"error": "config", "detail": "no such row"}
 
 
 def test_verify_commute_rows(capsys):
@@ -267,7 +293,7 @@ def test_numeric_functional_eq_shows_the_exact_sides_rounded_once(capsys):
 def test_shifted_kernel_charge_fails_statement_a_with_both_tables(capsys, monkeypatch):
     # negative control: a kernel that miscounts one charge by one makes the
     # gamma and delta tables differ at n = 3; the report shows both
-    def shifted(top, columns, family):
+    def shifted(top, columns, family, bottom=None):  # every fill; callers look bottom up
         out = {}
         for bot, (factors, zexp) in row_fills(top, columns, family).items():
             if factors:
@@ -448,6 +474,18 @@ def test_oversized_checks_are_refused_within_a_memory_cap(argv, bound):
     obj, elapsed = capped_refusal(argv)
     assert str(getattr(cli, bound)) in obj["detail"]
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    "enumerate --count-only --lambda 24,22,20,18,16,14,12,10,8,6,4,2,0",
+    "bench --lambda 24,22,20,18,16,14,12,10,8,6,4,2,0 --n 1",
+])
+def test_a_count_past_the_layer_cap_is_refused_within_a_memory_cap(argv):
+    # the top row of this rank-12 weight alone has 7,865,521 layers; bench
+    # counts before it contracts, so it meets the same refusal first
+    obj, elapsed = capped_refusal(argv)
+    assert str(lattice.MAX_COUNTED_LAYERS) in obj["detail"]
+    assert elapsed < 3.0
 
 
 def test_one_class_of_a_large_n_is_checked(capsys):
@@ -704,7 +742,7 @@ def test_state_by_state_commands_refuse_huge_boundaries(capsys, monkeypatch, arg
         raise AssertionError("states were walked")
 
     for module, attr in ((partition, "boundary_profiles"), (partition, "enumerate_states"),
-                         (weyl, "enumerate_states"), (cli.transfer, "contract_partition")):
+                         (weyl, "row_fills"), (cli.transfer, "contract_partition")):
         monkeypatch.setattr(module, attr, refused)
     code, obj = run_json(capsys, *argv.split())
     assert code == 2

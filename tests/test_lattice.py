@@ -24,7 +24,6 @@ from whitice.lattice import (
     is_admissible,
     lambda_of,
     row_charges,
-    row_configs,
     row_fills,
     row_variable,
     row_vertices,
@@ -193,6 +192,14 @@ def test_state_profiles_need_one_variable_per_row():
         state_profiles((2, 0), (("gamma", 1), ("delta", 2)), 3)
 
 
+def row_configs(top, bot, columns):
+    """(N, S, W, E) of each vertex of one fillable row, left to right, from
+    its forced edges (:func:`fill_row`)."""
+    edges = fill_row(top, bot, columns)
+    return [(MINUS if c in top else PLUS, MINUS if c in bot else PLUS, edges[p], edges[p + 1])
+            for p, c in enumerate(range(columns - 1, -1, -1))]
+
+
 def test_enumerate_states_structure():
     b = boundary_from_lambda((3, 2, 0))
     states = enumerate_states(b)
@@ -202,7 +209,7 @@ def test_enumerate_states_structure():
     for state in states:
         assert state.layers[0] == b.top_minus
         assert state.layers[-1] == ()
-        for row_index, top, bot in state.vertex_rows():
+        for top, bot in zip(state.layers, state.layers[1:]):
             edges = fill_row(top, bot, b.columns)
             assert edges is not None
             assert edges[0] == PLUS and edges[-1] == MINUS
@@ -260,6 +267,21 @@ def test_charge_labels_match_direct_counts(top_cols):
         # walk order: left to right, the + branch (column not in bot) first
         assert list(fills) == sorted(
             fills, key=lambda bot: [c in bot for c in range(columns - 1, -1, -1)])
+
+
+def test_a_given_bottom_keeps_only_its_fill():
+    # the kernel told the layer below returns the unconstrained fills
+    # filtered to it, on every top of the test above and every bottom, a
+    # label past the lattice included
+    for size in range(1, 5):
+        for top in itertools.combinations(range(7, -1, -1), size):
+            columns = top[0] + 1
+            for family in ("gamma", "delta"):
+                fills = row_fills(top, columns, family)
+                for bot_size in range(columns + 2):
+                    for bot in itertools.combinations(range(columns, -1, -1), bot_size):
+                        expected = {bot: fills[bot]} if bot in fills else {}
+                        assert row_fills(top, columns, family, bot) == expected
 
 
 def row_fills_by_recursion(top, columns, family):

@@ -47,7 +47,7 @@ def direct_profile(state, family):
     row kernel."""
     columns = state.boundary.columns
     factors, exponents = (), [0] * (state.rank + 1)
-    for row, top, bot in state.vertex_rows():
+    for row, (top, bot) in enumerate(zip(state.layers, state.layers[1:])):
         row_factors, zexp = direct_fill(row_vertices(top, bot, columns, family))
         factors += row_factors
         exponents[row_variable(family, row, state.rank)] += zexp
@@ -180,7 +180,7 @@ def test_matching_catches_a_shifted_kernel_charge(monkeypatch):
     # negative control: a kernel that miscounts one charge by one must fail,
     # on exactly the states the per-state reference names; the profiles walk
     # the kernel through lattice.state_profiles
-    def shifted(top, columns, family):
+    def shifted(top, columns, family, bottom=None):  # every fill; callers look bottom up
         out = {}
         for bot, (factors, zexp) in row_fills(top, columns, family).items():
             if factors:
@@ -206,7 +206,7 @@ def test_matching_catches_a_kernel_that_loses_states(monkeypatch):
     # states under it; the lost states fail the check
     boundary = boundary_from_lambda((3, 2, 0))
 
-    def dropping(top, columns, family):
+    def dropping(top, columns, family, bottom=None):  # every fill; callers look bottom up
         fills = row_fills(top, columns, family)
         if top == boundary.top_minus:
             del fills[max(fills)]

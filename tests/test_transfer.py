@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -250,6 +251,18 @@ def test_two_row_exchange_reference_boundary():
     for n, q in ((2, 5), (3, 7)):
         ok, z_gd, z_dg = two_row_check(PAPER_TOP, PAPER_BOT, numeric_mode(n, q))
         assert ok and z_gd == z_dg
+
+
+def test_a_wide_slab_walks_its_last_row_toward_the_bottom():
+    # 3,100 middle layers with about 820 fills each, of which only the fill
+    # ending on the bottom is a state: 384 states per order
+    top, bottom = (18, 16, 14, 13, 11, 8, 6, 1, 0), (17, 15, 13, 11, 10, 7, 0)
+    start = time.perf_counter()
+    ok, z_gd, _ = two_row_check(top, bottom, SymbolicMode(1), columns=20)
+    assert time.perf_counter() - start < 2.0
+    assert ok and z_gd
+    assert [len(state_profiles(top, two_row_rows(order), 20, bottom))
+            for order in TWO_ROW_ORDERS] == [384, 384]
 
 
 def test_two_row_orders_differ_per_state_but_not_in_sum():

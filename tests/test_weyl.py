@@ -1,6 +1,7 @@
 """Residue-class decomposition, functional equations, and the crossing vertex."""
 from __future__ import annotations
 
+import itertools
 import time
 from random import Random
 
@@ -9,7 +10,8 @@ import pytest
 from whitice import weyl
 from whitice.coeffs import SymbolicMode
 from whitice.gauss import gauss_table
-from whitice.lattice import boundary_from_lambda, row_fills
+from whitice.lattice import (FAMILIES, PLUS, boundary_from_lambda, direct_fill,
+                             enumerate_states, fill_row, row_fills, row_vertices)
 from whitice.laurent import LaurentPoly
 from whitice.partition import numeric_mode, partition_function
 from whitice.transfer import random_two_row_boundary, slab_partition
@@ -148,22 +150,93 @@ def test_charge_duality():
         assert ok and failures == []
 
 
+def charge_weights():
+    """Every dominant weight of rank <= 3 with parts <= 4."""
+    for rank in range(4):
+        for parts in itertools.combinations_with_replacement(range(4, -1, -1), rank):
+            yield parts + (0,)
+
+
+def test_charge_duality_checks_each_distinct_row_once(monkeypatch):
+    # the rows checked are the distinct (layers[k], layers[k + 1]) pairs of
+    # the states, each counted directly once per family
+    counted = []
+
+    def recording(top, bot, columns, family):
+        counted.append((top, bot, family))
+        return row_vertices(top, bot, columns, family)
+
+    monkeypatch.setattr(weyl, "row_vertices", recording)
+    for lam in charge_weights():
+        boundary = boundary_from_lambda(lam)
+        counted.clear()
+        assert charge_duality_check(boundary) == (True, [])
+        rows = {(top, bot) for state in enumerate_states(boundary)
+                for top, bot in zip(state.layers, state.layers[1:])}
+        assert sorted(counted) == sorted((top, bot, family) for top, bot in rows
+                                         for family in FAMILIES), lam
+    counted.clear()
+    charge_duality_check(boundary_from_lambda((6, 4, 2, 0)))
+    assert len(set(counted)) == len(counted) == 2 * 1106
+
+
+def shifted(top, columns, family):
+    """The row kernel with the first factor's charge of every fill one too
+    high: a negative control."""
+    out = {}
+    for bot, (factors, zexp) in row_fills(top, columns, family).items():
+        if factors:
+            (kind, charge), *rest = factors
+            factors = ((kind, charge + 1), *rest)
+        out[bot] = (factors, zexp)
+    return out
+
+
+def raised(top, columns, family):
+    """The row kernel with every z-exponent one too high: a negative control
+    that breaks the duality as well."""
+    return {bot: (factors, zexp + 1)
+            for bot, (factors, zexp) in row_fills(top, columns, family).items()}
+
+
+def failing_rows_by_state(boundary, kernel):
+    """Reference for :func:`charge_duality_check`'s failures: every row of
+    every state, its verdict taken afresh from `kernel`, listed once."""
+    columns = boundary.columns
+    failures = set()
+    for state in enumerate_states(boundary):
+        for k, (top, bot) in enumerate(zip(state.layers, state.layers[1:])):
+            for family in FAMILIES:
+                fill = kernel(top, columns, family).get(bot)
+                if fill != direct_fill(row_vertices(top, bot, columns, family)):
+                    failures.add(((top, bot), k, f"{family} kernel/direct count mismatch"))
+                if family == "gamma" and (
+                        fill is None
+                        or fill[1] + fill_row(top, bot, columns).count(PLUS) != columns):
+                    failures.add(((top, bot), k, "gamma exponent/label duality"))
+    return failures
+
+
+def check_fails_as_reference(monkeypatch, kernel, reason):
+    """Under `kernel`, the check fails on exactly the rows the per-state
+    reference names, each listed once, and some failure reads `reason`."""
+    monkeypatch.setattr(weyl, "row_fills", kernel)
+    for lam in ((3, 2, 0), (2, 1, 0), (3, 1, 1, 0)):
+        boundary = boundary_from_lambda(lam)
+        ok, failures = charge_duality_check(boundary)
+        assert not ok
+        assert len(set(failures)) == len(failures)
+        assert set(failures) == failing_rows_by_state(boundary, kernel)
+        assert reason in {reason for _, _, reason in failures}
+
+
 def test_charge_duality_catches_a_shifted_kernel_charge(monkeypatch):
     # negative control: a kernel that miscounts one charge by one must fail
-    def shifted(top, columns, family):
-        fills = row_fills(top, columns, family)
-        out = {}
-        for bot, (factors, zexp) in fills.items():
-            if factors:
-                (kind, charge), *rest = factors
-                factors = ((kind, charge + 1), *rest)
-            out[bot] = (factors, zexp)
-        return out
+    check_fails_as_reference(monkeypatch, shifted, "gamma kernel/direct count mismatch")
 
-    monkeypatch.setattr(weyl, "row_fills", shifted)
-    ok, failures = charge_duality_check(boundary_from_lambda((3, 2, 0)))
-    assert not ok
-    assert any("kernel/direct count mismatch" in reason for _, _, reason in failures)
+
+def test_charge_duality_catches_a_raised_exponent(monkeypatch):
+    check_fails_as_reference(monkeypatch, raised, "gamma exponent/label duality")
 
 
 def test_crossing_vertex_weights():
