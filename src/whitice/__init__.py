@@ -35,7 +35,6 @@ from .patterns import (
     ShortPattern,
     enumerate_patterns,
     enumerate_short_patterns,
-    middle_reflection,
     pattern_from_state,
     state_from_pattern,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "gauss_table",
     "lambda_of",
     "matching_check",
-    "middle_reflection",
     "numeric_mode",
     "parse_dirichlet_series",
     "partition_function",

@@ -118,13 +118,18 @@ def _boundary(args):
     return lam, boundary_from_lambda(lam)
 
 
-def _check_enumerable(boundary) -> None:
+def _check_enumerable(boundary, remedy: str = "") -> None:
     """Refuse, before any state or profile is built, a boundary with more
-    states than a command walks one by one."""
+    states than a command walks one by one.  `remedy` names what the
+    refused command can do instead, if it takes an option that avoids the
+    walk."""
     if count_states(boundary, MAX_ENUMERATED_STATES) > MAX_ENUMERATED_STATES:
         raise ValueError(f"the boundary has more than the {MAX_ENUMERATED_STATES} "
-                         f"states a command walks one by one; "
-                         f"partition and whittaker take --strategy transfer")
+                         f"states a command walks one by one" + remedy)
+
+
+#: the `remedy` of a command that contracts the boundary under --strategy transfer
+TRANSFER_REMEDY = "; --strategy transfer contracts it instead"
 
 
 def _mode(args) -> Mode:
@@ -179,7 +184,7 @@ def cmd_partition(args) -> int:
     _, boundary = _boundary(args)
     mode = _mode(args)
     if args.strategy == "enumerate":
-        _check_enumerable(boundary)
+        _check_enumerable(boundary, TRANSFER_REMEDY)
     poly = partition_function(boundary, args.ice, mode, strategy=args.strategy)
     if args.json:
         _emit(jsonio.poly_to_json(poly))
@@ -192,7 +197,7 @@ def cmd_whittaker(args) -> int:
     _, boundary = _boundary(args)
     mode = _mode(args)
     if args.strategy == "enumerate":
-        _check_enumerable(boundary)
+        _check_enumerable(boundary, TRANSFER_REMEDY)
     table = whittaker_table(boundary, args.ice, mode, strategy=args.strategy)
     if args.dirichlet:
         _emit(dirichlet_series_string(table))
@@ -211,7 +216,7 @@ def cmd_bench(args) -> int:
     _, boundary = _boundary(args)
     mode = _mode(args)
     if args.compare:
-        _check_enumerable(boundary)
+        _check_enumerable(boundary, "; without --compare, bench times the contraction alone")
     states = count_states(boundary)  # refuses a boundary too wide to count
     t0 = time.perf_counter()
     via_transfer = partition_function(boundary, args.ice, mode, strategy="transfer")
@@ -358,23 +363,17 @@ def verify_statement_b(args) -> int:
     if not ks:
         raise ValueError(NO_STATE + ("" if args.k is None else
                                      f" with middle row sum {args.k}"))
-    if args.route == "coefficient":
-        pairs = transfer.coefficient_pairs(top, bot, ks, mode)
-    else:
-        pairs = [patterns.statement_b_sums(top, bot, k, mode, convention=args.convention)
-                 for k in ks]
     counter = None
     results = []
-    for k, (left, right) in zip(ks, pairs):
+    for k, (left, right) in zip(ks, transfer.coefficient_pairs(top, bot, ks, mode)):
         ok = left == right
         results.append({"k": k, "pass": ok})
         if not ok and counter is None:
             counter = {"k": k, "left": jsonio.coeff_to_json(left),
                        "right": jsonio.coeff_to_json(right)}
-    params = {"l": list(top), "m": list(bot), "route": args.route,
+    # "route" names the one route there is; reports keep the field they carried
+    params = {"l": list(top), "m": list(bot), "route": "coefficient",
               "n": mode.n, "mode": mode.name, "tol": REPORTED_TOL}
-    if args.route == "qr":
-        params["convention"] = args.convention
     report = jsonio.report("statement-b", params, counter is None, counter)
     report["results"] = results
     return _finish(report)
@@ -562,11 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", required=True, help="bottom row, comma-separated")
     v.add_argument("--k", type=int, default=None,
                    help="middle row sum (default: every feasible sum)")
-    v.add_argument("--route", choices=("coefficient", "qr"), default="coefficient",
-                   help="coefficient: compare the two-row partition functions; "
-                        "qr: sum weights through the middle-row reflection")
-    v.add_argument("--convention", choices=("outer", "interval"), default="outer",
-                   help="reflection convention for the qr route")
     v.set_defaults(func=verify_statement_b)
 
     v = vsub.add_parser("functional-eq",

@@ -12,8 +12,8 @@ Schemas (all deterministic: entries are sorted canonically):
 In a symbolic coefficient, "g" and "h" list Gauss-symbol indices with
 multiplicity (g(1)^2 g(2) -> [1, 1, 2]) and "u" is the dense coefficient
 list of the polynomial in u, as exact [numerator, denominator] pairs
-starting at u^0.  The coefficient, polynomial, state and Whittaker
-views each have an exact inverse.
+starting at u^0.  The coefficient and Whittaker views each have an exact
+inverse (:func:`coeff_from_json`, :func:`whittaker_from_json`).
 
 :func:`dumps` renders every JSON value the CLI prints; its text equals
 ``json.dumps(obj, indent=2)`` byte for byte.  :func:`dumps_whittaker`
@@ -32,9 +32,9 @@ from itertools import chain as _chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite as _isfinite
 
-from .coeffs import FREE, Mode, Ring, SymbolicMode, SymCoeff
+from .coeffs import FREE, Ring, SymCoeff
 from .gauss import GaussTable
-from .lattice import Boundary, IceState
+from .lattice import IceState
 from .laurent import LaurentPoly
 
 
@@ -104,13 +104,6 @@ def poly_to_json(poly: LaurentPoly) -> dict:
     }
 
 
-def poly_from_json(obj: dict, mode: Mode) -> LaurentPoly:
-    ring = mode.ring if isinstance(mode, SymbolicMode) else FREE
-    terms = {tuple(t["exponents"]): coeff_from_json(t["coeff"], ring)
-             for t in obj["terms"]}
-    return LaurentPoly(obj["vars"], mode, terms)
-
-
 # ---------------------------------------------------------------------------
 #  States
 # ---------------------------------------------------------------------------
@@ -121,12 +114,6 @@ def state_to_json(state: IceState, row_order: str = "gamma") -> dict:
         "layers": [list(layer) for layer in state.layers],
         "rowOrder": row_order,
     }
-
-
-def state_from_json(obj: dict) -> IceState:
-    layers = tuple(tuple(layer) for layer in obj["layers"])
-    boundary = Boundary(columns=obj["columns"], top_minus=layers[0])
-    return IceState(boundary=boundary, layers=layers)
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,6 @@ def row_variable(family: str, row: int, rank: int) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def is_admissible(config: Config) -> bool:
-    n, s, w, e = config
-    return n * s * w * e == 1 and config not in FORBIDDEN
-
-
 @dataclass(frozen=True)
 class Boundary:
     """Fixed boundary data of a full system: C columns, top - positions."""

@@ -53,7 +53,6 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterator
 
-from .coeffs import weigh
 from .lattice import Boundary, Factors, IceState, strict_interleavings
 
 #: weight kind of each entry case, per family; a case left out weighs 1
@@ -246,60 +245,3 @@ def enumerate_short_patterns(top: tuple[int, ...], bot: tuple[int, ...],
             for mid in strict_interleavings(top)
             if (mid_sum is None or sum(mid) == mid_sum)
             and all(a >= b >= c for a, b, c in zip(mid, bot, mid[1:]))]
-
-
-def middle_reflection(sp: ShortPattern, convention: str = "outer") -> ShortPattern | None:
-    """Involution on the middle row holding the outer rows fixed.
-
-    convention="outer" reflects each entry in the *outer* bracketing values,
-
-        a'_i = max(l_{i-1}, m_{i-1}) + min(l_i, m_i) - a_i
-
-    (indices clipped to the l row at the ends).  convention="interval"
-    reflects within the actual admissible interval of the entry,
-
-        a'_i = min(l_{i-1}, m_{i-1}) + max(l_i, m_i) - a_i.
-
-    Under either convention the middle row sum k maps to (sum l) + (sum m)
-    - k.  "outer" can leave the interleaving region;
-    the image is then not a valid short pattern and None is returned, so that
-    downstream weights of the image are treated as zero.  "interval" never
-    leaves the region.
-    """
-    top, mid, bot = sp.top, sp.mid, sp.bot
-    new = []
-    for i in range(len(mid)):
-        # neighbours >= mid[i]: top[i] and bot[i-1]; <= mid[i]: top[i+1], bot[i]
-        above = [top[i]] + ([bot[i - 1]] if 0 <= i - 1 < len(bot) else [])
-        below = [top[i + 1]] + ([bot[i]] if i < len(bot) else [])
-        if convention == "outer":
-            new.append(max(above) + min(below) - mid[i])
-        elif convention == "interval":
-            new.append(min(above) + max(below) - mid[i])
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
-    try:
-        return ShortPattern(top=top, mid=tuple(new), bot=bot)
-    except ValueError:
-        return None
-
-
-def statement_b_sums(top, bot, k: int, mode, convention: str = "outer"):
-    """Both sides of the middle-row exchange identity at middle sum k.
-
-    Left: sum of the gamma-then-delta weights (middle row read under gamma,
-    bottom row under delta) over all short patterns with outer rows
-    (top, bot) and middle row summing to k.  Right: sum, over the same
-    patterns, of the delta-then-gamma weight of the reflected pattern,
-    counting reflections that leave the interleaving region as zero.  Each
-    side is weighed (:func:`.coeffs.weigh`) with a slot for each entry
-    below the top row.  Returns (left, right) as coefficients.
-    """
-    left, right = [], []
-    for sp in enumerate_short_patterns(top, bot, mid_sum=k):
-        left.append((pattern_factors(sp.rows, ("gamma", "delta")), ()))
-        image = middle_reflection(sp, convention)
-        if image is not None:
-            right.append((pattern_factors(image.rows, ("delta", "gamma")), ()))
-    slots = len(top) - 1 + len(bot)
-    return tuple(weigh(side, mode, slots).get((), mode.zero) for side in (left, right))

@@ -322,6 +322,9 @@ def test_shifted_kernel_charge_fails_statement_a_with_both_tables(capsys, monkey
     "functional-eq --lambda 3,1,0 --n 3",
     "two-row --random 20 --n 3",
     "statement-b --l 5,3,0 --m 4 --n 3",
+    "statement-b --l 6,5,4 --m 6 --n 1",
+    "statement-b --l 6,5,4 --m 5 --n 1",
+    "statement-b --l 7,5,3,1,0 --m 5,3,1 --n 3",
 ])
 def test_exact_verifies_hold_at_higher_n(capsys, argv):
     # true identities of the paper hold exactly in the reduced ring
@@ -361,16 +364,6 @@ def test_reports_keep_their_tolerance_field(capsys, argv, tol):
     # no verdict reads a tolerance; params keep the field reports carried
     code, obj = run_json(capsys, "verify", *argv.split())
     assert code == 0 and obj["params"]["tol"] == tol
-
-
-def test_verify_statement_b_reflection_route_reports_failure(capsys):
-    # the per-summand reflection route is falsified on this boundary and the
-    # command must say so rather than exit clean
-    code, obj = run_json(capsys, "verify", "statement-b", "--l", "6,5,4", "--m", "6",
-                         "--n", "1", "--route", "qr", "--convention", "outer")
-    assert code == 1
-    assert obj["pass"] is False
-    assert "counterexample" in obj
 
 
 def test_seeded_commands_are_byte_identical(capsys):
@@ -749,6 +742,9 @@ def test_state_by_state_commands_refuse_huge_boundaries(capsys, monkeypatch, arg
     assert obj["error"] == "config"
     assert str(cli.MAX_ENUMERATED_STATES) in obj["detail"]
     assert 31406156 > cli.MAX_ENUMERATED_STATES
+    # the refusal names only options the refused command takes
+    assert ("--strategy" in obj["detail"]) == (argv.split()[0] in ("partition", "whittaker"))
+    assert ("--compare" in obj["detail"]) == (argv.split()[0] == "bench")
 
 
 def test_largest_enumerated_boundary_of_the_tests_is_accepted(capsys):
@@ -770,6 +766,15 @@ def test_tolerance_option_is_refused(capsys, argv):
         cli.main([*argv.split(), "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--route qr", "--convention outer"])
+def test_reflection_route_options_are_refused(capsys, flag):
+    # statement-b has one route, the exact coefficient comparison
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "statement-b", "--l", "5,3,0", "--m", "4", *flag.split()])
+    assert exc.value.code == 2
+    assert flag.split()[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,7 +21,6 @@ from whitice.lattice import (
     direct_fill,
     enumerate_states,
     fill_row,
-    is_admissible,
     lambda_of,
     row_charges,
     row_fills,
@@ -42,7 +41,7 @@ def test_admissibility_rule():
     for config in itertools.product((PLUS, MINUS), repeat=4):
         plus_count = sum(1 for s in config if s == PLUS)
         expected = plus_count % 2 == 0 and config not in FORBIDDEN
-        assert is_admissible(config) == expected
+        assert (config in ADMISSIBLE) == expected
     assert len(ADMISSIBLE) == 6
     assert FORBIDDEN == frozenset({(PLUS, MINUS, PLUS, MINUS), (MINUS, PLUS, MINUS, PLUS)})
 
@@ -214,7 +213,7 @@ def test_enumerate_states_structure():
             assert edges is not None
             assert edges[0] == PLUS and edges[-1] == MINUS
             for config in row_configs(top, bot, b.columns):
-                assert is_admissible(config)
+                assert config in ADMISSIBLE
 
 
 def test_fill_row_unique_or_none():

@@ -15,14 +15,12 @@ from whitice.patterns import (
     entry_case,
     enumerate_patterns,
     enumerate_short_patterns,
-    middle_reflection,
     pattern_exponents,
     pattern_factors,
     pattern_from_state,
     pattern_profiles,
     row_statistic,
     state_from_pattern,
-    statement_b_sums,
 )
 from whitice.partition import pattern_profile, spin_vector_of_exponents
 from whitice.transfer import TWO_ROW_ORDERS
@@ -268,55 +266,12 @@ def test_enumerate_short_patterns():
     assert len(filtered) == 2
 
 
-def test_middle_reflection_pin():
-    sp = ShortPattern((5, 3, 0), (4, 2), (4,))
-    assert middle_reflection(sp, "outer") == sp
-    assert middle_reflection(sp, "interval") == ShortPattern((5, 3, 0), (5, 1), (4,))
-
-
-def test_middle_reflection_sum_and_involution():
-    for top, bot in (((5, 3, 0), (4,)), ((6, 4, 1), (3,)), ((6, 5, 4), (5,))):
-        total = sum(top) + sum(bot)
-        for sp in enumerate_short_patterns(top, bot):
-            for convention in ("outer", "interval"):
-                image = middle_reflection(sp, convention)
-                if image is None:
-                    continue
-                assert sum(image.mid) == total - sum(sp.mid)
-                assert middle_reflection(image, convention) == sp
-
-
-def test_middle_reflection_can_escape():
-    # the reflected middle row may fail strictness and the image is then undefined
-    sp = ShortPattern((5, 3, 0), (5, 1), (1,))
-    assert middle_reflection(sp, "outer") is None
-
-
 def test_short_weights_counterexample_pin():
-    # per-summand: the interval image carries the matching opposite-order weight
-    # even where the outer image does not exist
+    # two short patterns with middle sums 6 and 3 carry equal weights in
+    # opposite orders at n = 1
     n1 = SymbolicMode(1)
     u = n1.u
     sp = ShortPattern((5, 3, 0), (5, 1), (1,))
     assert fill_weight(pattern_factors(sp.rows, ("gamma", "delta")), n1) == u * u - u * u * u
-    image = middle_reflection(sp, "interval")
-    assert image == ShortPattern((5, 3, 0), (3, 0), (1,))
+    image = ShortPattern((5, 3, 0), (3, 0), (1,))
     assert fill_weight(pattern_factors(image.rows, ("delta", "gamma")), n1) == u * u - u * u * u
-
-
-def test_reflection_route_sums_fail_in_general():
-    # the graded sum identity under either reflection convention is falsified
-    n1 = SymbolicMode(1)
-    u = n1.u
-    left, right = statement_b_sums((6, 5, 4), (6,), 11, n1, "outer")
-    assert left == u * u and right == n1.zero
-    left, right = statement_b_sums((6, 5, 4), (5,), 10, n1, "interval")
-    assert left == u * u - u and right == n1.zero
-
-
-def test_reflection_route_sums_hold_generically():
-    # on ordinary boundaries the interval convention does balance the sums
-    n1 = SymbolicMode(1)
-    for k in range(4, 9):
-        left, right = statement_b_sums((5, 3, 0), (4,), k, n1, "interval")
-        assert left == right
