@@ -39,6 +39,8 @@ from .partition import (
     dirichlet_series_string,
     matching_check,
     numeric_mode,
+    packed_table_text,
+    packed_whittaker,
     partition_function,
     statement_a_check,
     whittaker_table,
@@ -149,10 +151,11 @@ def _mode(args) -> Mode:
 
 def _emit(obj, render=None) -> None:
     """Print a string as it is and anything else as indent-2 JSON, rendered
-    by `render` (:func:`jsonio.dumps` by default).  A Whittaker table is
-    passed as the ``{k: coeff}`` dict with :func:`jsonio.dumps_whittaker`,
-    which writes a numeric table one template per entry and any other table
-    through ``jsonio.dumps(jsonio.whittaker_to_json(table))``."""
+    by `render` (:func:`jsonio.dumps` by default).  A numeric Whittaker
+    table is passed as the ``{k: coeff}`` dict with
+    :func:`jsonio.dumps_whittaker`, which writes it one template per entry;
+    an exact table arrives as the text :func:`.partition.packed_table_text`
+    wrote."""
     if isinstance(obj, str):
         print(obj)
     else:
@@ -198,6 +201,10 @@ def cmd_whittaker(args) -> int:
     mode = _mode(args)
     if args.strategy == "enumerate":
         _check_enumerable(boundary, TRANSFER_REMEDY)
+    if mode.name == "symbolic":
+        _emit(packed_table_text(*packed_whittaker(boundary, args.ice, mode, args.strategy),
+                                dirichlet=args.dirichlet))
+        return 0
     table = whittaker_table(boundary, args.ice, mode, strategy=args.strategy)
     if args.dirichlet:
         _emit(dirichlet_series_string(table))

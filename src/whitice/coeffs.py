@@ -318,29 +318,8 @@ class SymCoeff:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        pieces = []
-        for key in sorted(self.terms):
-            gpart, hpart, upow = key
-            val = self.terms[key]
-            factors = []
-            if upow:
-                factors.append("u" if upow == 1 else f"u^{upow}")
-            for idx, power in gpart:
-                factors.append(f"g{idx}" if power == 1 else f"g{idx}^{power}")
-            for idx, power in hpart:
-                factors.append(f"h{idx}" if power == 1 else f"h{idx}^{power}")
-            if not factors:
-                body = str(abs(val))
-            elif abs(val) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(val))] + factors)
-            pieces.append((val < 0, body))
-        first_neg, first_body = pieces[0]
-        text = ("-" if first_neg else "") + first_body
-        for neg, body in pieces[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        return terms_text("".join([term_text(val, upow, symbols_text(gpart, hpart))
+                                   for (gpart, hpart, upow), val in sorted(self.terms.items())]))
 
     __repr__ = __str__
 
@@ -390,6 +369,35 @@ class SymCoeff:
             term = cls({(_norm_part(key_g), _norm_part(key_h), upow): val})
             total = total + term
         return total
+
+
+def symbols_text(gpart: SymPart, hpart: SymPart = ()) -> str:
+    """The g and h factors of a term as a coefficient renders them, e.g.
+    "g1^2*g2*h1"; "" for none."""
+    return "*".join([f"{kind}{idx}" if power == 1 else f"{kind}{idx}^{power}"
+                     for kind, part in (("g", gpart), ("h", hpart)) for idx, power in part])
+
+
+def term_text(value, upow: int, symbols: str) -> str:
+    """One term value * u^upow * symbols of a coefficient's rendering, the
+    symbols as :func:`symbols_text` writes them, with the sign that joins
+    it to the terms before: " + body" or " - body" (:func:`terms_text`)."""
+    u = "" if not upow else "u" if upow == 1 else f"u^{upow}"
+    factors = f"{u}*{symbols}" if u and symbols else u or symbols
+    size = abs(value)
+    if not factors:
+        body = str(size)
+    elif size == 1:
+        body = factors
+    else:
+        body = f"{size}*{factors}"
+    return (" - " if value < 0 else " + ") + body
+
+
+def terms_text(joined: str) -> str:
+    """A coefficient's rendering from its :func:`term_text` pieces, joined
+    in sorted key order: the first piece's sign becomes "-" or nothing."""
+    return "-" + joined[3:] if joined[1] == "-" else joined[3:]
 
 
 class SymbolicMode:
@@ -499,23 +507,30 @@ class Packing:
             raise ArithmeticError(f"packed value times u^{s} leaves a remainder")
         return value
 
-    def unpack(self, parts: dict[SymPart, dict], slots: int) -> dict:
-        """{key: coefficient} from packed {g-part: {key: int}}, the
-        u-coefficients read back as balanced base-2^K digits."""
+    def digits(self, value: int) -> list[int]:
+        """The u-coefficients of a packed int, u^0 first: its balanced
+        base-2^K digits, the last one nonzero; [] for 0."""
         base = self.num
         width, half = base.bit_length() - 1, base >> 1
+        out = []
+        while value:
+            digit = value & (base - 1)
+            if digit >= half:
+                digit -= base
+            out.append(digit)
+            value = (value - digit) >> width
+        return out
+
+    def unpack(self, parts: dict[SymPart, dict], slots: int) -> dict:
+        """{key: coefficient} from packed {g-part: {key: int}}, the
+        u-coefficients read back by :meth:`digits`."""
+        digits = self.digits
         terms: dict[object, dict] = {}
         for part, values in parts.items():
             for key, value in values.items():
-                upow = 0
-                while value:
-                    digit = value & (base - 1)
-                    if digit >= half:
-                        digit -= base
+                for upow, digit in enumerate(digits(value)):
                     if digit:
                         terms.setdefault(key, {})[(part, (), upow)] = digit
-                    value = (value - digit) >> width
-                    upow += 1
         return {key: SymCoeff._make(t, self.ring) for key, t in terms.items()}
 
 

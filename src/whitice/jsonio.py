@@ -20,7 +20,10 @@ inverse (:func:`coeff_from_json`, :func:`whittaker_from_json`).
 renders a ``{k: coeff}`` table as ``dumps(whittaker_to_json(table))``
 would: a numeric table of finite plain complex values is one template per
 entry with no JSON view built, and any other table falls back to that
-reference route.
+reference route.  An exact table the CLI prints never becomes a
+``{k: coeff}`` dict: :func:`.partition.packed_table_text` writes it from
+packed sums through :func:`exact_group_text` and :func:`exact_table_text`,
+the same layout filled from u-digits.
 """
 
 from __future__ import annotations
@@ -125,6 +128,16 @@ def whittaker_to_json(table: dict) -> dict:
                         for k, c in sorted(table.items())]}
 
 
+def _k_template(rank: int) -> str:
+    """``%``-template of an entry's "k" list, one ``%d`` per k_i."""
+    return "[" + ",".join(["\n        %d"] * rank) + "\n      ]" if rank else "[]"
+
+
+#: a Whittaker view's text around its entries' texts, joined by ",\n    ";
+#: filled once, so the output is copied once
+_TABLE = '{\n  "entries": [\n    %s\n  ]\n}'
+
+
 def dumps_whittaker(table: dict) -> str:
     """``dumps(whittaker_to_json(table))``, byte for byte.
 
@@ -140,13 +153,34 @@ def dumps_whittaker(table: dict) -> str:
             and set(map(type, table.values())) == {complex}
             and all(map(_cfinite, table.values()))):
         return dumps(whittaker_to_json(table))
-    rank = len(next(iter(table)))
-    k = "[" + ",".join(["\n        %d"] * rank) + "\n      ]" if rank else "[]"
+    k = _k_template(len(next(iter(table))))
     entry = '{\n      "k": ' + k + ',\n      "coeff": [\n        %r,\n        %r\n      ]\n    }'
-    return ('{\n  "entries": [\n    '
-            + ",\n    ".join([entry % (*key, (c := table[key]).real, c.imag)
-                              for key in sorted(table)])
-            + "\n  ]\n}")
+    return _TABLE % ",\n    ".join([entry % (*key, (c := table[key]).real, c.imag)
+                                     for key in sorted(table)])
+
+
+def exact_group_text(gpart, digits: list[int]) -> str:
+    """The ``{"g", "h", "u"}`` group of one g-part of an exact coefficient,
+    as :func:`dumps_whittaker` writes it in a table: ``digits`` are the
+    part's u-coefficients, u^0 first, the last one nonzero."""
+    flat = _flat_part(gpart)
+    g = "[" + ",".join(["\n              %d"] * len(flat)) % tuple(flat) + "\n            ]" if flat else "[]"
+    u = ",".join(["\n              [\n                %d,\n                1\n              ]"] * len(digits))
+    return ('{\n            "g": ' + g + ',\n            "h": [],\n            "u": ['
+            + u % tuple(digits) + "\n            ]\n          }")
+
+
+def exact_table_text(rows) -> str:
+    """:func:`dumps_whittaker` of an exact table from its rows: (k, the
+    :func:`exact_group_text` of each g-part of H(k), in sorted g-part
+    order), in sorted k order."""
+    if not rows:
+        return '{\n  "entries": []\n}'
+    k = _k_template(len(rows[0][0]))
+    entry = ('{\n      "k": ' + k + ',\n      "coeff": {\n        "terms": [\n          %s'
+             '\n        ]\n      }\n    }')
+    return _TABLE % ",\n    ".join([entry % (*key, ",\n          ".join(groups))
+                                     for key, groups in rows])
 
 
 def whittaker_from_json(obj: dict) -> dict:

@@ -24,6 +24,14 @@ read off the exponent vector by one rule for both families:
 k_i = P_{r-i} - T_i, with P the prefix sums of the exponents and T_i the
 tail sum l_{i+1} + .. + l_{r+1} of the top row.  The table renders as a
 Dirichlet series string whose grammar round-trips losslessly.
+
+:func:`whittaker_table` unpacks Z into coefficients, and
+:func:`dirichlet_series_string` and ``jsonio.dumps_whittaker`` render that
+table; they are the library's route and the reference.  An exact table can
+also be written without a coefficient: :func:`packed_whittaker` leaves Z
+packed, and :func:`packed_table_text` re-keys its packed sums, reads each
+distinct packed int's u-digits once and writes the same text, byte for
+byte.  The CLI writes every exact table that way.
 """
 
 from __future__ import annotations
@@ -32,13 +40,14 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import sub
 
-from .coeffs import Mode, NumericMode, SymCoeff, packed_sums, weigh
+from .coeffs import (Mode, NumericMode, Packing, SymbolicMode, SymCoeff, packed_sums,
+                     symbols_text, term_text, terms_text, weigh)
 from .gauss import gauss_table
 from .lattice import (FAMILIES, Boundary, IceState, boundary_from_lambda,
                       enumerate_states, fill_weight, row_variable, state_profiles)
 from .laurent import LaurentPoly
 from .patterns import pattern_exponents, pattern_factors, pattern_from_state, pattern_profiles
-from . import transfer
+from . import jsonio, transfer
 
 def numeric_mode(n: int, q: int) -> NumericMode:
     return NumericMode(gauss_table(n, q))
@@ -170,6 +179,66 @@ def whittaker_table(boundary: Boundary, family: str, mode: Mode,
     return {spin(exponents): coeff for exponents, coeff in z.terms.items()}
 
 
+def packed_whittaker(boundary: Boundary, family: str, mode: SymbolicMode,
+                     strategy: str = "enumerate") -> tuple:
+    """Z of an exact mode left packed, with the rule that reads each key's
+    spin vector: (packing, {g-part: {key: int}}, spin).  A key is an
+    exponent vector under "enumerate" (:func:`.coeffs.packed_sums`) and a
+    packed z under "transfer" (:func:`.transfer.contract_packed`)."""
+    if mode.name != "symbolic":
+        raise ValueError("a packed table reads exact digits; numeric tables "
+                         "take whittaker_table")
+    spin = _spin_rule(boundary, family)
+    if strategy == "enumerate":
+        packing, parts = packed_sums(boundary_profiles(boundary, family), mode, _slots(boundary))
+        return packing, parts, spin
+    if strategy == "transfer":
+        packing, _, parts = transfer.contract_packed(boundary, family, mode)
+        exponents = transfer.exponent_reader(boundary)
+        return packing, parts, lambda z: spin(exponents(z))
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _dirichlet_terms(gpart, digits: list[int]) -> str:
+    """The :func:`.coeffs.term_text` pieces of one g-part's u-polynomial."""
+    symbols = symbols_text(gpart)
+    return "".join([term_text(digit, upow, symbols) for upow, digit in enumerate(digits) if digit])
+
+
+def packed_table_text(packing: Packing, parts: dict, spin, dirichlet: bool = False) -> str:
+    """The exact Whittaker table of packed {g-part: {key: int}} sums, written
+    as ``jsonio.dumps_whittaker`` (or, with ``dirichlet``,
+    :func:`dirichlet_series_string`) writes the table :func:`whittaker_table`
+    unpacks from them, byte for byte, with no coefficient built.
+
+    Each key is re-keyed to its spin vector by ``spin``; the digits of each
+    distinct (g-part, int) pair are read once (:meth:`.coeffs.Packing.digits`)
+    into the text of its terms, and each entry joins its parts' texts in
+    sorted g-part order, the entries in sorted k order."""
+    render = _dirichlet_terms if dirichlet else jsonio.exact_group_text
+    digits = packing.digits
+    entries: dict[object, list[str]] = {}  # key -> its parts' texts
+    for part in sorted(parts):
+        texts: dict[int, str] = {}  # int -> its text under this part
+        for key, value in parts[part].items():
+            if value:
+                text = texts.get(value)
+                if text is None:
+                    text = texts[value] = render(part, digits(value))
+                found = entries.get(key)
+                if found is None:
+                    entries[key] = [text]
+                else:
+                    found.append(text)
+    rows = sorted([(spin(key), pieces) for key, pieces in entries.items()])
+    if not dirichlet:
+        return jsonio.exact_table_text(rows)
+    if not rows:
+        return "0"
+    return " + ".join([_parenthesised(terms_text("".join(pieces))) + _q_power(k)
+                       for k, pieces in rows])
+
+
 def _packed_table(boundary: Boundary, family: str, mode: Mode) -> dict:
     """The family's :func:`.coeffs.packed_sums` with zero entries dropped."""
     _, sums = packed_sums(boundary_profiles(boundary, family), mode, _slots(boundary))
@@ -191,12 +260,22 @@ def statement_a_check(lam, mode: Mode) -> bool:
 #  Dirichlet series rendering
 # ---------------------------------------------------------------------------
 
+def _parenthesised(text: str) -> str:
+    """A coefficient's text as a factor: in parentheses when it is a sum."""
+    return f"({text})" if " " in text else text
+
+
 def _coeff_str(coeff) -> str:
     if isinstance(coeff, SymCoeff):
-        text = str(coeff)
-        return f"({text})" if " " in text else text
+        return _parenthesised(str(coeff))
     text = repr(coeff)
     return text if text.startswith("(") else f"({text})"
+
+
+def _q_power(k) -> str:
+    """The q-factor of entry k, "" for k = 0 (:func:`dirichlet_series_string`)."""
+    parts = [f"{ki}*(1-2*s{i + 1})" for i, ki in enumerate(k) if ki != 0]
+    return f"*q^({' + '.join(parts)})" if parts else ""
 
 
 def dirichlet_series_string(table: dict[tuple[int, ...], object]) -> str:
@@ -208,15 +287,7 @@ def dirichlet_series_string(table: dict[tuple[int, ...], object]) -> str:
     """
     if not table:
         return "0"
-    entries = []
-    for k in sorted(table):
-        coeff = table[k]
-        parts = [f"{ki}*(1-2*s{i + 1})" for i, ki in enumerate(k) if ki != 0]
-        if parts:
-            entries.append(f"{_coeff_str(coeff)}*q^({' + '.join(parts)})")
-        else:
-            entries.append(_coeff_str(coeff))
-    return " + ".join(entries)
+    return " + ".join([_coeff_str(table[k]) + _q_power(k) for k in sorted(table)])
 
 
 def _split_top_level(text: str, sep: str = " + ") -> list[str]:

@@ -232,16 +232,13 @@ class ShortPattern:
         return (self.top, self.mid, self.bot)
 
 
-def enumerate_short_patterns(top: tuple[int, ...], bot: tuple[int, ...],
-                             mid_sum: int | None = None) -> list[ShortPattern]:
+def enumerate_short_patterns(top: tuple[int, ...], bot: tuple[int, ...]) -> list[ShortPattern]:
     """All short patterns with the given outer rows, in decreasing
-    lexicographic order of the middle row; optionally restrict the middle
-    row sum.  The middle rows are the strict interleavings of `top` that
-    `bot` interleaves."""
+    lexicographic order of the middle row.  The middle rows are the strict
+    interleavings of `top` that `bot` interleaves."""
     top, bot = tuple(top), tuple(bot)
     if len(bot) != len(top) - 2:
         raise ValueError("bottom row must be two shorter than the top row")
     return [ShortPattern(top=top, mid=mid, bot=bot)
             for mid in strict_interleavings(top)
-            if (mid_sum is None or sum(mid) == mid_sum)
-            and all(a >= b >= c for a, b, c in zip(mid, bot, mid[1:]))]
+            if all(a >= b >= c for a, b, c in zip(mid, bot, mid[1:]))]

@@ -21,7 +21,8 @@ variable, and each variable belongs to one row.  A row's fills are packed
 once per factor tuple, scaled for the - spins below the row, and the
 u-power of a product of g-parts is folded into the multiplier once
 per (weight part, layer part) pair, so the inner step is one int
-multiply-add.  Z is unpacked once.
+multiply-add.  :func:`contract_packed` returns Z packed, and
+:func:`contract_partition` unpacks it once.
 :func:`apply_row` is the same step on LaurentPoly vectors through
 :func:`.lattice.fill_weight`, kept as the exact-ring reference.
 
@@ -50,7 +51,7 @@ def apply_row(support: LayerVector, family: str, var_index: int,
               columns: int, mode: Mode, nvars: int) -> LayerVector:
     """One transfer step on LaurentPoly layer vectors in the exact ring of a
     :func:`.lattice.fill_weight` mode: w(beta) = sum_alpha v(alpha) *
-    V(alpha, beta).  The reference of :func:`contract_partition`'s row
+    V(alpha, beta).  The reference of :func:`contract_packed`'s row
     loop; no contraction calls it."""
     out: LayerVector = {}
     for alpha, acc in support.items():
@@ -62,9 +63,11 @@ def apply_row(support: LayerVector, family: str, var_index: int,
     return {key: val for key, val in out.items() if not val.is_zero()}
 
 
-def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPoly:
+def contract_packed(boundary: Boundary, family: str, mode: Mode) -> tuple:
     """Z of a full system by top-to-bottom layer contraction with the mode's
-    packed coefficients (module docstring)."""
+    packed coefficients (module docstring), left packed: (packing, slots,
+    {g-part: {packed z: int}}), zero ints dropped.  :func:`exponent_reader`
+    reads a packed z."""
     r = boundary.rank
     columns = boundary.columns
     slots = r * (r + 1) // 2  # the - spins below the top row
@@ -105,11 +108,25 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
                     kept[part] = values
             if kept:
                 support[beta] = kept
+    return packing, slots, support.get((), {})
+
+
+def exponent_reader(boundary: Boundary):
+    """The exponent vector (z_1, .., z_{r+1}) of a packed z of
+    :func:`contract_packed`."""
+    zbits = boundary.columns.bit_length()
     mask = (1 << zbits) - 1
-    shifts = [zbits * v for v in range(r + 1)]
-    terms = packing.unpack(support.get((), {}), slots)
-    return LaurentPoly(r + 1, mode, {
-        tuple([(z >> shift) & mask for shift in shifts]): coeff for z, coeff in terms.items()})
+    shifts = [zbits * v for v in range(boundary.rank + 1)]
+    return lambda z: tuple([(z >> shift) & mask for shift in shifts])
+
+
+def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPoly:
+    """Z of a full system: :func:`contract_packed`, unpacked once."""
+    packing, slots, parts = contract_packed(boundary, family, mode)
+    exponents = exponent_reader(boundary)
+    terms = packing.unpack(parts, slots)
+    return LaurentPoly(boundary.rank + 1, mode, {
+        exponents(z): coeff for z, coeff in terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,8 @@ from whitice import cli, gauss, jsonio, lattice, partition, weyl
 from whitice.cli import main
 from whitice.coeffs import SymbolicMode
 from whitice.lattice import boundary_from_lambda, enumerate_states, row_fills
-from whitice.partition import numeric_mode, partition_function, whittaker_table
+from whitice.partition import (dirichlet_series_string, numeric_mode, partition_function,
+                               whittaker_table)
 
 
 def run(capsys, *argv):
@@ -791,10 +793,11 @@ def test_nonpositive_n_is_a_config_error_on_every_path(capsys, argv):
 
 
 NUMERIC_TABLE = "whittaker --lambda 2,1,0 --n 2 --q 5 --strategy transfer"
+EXACT_TABLE = "whittaker --lambda 2,1,0 --n 2"
 
 
 @pytest.mark.parametrize("argv", [
-    "whittaker --lambda 2,1,0 --n 2",
+    EXACT_TABLE,
     NUMERIC_TABLE,
     "partition --lambda 2,0 --n 3 --json",
     "partition --lambda 2,0 --n 2 --q 5 --json",
@@ -813,10 +816,13 @@ def test_output_is_the_stdlib_rendering(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli.jsonio, "dumps", recording)
     code, out = run(capsys, *argv.split())
     assert code == 0
-    if argv == NUMERIC_TABLE:
-        # a numeric table is written one template per entry, without dumps
+    if argv in (NUMERIC_TABLE, EXACT_TABLE):
+        # a table is written by template, without dumps: a numeric one entry
+        # by entry, an exact one straight from its packed sums
+        numeric = argv == NUMERIC_TABLE
         table = whittaker_table(boundary_from_lambda((2, 1, 0)), "gamma",
-                                numeric_mode(2, 5), strategy="transfer")
+                                numeric_mode(2, 5) if numeric else SymbolicMode(2),
+                                strategy="transfer" if numeric else "enumerate")
         assert not emitted
         assert out == json.dumps(jsonio.whittaker_to_json(table), indent=2) + "\n"
     else:
@@ -829,16 +835,18 @@ def test_output_is_the_stdlib_rendering(capsys, monkeypatch, argv):
     "whittaker --lambda 2,1,0 --n 2 --q 5 --strategy transfer",
 ])
 def test_whittaker_table_runs_through_one_contraction(capsys, monkeypatch, argv):
-    # the table path calls contract_partition(boundary, family, mode) once,
-    # positionally, so that a wrapper on it sees every table's Z
+    # the table path calls one contraction (boundary, family, mode) once,
+    # positionally: a numeric table contract_partition, so that a wrapper on
+    # it sees every numeric Z, and an exact table contract_packed
     calls = []
-    contract = cli.transfer.contract_partition
+    name = "contract_partition" if "--q" in argv else "contract_packed"
+    contract = getattr(cli.transfer, name)
 
     def counting(*args, **kwargs):
         calls.append((args, kwargs))
         return contract(*args, **kwargs)
 
-    monkeypatch.setattr(cli.transfer, "contract_partition", counting)
+    monkeypatch.setattr(cli.transfer, name, counting)
     code, out = run(capsys, *argv.split())
     assert code == 0 and json.loads(out)["entries"]
     assert len(calls) == 1
@@ -846,3 +854,54 @@ def test_whittaker_table_runs_through_one_contraction(capsys, monkeypatch, argv)
     assert kwargs == {}
     assert boundary == boundary_from_lambda((2, 1, 0)) and family == "gamma"
     assert mode.n == 2 and mode.name == ("numeric" if "--q" in argv else "symbolic")
+
+
+def exact_grid():
+    """Every dominant weight of rank <= 3 with parts <= 3, (0,) first."""
+    yield (0,)
+    for rank in (1, 2, 3):
+        for parts in itertools.combinations_with_replacement(range(3, -1, -1), rank):
+            yield tuple(parts) + (0,)
+
+
+def reference_output(lam, family, n, strategy, dirichlet) -> str:
+    """What `whittaker` prints, by the reference routes through unpacked
+    coefficients."""
+    table = whittaker_table(boundary_from_lambda(lam), family, SymbolicMode(n), strategy)
+    text = (dirichlet_series_string(table) if dirichlet
+            else jsonio.dumps(jsonio.whittaker_to_json(table)))
+    return text + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exact_tables_are_the_reference_output(capsys, n):
+    # the packed read-off prints what the unpacked table renders to, byte
+    # for byte, in both families, strategies and formats; n = 4 pairs g2
+    # with itself, and lambda = (0,) has rank 0 and "k": []
+    for lam in exact_grid():
+        for family in ("gamma", "delta"):
+            for strategy in ("enumerate", "transfer"):
+                for dirichlet in (False, True):
+                    argv = ["whittaker", "--lambda", ",".join(map(str, lam)), "--n", str(n),
+                            "--ice", family, "--strategy", strategy]
+                    code, out = run(capsys, *argv, *(["--dirichlet"] if dirichlet else []))
+                    assert code == 0
+                    assert out == reference_output(lam, family, n, strategy, dirichlet), argv
+    assert '"k": []' in reference_output((0,), "gamma", n, "transfer", False)
+
+
+@pytest.mark.parametrize("strategy", ["enumerate", "transfer"])
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_exact_tables_build_no_coefficient(capsys, monkeypatch, strategy, dirichlet):
+    # an exact table is written from its packed sums: no coefficient is
+    # unpacked, and none rendered
+    flags = ["--dirichlet"] if dirichlet else []
+    argv = ["whittaker", "--lambda", "3,3,2,1,0", "--n", "3", "--strategy", strategy, *flags]
+    want = reference_output((3, 3, 2, 1, 0), "gamma", 3, strategy, dirichlet)
+
+    def reference_route(*args):
+        raise AssertionError("an exact table left the packed read-off")
+
+    monkeypatch.setattr("whitice.coeffs.Packing.unpack", reference_route)
+    monkeypatch.setattr("whitice.coeffs.SymCoeff.__str__", reference_route)
+    assert run(capsys, *argv) == (0, want)

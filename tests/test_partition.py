@@ -8,7 +8,7 @@ from free_ring import RAW, FreeSymbols, profile_sum, profile_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitice import lattice, partition
+from whitice import jsonio, lattice, partition
 from whitice.coeffs import SymCoeff, SymbolicMode
 from whitice.lattice import (boundary_from_lambda, direct_fill, enumerate_states, fill_weight,
                              row_fills, row_variable, row_vertices)
@@ -19,6 +19,8 @@ from whitice.partition import (
     dirichlet_series_string,
     matching_check,
     numeric_mode,
+    packed_table_text,
+    packed_whittaker,
     parse_dirichlet_series,
     partition_function,
     pattern_profile,
@@ -470,3 +472,42 @@ def test_exact_evaluated_is_numeric_where_a_coefficient_vanishes_at_1_over_q(fam
     evaluated = {k: v for k, c in exact.items() if (v := c.evaluate(num.table))}
     assert len(exact) == 212 and len(numeric) == 211
     assert evaluated == numeric
+
+
+def reference_text(boundary, family, mode, strategy, dirichlet) -> str:
+    """The table's text by the reference routes, through unpacked coefficients."""
+    table = whittaker_table(boundary, family, mode, strategy)
+    if dirichlet:
+        return dirichlet_series_string(table)
+    return jsonio.dumps(jsonio.whittaker_to_json(table))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4).flatmap(
+           lambda rank: st.lists(st.integers(0, 3), min_size=rank, max_size=rank)).map(
+           lambda parts: tuple(sorted(parts, reverse=True)) + (0,)),
+       st.integers(1, 4), st.sampled_from(["gamma", "delta"]),
+       st.sampled_from(["enumerate", "transfer"]), st.booleans())
+def test_packed_table_text_is_the_reference_text(lam, n, family, strategy, dirichlet):
+    # written straight from the packed sums, byte for byte what the
+    # unpacked table renders to, on random weights up to rank 4
+    b = boundary_from_lambda(lam)
+    mode = SymbolicMode(n)
+    text = packed_table_text(*packed_whittaker(b, family, mode, strategy), dirichlet=dirichlet)
+    assert text == reference_text(b, family, mode, strategy, dirichlet)
+
+
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_packed_table_text_of_no_entry(dirichlet):
+    # no key, or only ints that cancelled to 0: the empty table
+    packing = SymbolicMode(2).packing(1, 1)
+    want = dirichlet_series_string({}) if dirichlet else jsonio.dumps(jsonio.whittaker_to_json({}))
+    for parts in ({}, {(): {(0,): 0}, ((1, 1),): {(1,): 0}}):
+        assert packed_table_text(packing, parts, lambda key: key, dirichlet) == want
+
+
+def test_packed_whittaker_refuses_a_numeric_mode():
+    with pytest.raises(ValueError):
+        packed_whittaker(boundary_from_lambda((1, 0)), "gamma", numeric_mode(2, 5), "transfer")
+    with pytest.raises(ValueError):
+        packed_whittaker(boundary_from_lambda((1, 0)), "gamma", SymbolicMode(2), "bogus")

@@ -173,7 +173,7 @@ def patterns_by_recursion(top):
     return list(rec())
 
 
-def short_patterns_by_recursion(top, bot, mid_sum=None):
+def short_patterns_by_recursion(top, bot):
     """Reference for :func:`enumerate_short_patterns`: each middle entry
     ranges over the interval its four neighbours allow, recursively, and
     the patterns are sorted by middle row, largest first."""
@@ -183,8 +183,7 @@ def short_patterns_by_recursion(top, bot, mid_sum=None):
 
     def rec(j):
         if j == p:
-            if mid_sum is None or sum(acc) == mid_sum:
-                out.append(ShortPattern(top=tuple(top), mid=tuple(acc), bot=tuple(bot)))
+            out.append(ShortPattern(top=tuple(top), mid=tuple(acc), bot=tuple(bot)))
             return
         hi = top[j] if not acc else min(top[j], acc[-1] - 1)
         lo = top[j + 1]
@@ -219,9 +218,6 @@ def test_pattern_enumerators_match_the_recursive_walks():
                 expected = short_patterns_by_recursion(top, bot)
                 assert enumerate_short_patterns(top, bot) == expected
                 shorts += len(expected)
-                for k in {sum(sp.mid) for sp in expected}:
-                    assert (enumerate_short_patterns(top, bot, mid_sum=k)
-                            == short_patterns_by_recursion(top, bot, mid_sum=k))
     assert shorts == 7718
 
 
@@ -260,10 +256,6 @@ def test_enumerate_short_patterns():
     assert ShortPattern((5, 3, 0), (5, 3), (4,)) in sps
     for sp in sps:
         assert sp.top == (5, 3, 0) and sp.bot == (4,)
-    # mid_sum filters on the middle-row sum
-    filtered = enumerate_short_patterns((5, 3, 0), (4,), mid_sum=6)
-    assert filtered == [sp for sp in sps if sum(sp.mid) == 6]
-    assert len(filtered) == 2
 
 
 def test_short_weights_counterexample_pin():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -22,7 +23,9 @@ from whitice.transfer import (
     TWO_ROW_ORDERS,
     check_two_row_boundary,
     coefficient_pairs,
+    contract_packed,
     contract_partition,
+    exponent_reader,
     random_two_row_boundary,
     two_row_check,
     two_row_partition,
@@ -361,3 +364,17 @@ def test_total_is_width_invariant():
     assert narrow.nvars == wide.nvars == 2
     assert narrow == wide
     assert check_two_row_boundary((3, 2, 0), (3,), 6) > check_two_row_boundary((3, 2, 0), (3,), 4)
+
+
+@pytest.mark.parametrize("lam", [(0,)] + [
+    tuple(parts) + (0,) for rank in (1, 2, 3)
+    for parts in itertools.combinations_with_replacement(range(3, -1, -1), rank)])
+@pytest.mark.parametrize("family", ["gamma", "delta"])
+def test_contract_partition_is_the_unpacked_packed_contraction(lam, family):
+    # contract_partition reads Z off contract_packed's map, once, in every mode
+    b = boundary_from_lambda(lam)
+    exponents = exponent_reader(b)
+    for mode in [SymbolicMode(n) for n in (1, 2, 3, 4)] + [numeric_mode(3, 13)]:
+        packing, slots, parts = contract_packed(b, family, mode)
+        unpacked = {exponents(z): c for z, c in packing.unpack(parts, slots).items()}
+        assert contract_partition(b, family, mode) == LaurentPoly(b.rank + 1, mode, unpacked)
