@@ -30,7 +30,7 @@ import sys
 import time
 from random import Random
 
-from . import jsonio, patterns, transfer, weyl, ybe
+from . import jsonio, transfer, weyl, ybe
 from .coeffs import Mode, SymbolicMode
 from .gauss import gauss_table
 from .lattice import FAMILIES, boundary_from_lambda, count_states, enumerate_states
@@ -46,8 +46,6 @@ from .partition import (
     whittaker_table,
 )
 
-
-NO_STATE = "the boundary admits no state"
 
 #: largest state count `enumerate` lists; larger boundaries take --count-only
 MAX_LISTED_STATES = 100_000
@@ -226,7 +224,7 @@ def cmd_bench(args) -> int:
         _check_enumerable(boundary, "; without --compare, bench times the contraction alone")
     states = count_states(boundary)  # refuses a boundary too wide to count
     t0 = time.perf_counter()
-    via_transfer = partition_function(boundary, args.ice, mode, strategy="transfer")
+    packed = transfer.contract_packed(boundary, args.ice, mode)
     t1 = time.perf_counter()
     report = {
         "columns": boundary.columns,
@@ -239,7 +237,7 @@ def cmd_bench(args) -> int:
         direct = partition_function(boundary, args.ice, mode, strategy="enumerate")
         t3 = time.perf_counter()
         report["enumerate_seconds"] = round(t3 - t2, 6)
-        report["agree"] = via_transfer == direct
+        report["agree"] = transfer.unpack_partition(boundary, packed) == direct
     _emit(report)
     return 0
 
@@ -326,9 +324,6 @@ def verify_two_row(args) -> int:
         bottom = _parse_parts(args.m, "--m")
         columns = transfer.check_two_row_boundary(top, bottom, args.columns)
         _check_columns(columns, "--l/--m/--columns")
-        if not any(transfer.two_row_has_states(top, bottom, columns, order)
-                   for order in transfer.TWO_ROW_ORDERS):
-            raise ValueError(NO_STATE)
         triples.append((top, bottom, args.columns))
     if args.random:
         if args.random > MAX_RANDOM_BOUNDARIES:
@@ -344,20 +339,16 @@ def verify_two_row(args) -> int:
     if not triples:
         raise ValueError("two-row needs --l/--m or --random N")
     counter = None
-    for top, bottom, columns in triples:
-        equal, z_gd, z_dg = transfer.two_row_check(top, bottom, mode, columns=columns)
-        if not equal:
-            counter = {"l": list(top), "m": list(bottom),
-                       "columns": columns,
-                       "gamma-delta": str(z_gd), "delta-gamma": str(z_dg)}
+    for top, bottom, columns in triples:  # a slab with no state is refused
+        if not transfer.two_row_check(top, bottom, mode, columns=columns):
+            # both Z are unpacked only to show how they differ
+            counter = {"l": list(top), "m": list(bottom), "columns": columns,
+                       **{order: str(transfer.two_row_partition(top, bottom, order, mode, columns))
+                          for order in transfer.TWO_ROW_ORDERS}}
             break
     params = {"pairs": len(triples), "n": mode.n, "mode": mode.name,
               "tol": REPORTED_TOL, "seed": args.seed}
     return _finish(jsonio.report("two-row", params, counter is None, counter))
-
-
-def _feasible_mid_sums(top, bot) -> list[int]:
-    return sorted({sum(sp.mid) for sp in patterns.enumerate_short_patterns(top, bot)})
 
 
 def verify_statement_b(args) -> int:
@@ -366,16 +357,22 @@ def verify_statement_b(args) -> int:
     mode = _mode(args)
     columns = transfer.check_two_row_boundary(top, bot, None)
     _check_columns(columns, "--l/--m")
-    ks = [k for k in _feasible_mid_sums(top, bot) if args.k in (None, k)]
+    feasible, sums_gd, sums_dg = transfer.slab_sums(top, bot, mode, columns)
+    ks = [k for k in feasible if args.k in (None, k)]
     if not ks:
-        raise ValueError(NO_STATE + ("" if args.k is None else
-                                     f" with middle row sum {args.k}"))
+        raise ValueError(transfer.NO_STATE + ("" if args.k is None else
+                                              f" with middle row sum {args.k}"))
     counter = None
     results = []
-    for k, (left, right) in zip(ks, transfer.coefficient_pairs(top, bot, ks, mode)):
-        ok = left == right
+    for k in ks:
+        exponents = (sum(top) - k, k - sum(bot))
+        ok = (transfer.graded_entries(sums_gd, exponents)
+              == transfer.graded_entries(sums_dg, exponents))
         results.append({"k": k, "pass": ok})
         if not ok and counter is None:
+            # the coefficients are unpacked only to show how they differ
+            left, right = (transfer.two_row_partition(top, bot, order, mode).coeff(exponents)
+                           for order in transfer.TWO_ROW_ORDERS)
             counter = {"k": k, "left": jsonio.coeff_to_json(left),
                        "right": jsonio.coeff_to_json(right)}
     # "route" names the one route there is; reports keep the field they carried

@@ -36,10 +36,11 @@ A :class:`SymbolicMode` hands out ring elements for the weight kinds of the
 lattice tables.  A :class:`NumericMode` multiplies nothing: it names a Gauss
 table and packs the reduced ring at u = 1/q (below), so no term is ever
 floored.  A coefficient of either mode is zero exactly when it is falsy.
-Every check decides by ``==``, with no tolerance: two sums of weights with
-one exact value are equal bit for bit (and their packed sums,
-:func:`packed_sums`, equal), and a check that multiplies polynomials runs in
-the reduced ring, since products of rounded values differ in the last bits.
+Every check decides by ``==``, with no tolerance: a check that compares
+sums of weights compares their zero-free packed sums (:func:`packed_sums`),
+equal exactly when the sums are, and a check that multiplies polynomials
+runs in the reduced ring, since products of rounded values differ in the
+last bits.
 
 Symbols with index divisible by n are never formal: g(b) = -u and
 h(b) = 1 - u whenever n | b.
@@ -47,8 +48,8 @@ h(b) = 1 - u whenever n | b.
 Packed coefficients
 -------------------
 Every weight sum -- a Z by contraction (:mod:`whitice.transfer`), or the
-state profiles of a full system, a two-row slab or a set of short patterns
-summed by :func:`weigh` -- is one exact int computation in the reduced ring
+state profiles of a full system or a two-row slab summed by
+:func:`packed_sums` -- is one exact int computation in the reduced ring
 of the mode's n, in the format of the mode's ``packing``, a
 :class:`Packing` at u = num/den.  ``pack`` turns a fill's (kind, raw
 charge) factors straight into (g-part, int) pairs, storing
@@ -584,9 +585,9 @@ Mode = Union[SymbolicMode, NumericMode]
 def packed_sums(profiles, mode: Mode, slots: int) -> tuple[Packing, dict]:
     """The mode's packing for the profiles and {g-part: {exponents: int}}:
     the weights of (factors, exponents) profiles, each packed as a whole
-    with ``slots`` slots ("Packed coefficients"), summed.  Profiles of one
-    state count share a packing, and two of their sums are equal exactly
-    when their maps are once zero entries are dropped."""
+    with ``slots`` slots ("Packed coefficients"), summed, with no zero int
+    and no empty g-part kept.  Profiles of one state count share a packing,
+    and two of their sums are equal exactly when their maps are."""
     packing = mode.packing(slots, len(profiles))
     sums: dict[SymPart, dict] = {}
     for factors, exponents in profiles:
@@ -595,7 +596,8 @@ def packed_sums(profiles, mode: Mode, slots: int) -> tuple[Packing, dict]:
             if acc is None:
                 acc = sums[part] = {}
             acc[exponents] = acc.get(exponents, 0) + value
-    return packing, sums
+    return packing, {part: kept for part, acc in sums.items()
+                     if (kept := {key: value for key, value in acc.items() if value})}
 
 
 def weigh(profiles, mode: Mode, slots: int) -> dict:

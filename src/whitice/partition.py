@@ -11,7 +11,8 @@ factors plus the per-variable exponent vector -- is independent of n and of
 the coefficient mode, so it is computed once per boundary ("profile") by a
 depth-first walk over the row kernel and cached.  Z under any mode is then
 the sum of the profiles packed exactly (:mod:`.coeffs`), unpacked once.
-Statement A compares the two families' packed sums themselves, by ``==``.
+Statement A compares the two families' zero-free packed sums
+(:func:`.coeffs.packed_sums`) themselves, by ``==``, and reads no digit.
 
 The same factors are the g/h entries of the state's pattern under the one
 pattern statistic (:mod:`.patterns`), and the exponents are row-sum
@@ -206,7 +207,8 @@ def _dirichlet_terms(gpart, digits: list[int]) -> str:
 
 
 def packed_table_text(packing: Packing, parts: dict, spin, dirichlet: bool = False) -> str:
-    """The exact Whittaker table of packed {g-part: {key: int}} sums, written
+    """The exact Whittaker table of zero-free packed {g-part: {key: int}}
+    sums (:func:`packed_whittaker`), written
     as ``jsonio.dumps_whittaker`` (or, with ``dirichlet``,
     :func:`dirichlet_series_string`) writes the table :func:`whittaker_table`
     unpacks from them, byte for byte, with no coefficient built.
@@ -221,15 +223,14 @@ def packed_table_text(packing: Packing, parts: dict, spin, dirichlet: bool = Fal
     for part in sorted(parts):
         texts: dict[int, str] = {}  # int -> its text under this part
         for key, value in parts[part].items():
-            if value:
-                text = texts.get(value)
-                if text is None:
-                    text = texts[value] = render(part, digits(value))
-                found = entries.get(key)
-                if found is None:
-                    entries[key] = [text]
-                else:
-                    found.append(text)
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = render(part, digits(value))
+            found = entries.get(key)
+            if found is None:
+                entries[key] = [text]
+            else:
+                found.append(text)
     rows = sorted([(spin(key), pieces) for key, pieces in entries.items()])
     if not dirichlet:
         return jsonio.exact_table_text(rows)
@@ -239,13 +240,6 @@ def packed_table_text(packing: Packing, parts: dict, spin, dirichlet: bool = Fal
                        for k, pieces in rows])
 
 
-def _packed_table(boundary: Boundary, family: str, mode: Mode) -> dict:
-    """The family's :func:`.coeffs.packed_sums` with zero entries dropped."""
-    _, sums = packed_sums(boundary_profiles(boundary, family), mode, _slots(boundary))
-    return {part: kept for part, acc in sums.items()
-            if (kept := {key: value for key, value in acc.items() if value})}
-
-
 def statement_a_check(lam, mode: Mode) -> bool:
     """Whether the Whittaker tables of the gamma and delta systems agree.
 
@@ -253,7 +247,9 @@ def statement_a_check(lam, mode: Mode) -> bool:
     states and slots and so share one packing: equal packed sums mean equal
     tables, read off no digit."""
     boundary = boundary_from_lambda(lam)
-    return _packed_table(boundary, "gamma", mode) == _packed_table(boundary, "delta", mode)
+    gamma, delta = (packed_sums(boundary_profiles(boundary, family), mode, _slots(boundary))[1]
+                    for family in FAMILIES)
+    return gamma == delta
 
 
 # ---------------------------------------------------------------------------

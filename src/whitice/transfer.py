@@ -22,16 +22,17 @@ once per factor tuple, scaled for the - spins below the row, and the
 u-power of a product of g-parts is folded into the multiplier once
 per (weight part, layer part) pair, so the inner step is one int
 multiply-add.  :func:`contract_packed` returns Z packed, and
-:func:`contract_partition` unpacks it once.
+:func:`contract_partition` unpacks it once (:func:`unpack_partition`).
 :func:`apply_row` is the same step on LaurentPoly vectors through
 :func:`.lattice.fill_weight`, kept as the exact-ring reference.
 
 Two-row systems (a gamma row above a delta row or the reverse, top boundary
 carrying two more - spins than the bottom) are slabs with explicit per-row
 (family, variable) assignments: their states are walked by
-:func:`.lattice.state_profiles` and weighed by :func:`.coeffs.weigh`, the
-way a full system's Z is by enumeration, so both orders are the exact slab
-Z rounded once.
+:func:`.lattice.state_profiles`, the way a full system's are by
+enumeration.  The two-row and statement-B checks compare the packed sums
+of :func:`slab_sums`, which walks each row order once;
+:func:`two_row_partition` unpacks one order's Z for a report.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import random
 from math import comb, prod
 
-from .coeffs import Mode, weigh
+from .coeffs import Mode, packed_sums, weigh
 from .lattice import Boundary, fill_weight, row_fills, row_variable, state_profiles
 from .laurent import LaurentPoly
 
@@ -120,13 +121,17 @@ def exponent_reader(boundary: Boundary):
     return lambda z: tuple([(z >> shift) & mask for shift in shifts])
 
 
+def unpack_partition(boundary: Boundary, packed: tuple) -> LaurentPoly:
+    """Z from :func:`contract_packed`'s (packing, slots, parts), unpacked once."""
+    packing, slots, parts = packed
+    exponents = exponent_reader(boundary)
+    return LaurentPoly(boundary.rank + 1, packing.mode, {
+        exponents(z): coeff for z, coeff in packing.unpack(parts, slots).items()})
+
+
 def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPoly:
     """Z of a full system: :func:`contract_packed`, unpacked once."""
-    packing, slots, parts = contract_packed(boundary, family, mode)
-    exponents = exponent_reader(boundary)
-    terms = packing.unpack(parts, slots)
-    return LaurentPoly(boundary.rank + 1, mode, {
-        exponents(z): coeff for z, coeff in terms.items()})
+    return unpack_partition(boundary, contract_packed(boundary, family, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +139,8 @@ def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPo
 # ---------------------------------------------------------------------------
 
 TWO_ROW_ORDERS = ("gamma-delta", "delta-gamma")
+
+NO_STATE = "the boundary admits no state"
 
 
 def two_row_rows(order: str) -> tuple[tuple[str, int], tuple[str, int]]:
@@ -156,9 +163,8 @@ def check_two_row_boundary(top: Layer, bottom: Layer, columns: int | None) -> in
         raise ValueError("boundary - positions must be nonnegative")
     if len(top) != len(bottom) + 2:
         raise ValueError("top boundary must carry two more - spins than the bottom")
-    if columns is None:
-        columns = (top[0] + 1) if top else 1
-    if top and top[0] >= columns:
+    columns = top[0] + 1 if columns is None else columns
+    if top[0] >= columns:
         raise ValueError("top - position out of range")
     if bottom and bottom[0] >= columns:
         raise ValueError("bottom - position out of range")
@@ -174,12 +180,6 @@ def slab_partition(top: Layer, bottom: Layer, rows, mode: Mode,
     return LaurentPoly(2, mode, weigh(profiles, mode, 2 * len(top) - 3))
 
 
-def two_row_has_states(top: Layer, bottom: Layer, columns: int,
-                       order: str = "gamma-delta") -> bool:
-    """Whether the two-row system in this order admits a state."""
-    return bool(state_profiles(tuple(top), two_row_rows(order), columns, tuple(bottom)))
-
-
 def two_row_partition(top: Layer, bottom: Layer, order: str, mode: Mode,
                       columns: int | None = None) -> LaurentPoly:
     """Z of the two-row system with the given boundary, in (z1, z2)."""
@@ -187,30 +187,36 @@ def two_row_partition(top: Layer, bottom: Layer, order: str, mode: Mode,
     return slab_partition(top, bottom, two_row_rows(order), mode, columns)
 
 
-def two_row_check(top: Layer, bottom: Layer, mode: Mode,
-                  columns: int | None = None):
-    """Compare Z(gamma-delta) with Z(delta-gamma) on one boundary by ``==``:
-    both are exact slab sums rounded once, so in numeric mode too they
-    agree bit for bit.  Returns (equal, Z_gd, Z_dg)."""
-    z_gd = two_row_partition(top, bottom, "gamma-delta", mode, columns)
-    z_dg = two_row_partition(top, bottom, "delta-gamma", mode, columns)
-    return z_gd == z_dg, z_gd, z_dg
+def slab_sums(top: Layer, bottom: Layer, mode: Mode, columns: int) -> tuple:
+    """(ks, gamma-delta sums, delta-gamma sums) of a checked two-row boundary,
+    each row order walked once: the ascending middle-row sums k of its
+    states, and each order's zero-free packed {g-part: {(z1, z2) exponents:
+    int}} (:func:`.coeffs.packed_sums`).  Both weight tables have the same
+    six admissible configurations, so admissibility does not depend on the
+    family: both orders admit the same states and share one packing, and
+    equal maps mean equal Z.  A state with middle-row sum k carries
+    z1^(sum(top) - k) in the gamma-delta order, so k is read off it there."""
+    gd, dg = (state_profiles(tuple(top), two_row_rows(order), columns, tuple(bottom))
+              for order in TWO_ROW_ORDERS)
+    slots = 2 * len(top) - 3
+    return (sorted({sum(top) - exponents[0] for _, exponents in gd}),
+            packed_sums(gd, mode, slots)[1], packed_sums(dg, mode, slots)[1])
 
 
-def coefficient_pairs(l: Layer, m: Layer, ks, mode: Mode) -> list[tuple]:
-    """The matched monomial coefficients refining the two-row equality.
+def graded_entries(sums: dict, exponents: tuple[int, int]) -> dict:
+    """{g-part: int} of one monomial in packed slab sums: its coefficient, packed."""
+    return {part: values[exponents] for part, values in sums.items() if exponents in values}
 
-    States of either mixed system with outer layers (l, m) and middle-layer
-    sum k all carry the monomial z1^(d0-k) z2^(k-d2), d0 = sum(l),
-    d2 = sum(m); this returns that coefficient in both systems, as a
-    (gamma-delta, delta-gamma) pair for each k in `ks`.  Each system is
-    weighed once.
-    """
-    d0 = sum(l)
-    d2 = sum(m)
-    z_gd = two_row_partition(l, m, "gamma-delta", mode)
-    z_dg = two_row_partition(l, m, "delta-gamma", mode)
-    return [(z_gd.coeff((d0 - k, k - d2)), z_dg.coeff((d0 - k, k - d2))) for k in ks]
+
+def two_row_check(top: Layer, bottom: Layer, mode: Mode, columns: int | None = None) -> bool:
+    """Whether Z(gamma-delta) equals Z(delta-gamma) on one boundary: their
+    packed sums (:func:`slab_sums`) compared by ``==``.  A boundary that
+    admits no state raises ValueError rather than passing with 0 = 0."""
+    ks, sums_gd, sums_dg = slab_sums(top, bottom, mode,
+                                     check_two_row_boundary(top, bottom, columns))
+    if not ks:
+        raise ValueError(NO_STATE)
+    return sums_gd == sums_dg
 
 
 def random_two_row_boundary(rng: random.Random,
@@ -219,11 +225,9 @@ def random_two_row_boundary(rng: random.Random,
     boundaries whose systems are nonempty."""
     for _ in range(200):
         columns = rng.randint(3, max_width)
-        size = rng.randint(2, max(2, columns // 2 + 1))
-        if size > columns:
-            continue
+        size = rng.randint(2, columns // 2 + 1)
         top = tuple(sorted(rng.sample(range(columns), size), reverse=True))
         bottom = tuple(sorted(rng.sample(range(columns), size - 2), reverse=True))
-        if two_row_has_states(top, bottom, columns):
+        if state_profiles(top, two_row_rows("gamma-delta"), columns, bottom):
             return top, bottom, columns
     return top, bottom, columns

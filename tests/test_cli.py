@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from whitice import cli, gauss, jsonio, lattice, partition, weyl
+from whitice import cli, gauss, jsonio, lattice, partition, transfer, weyl
 from whitice.cli import main
 from whitice.coeffs import SymbolicMode
 from whitice.lattice import boundary_from_lambda, enumerate_states, row_fills
@@ -292,20 +292,22 @@ def test_numeric_functional_eq_shows_the_exact_sides_rounded_once(capsys):
         assert shown and all(shown.values())
 
 
+def shifted_kernel(top, columns, family, bottom=None):  # every fill; callers look bottom up
+    """The row kernel with the first charge of every fill one too large."""
+    out = {}
+    for bot, (factors, zexp) in row_fills(top, columns, family).items():
+        if factors:
+            (kind, charge), *rest = factors
+            factors = ((kind, charge + 1), *rest)
+        out[bot] = (factors, zexp)
+    return out
+
+
 def test_shifted_kernel_charge_fails_statement_a_with_both_tables(capsys, monkeypatch):
     # negative control: a kernel that miscounts one charge by one makes the
     # gamma and delta tables differ at n = 3; the report shows both
-    def shifted(top, columns, family, bottom=None):  # every fill; callers look bottom up
-        out = {}
-        for bot, (factors, zexp) in row_fills(top, columns, family).items():
-            if factors:
-                (kind, charge), *rest = factors
-                factors = ((kind, charge + 1), *rest)
-            out[bot] = (factors, zexp)
-        return out
-
     partition.boundary_profiles.cache_clear()
-    monkeypatch.setattr(lattice, "row_fills", shifted)
+    monkeypatch.setattr(lattice, "row_fills", shifted_kernel)
     try:
         for mode in (["--n", "3"], ["--coeff", "numeric", "--n", "3", "--q", "7"]):
             code, obj = run_json(capsys, "verify", "statement-a", "--lambda", "3,2,0", *mode)
@@ -316,6 +318,40 @@ def test_shifted_kernel_charge_fails_statement_a_with_both_tables(capsys, monkey
             assert counter["gamma"] != counter["delta"]
     finally:
         partition.boundary_profiles.cache_clear()
+
+
+@pytest.mark.parametrize("mode, flags", [
+    (SymbolicMode(3), ["--n", "3"]),
+    (numeric_mode(3, 7), ["--coeff", "numeric", "--n", "3", "--q", "7"]),
+], ids=["symbolic", "numeric"])
+def test_shifted_kernel_charge_fails_the_two_row_checks_with_both_sides(capsys, monkeypatch,
+                                                                        mode, flags):
+    # the same control makes the two row orders differ: two-row and
+    # statement-b decide on packed sums, and their reports show both
+    # orders' Z, or both coefficients, unpacked as the library unpacks them
+    monkeypatch.setattr(lattice, "row_fills", shifted_kernel)
+    top, bottom = (6, 4, 1, 0), (4, 3)
+    z_gd, z_dg = (transfer.two_row_partition(top, bottom, order, mode)
+                  for order in transfer.TWO_ROW_ORDERS)
+    assert z_gd != z_dg
+
+    code, obj = run_json(capsys, "verify", "two-row", "--l", "6,4,1,0", "--m", "4,3", *flags)
+    assert code == 1 and obj["pass"] is False
+    assert obj["counterexample"] == {"l": list(top), "m": list(bottom), "columns": None,
+                                     "gamma-delta": str(z_gd), "delta-gamma": str(z_dg)}
+
+    code, obj = run_json(capsys, "verify", "statement-b", "--l", "6,4,1,0", "--m", "4,3",
+                         *flags)
+    assert code == 1 and obj["pass"] is False
+    failing = [r["k"] for r in obj["results"] if not r["pass"]]
+    assert failing and obj["counterexample"]["k"] == failing[0]
+    exponents = (sum(top) - failing[0], failing[0] - sum(bottom))
+    assert obj["counterexample"] == {
+        "k": failing[0], "left": jsonio.coeff_to_json(z_gd.coeff(exponents)),
+        "right": jsonio.coeff_to_json(z_dg.coeff(exponents))}
+    for result in obj["results"]:
+        exponents = (sum(top) - result["k"], result["k"] - sum(bottom))
+        assert result["pass"] == (z_gd.coeff(exponents) == z_dg.coeff(exponents))
 
 
 @pytest.mark.parametrize("argv", [
@@ -629,19 +665,24 @@ def test_functional_eq_class_in_range_is_reported(capsys):
 
 
 def test_statement_b_coefficient_route_contracts_once(capsys, monkeypatch):
-    # every middle sum k is read from one contraction per row order; the
-    # report is byte-identical to the one built with a contraction per k
+    # every middle sum k is read from one walk per row order, and an
+    # explicit two-row slab takes one walk per order too; the report is
+    # byte-identical to the one built with a contraction per k
     calls = []
-    original = cli.transfer.two_row_partition
+    original = transfer.state_profiles
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+    def counted(top, rows, columns, bottom=()):
+        calls.append(rows)
+        return original(top, rows, columns, bottom)
 
-    monkeypatch.setattr(cli.transfer, "two_row_partition", counted)
+    monkeypatch.setattr(transfer, "state_profiles", counted)
+    orders = [transfer.two_row_rows(order) for order in transfer.TWO_ROW_ORDERS]
+    code, _ = run(capsys, "verify", "two-row", "--l", "6,4,1,0", "--m", "4,3")
+    assert code == 0 and calls == orders
+    calls.clear()
     code, out = run(capsys, "verify", "statement-b", "--l", "5,3,0", "--m", "4", "--n", "1")
     assert code == 0
-    assert sorted(calls) == ["delta-gamma", "gamma-delta"]
+    assert calls == orders
     expected = {
         "check": "statement-b",
         "params": {"l": [5, 3, 0], "m": [4], "route": "coefficient", "n": 1,
@@ -737,7 +778,8 @@ def test_state_by_state_commands_refuse_huge_boundaries(capsys, monkeypatch, arg
         raise AssertionError("states were walked")
 
     for module, attr in ((partition, "boundary_profiles"), (partition, "enumerate_states"),
-                         (weyl, "row_fills"), (cli.transfer, "contract_partition")):
+                         (weyl, "row_fills"), (cli.transfer, "contract_partition"),
+                         (cli.transfer, "contract_packed")):
         monkeypatch.setattr(module, attr, refused)
     code, obj = run_json(capsys, *argv.split())
     assert code == 2

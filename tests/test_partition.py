@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitice import jsonio, lattice, partition
-from whitice.coeffs import SymCoeff, SymbolicMode
+from whitice.coeffs import SymCoeff, SymbolicMode, packed_sums
 from whitice.lattice import (boundary_from_lambda, direct_fill, enumerate_states, fill_weight,
                              row_fills, row_variable, row_vertices)
 from whitice.laurent import LaurentPoly
@@ -499,10 +499,13 @@ def test_packed_table_text_is_the_reference_text(lam, n, family, strategy, diric
 
 @pytest.mark.parametrize("dirichlet", [False, True])
 def test_packed_table_text_of_no_entry(dirichlet):
-    # no key, or only ints that cancelled to 0: the empty table
-    packing = SymbolicMode(2).packing(1, 1)
+    # no state, or only weights that cancel to 0 (-u + g1^2 at n = 2), which
+    # packed_sums drops: the empty table
+    mode = SymbolicMode(2)
     want = dirichlet_series_string({}) if dirichlet else jsonio.dumps(jsonio.whittaker_to_json({}))
-    for parts in ({}, {(): {(0,): 0}, ((1, 1),): {(1,): 0}}):
+    for profiles in ([], [((("g", 0),), (0,)), ((("g", 1), ("g", 1)), (0,))]):
+        packing, parts = packed_sums(profiles, mode, 2)
+        assert parts == {}
         assert packed_table_text(packing, parts, lambda key: key, dirichlet) == want
 
 

@@ -19,14 +19,16 @@ from whitice.lattice import (boundary_from_lambda, fill_weight, row_fills, row_v
                              state_profiles)
 from whitice.laurent import LaurentPoly
 from whitice.partition import numeric_mode, partition_function
+from whitice.patterns import enumerate_short_patterns
 from whitice.transfer import (
     TWO_ROW_ORDERS,
     check_two_row_boundary,
-    coefficient_pairs,
     contract_packed,
     contract_partition,
     exponent_reader,
+    graded_entries,
     random_two_row_boundary,
+    slab_sums,
     two_row_check,
     two_row_partition,
     two_row_rows,
@@ -246,14 +248,28 @@ def test_row_loop_matches_the_folded_reference_where_settle_drops_terms(family):
     assert len(z.terms) == 8442
 
 
+def both_orders(top, bottom, mode, columns=None):
+    """(Z gamma-delta, Z delta-gamma), each unpacked."""
+    return tuple(two_row_partition(top, bottom, order, mode, columns)
+                 for order in TWO_ROW_ORDERS)
+
+
 def test_two_row_exchange_reference_boundary():
-    ok, z_gd, z_dg = two_row_check(PAPER_TOP, PAPER_BOT, SymbolicMode(1))
-    assert ok
+    assert two_row_check(PAPER_TOP, PAPER_BOT, SymbolicMode(1)) is True
+    z_gd, z_dg = both_orders(PAPER_TOP, PAPER_BOT, SymbolicMode(1))
     assert z_gd == z_dg
     assert len(z_gd.terms) == 5
     for n, q in ((2, 5), (3, 7)):
-        ok, z_gd, z_dg = two_row_check(PAPER_TOP, PAPER_BOT, numeric_mode(n, q))
-        assert ok and z_gd == z_dg
+        assert two_row_check(PAPER_TOP, PAPER_BOT, numeric_mode(n, q)) is True
+        z_gd, z_dg = both_orders(PAPER_TOP, PAPER_BOT, numeric_mode(n, q))
+        assert z_gd == z_dg
+
+
+def test_two_row_check_refuses_a_slab_without_states():
+    # 0 == 0 would pass vacuously
+    with pytest.raises(ValueError, match="admits no state"):
+        two_row_check((5, 4, 3), (0,), SymbolicMode(1))
+    assert slab_sums((5, 4, 3), (0,), SymbolicMode(1), 6) == ([], {}, {})
 
 
 def test_a_wide_slab_walks_its_last_row_toward_the_bottom():
@@ -261,9 +277,10 @@ def test_a_wide_slab_walks_its_last_row_toward_the_bottom():
     # ending on the bottom is a state: 384 states per order
     top, bottom = (18, 16, 14, 13, 11, 8, 6, 1, 0), (17, 15, 13, 11, 10, 7, 0)
     start = time.perf_counter()
-    ok, z_gd, _ = two_row_check(top, bottom, SymbolicMode(1), columns=20)
+    ok = two_row_check(top, bottom, SymbolicMode(1), columns=20)
     assert time.perf_counter() - start < 2.0
-    assert ok and z_gd
+    assert ok
+    assert slab_sums(top, bottom, SymbolicMode(1), 20)[1]
     assert [len(state_profiles(top, two_row_rows(order), 20, bottom))
             for order in TWO_ROW_ORDERS] == [384, 384]
 
@@ -280,8 +297,7 @@ def test_two_row_orders_differ_per_state_but_not_in_sum():
          for factors, exponents in states]
         for states in (states_gd, states_dg))
     assert sorted(map(str, weights_gd)) != sorted(map(str, weights_dg))
-    total_gd = two_row_partition(PAPER_TOP, PAPER_BOT, "gamma-delta", mode)
-    total_dg = two_row_partition(PAPER_TOP, PAPER_BOT, "delta-gamma", mode)
+    total_gd, total_dg = both_orders(PAPER_TOP, PAPER_BOT, mode)
     assert total_gd == total_dg
     agg = LaurentPoly.zero(2, mode)
     for poly in weights_gd:
@@ -300,20 +316,26 @@ def test_numeric_two_row_orders_agree_bit_for_bit(n, q):
     mode = numeric_mode(n, q)
     for _ in range(40):
         top, bot, columns = random_two_row_boundary(rng)
-        ok, z_gd, z_dg = two_row_check(top, bot, mode, columns=columns)
-        assert ok and z_gd.terms == z_dg.terms
-        for order, z in (("gamma-delta", z_gd), ("delta-gamma", z_dg)):
-            exact = two_row_partition(top, bot, order, SymbolicMode(n), columns)
+        assert two_row_check(top, bot, mode, columns=columns)
+        z_gd, z_dg = both_orders(top, bot, mode, columns)
+        assert z_gd.terms == z_dg.terms
+        for z, exact in zip((z_gd, z_dg), both_orders(top, bot, SymbolicMode(n), columns)):
             assert z.terms == rounded_once(exact, mode.table)
 
 
 @pytest.mark.parametrize("n, q", SLAB_MODULI)
 def test_numeric_graded_coefficients_agree_bit_for_bit(n, q):
+    # per middle sum k, both orders' packed entries agree, and so do the
+    # coefficients unpacked from them
     mode = numeric_mode(n, q)
-    d0, d2 = sum(PAPER_TOP), sum(PAPER_BOT)
-    pairs = coefficient_pairs(PAPER_TOP, PAPER_BOT, range(d2, d0 + 1), mode)
-    assert any(a != 0 for a, _ in pairs)
-    assert all(a == b for a, b in pairs)
+    columns = check_two_row_boundary(PAPER_TOP, PAPER_BOT, None)
+    ks, sums_gd, sums_dg = slab_sums(PAPER_TOP, PAPER_BOT, mode, columns)
+    z_gd, z_dg = both_orders(PAPER_TOP, PAPER_BOT, mode)
+    assert any(z_gd.coeff(graded_exponents(PAPER_TOP, PAPER_BOT, k)) for k in ks)
+    for k in ks:
+        exponents = graded_exponents(PAPER_TOP, PAPER_BOT, k)
+        assert graded_entries(sums_gd, exponents) == graded_entries(sums_dg, exponents)
+        assert z_gd.coeff(exponents) == z_dg.coeff(exponents)
 
 
 def test_random_boundaries_deterministic_and_valid():
@@ -335,24 +357,77 @@ def test_two_row_exchange_random_sample():
     num = numeric_mode(3, 7)
     for _ in range(12):
         top, bot, columns = random_two_row_boundary(rng)
-        ok, _, _ = two_row_check(top, bot, n1, columns=columns)
-        assert ok
-        ok, _, _ = two_row_check(top, bot, num, columns=columns)
-        assert ok
+        assert two_row_check(top, bot, n1, columns=columns)
+        assert two_row_check(top, bot, num, columns=columns)
+
+
+def graded_exponents(top, bottom, k) -> tuple[int, int]:
+    """(z1, z2) exponents of every state with middle-row sum k."""
+    return sum(top) - k, k - sum(bottom)
 
 
 def test_graded_coefficient_identity():
     # the single-variable coefficient extracted at complementary degrees
-    # agrees between the two row orders, grade by grade
+    # agrees between the two row orders, grade by grade, at every degree
+    # between the outer sums, also where neither order has a state
     n1 = SymbolicMode(1)
     for l, m in (((5, 3, 0), (4,)), ((6, 5, 4), (6,)), ((6, 5, 4), (5,)),
                  ((5, 3, 0), (1,)), ((6, 4, 1, 0), (4, 3))):
-        d0, d2 = sum(l), sum(m)
-        for a, b in coefficient_pairs(l, m, range(d2, d0 + 1), n1):
-            assert a == b
-    num = numeric_mode(2, 13)
-    [(a, b)] = coefficient_pairs((5, 3, 0), (1,), [6], num)
-    assert a == b  # both slab sums rounded once
+        z_gd, z_dg = both_orders(l, m, n1)
+        for k in range(sum(m), sum(l) + 1):
+            assert z_gd.coeff(graded_exponents(l, m, k)) == z_dg.coeff(graded_exponents(l, m, k))
+    z_gd, z_dg = both_orders((5, 3, 0), (1,), numeric_mode(2, 13))
+    assert z_gd.coeff((5, 2)) == z_dg.coeff((5, 2)) != 0  # both slab sums rounded once
+
+
+def shifted_kernel(top, columns, family, bottom=None):
+    """The row kernel with the first charge of every fill one too large: a
+    negative control that makes the two row orders differ at n = 3."""
+    out = {}
+    for bot, (factors, zexp) in row_fills(top, columns, family, bottom).items():
+        if factors:
+            (kind, charge), *rest = factors
+            factors = ((kind, charge + 1), *rest)
+        out[bot] = (factors, zexp)
+    return out
+
+
+#: the slabs of the README and the CI steps: (top, bottom, columns)
+NAMED_SLABS = (
+    (PAPER_TOP, PAPER_BOT, None), ((5, 3, 0), (4,), None), ((2, 1), (), None),
+    ((3, 0), (), None), ((7, 5, 3, 1, 0), (5, 3, 1), None), ((3, 1, 0), (2,), None),
+    ((6, 5, 4), (6,), None), ((6, 5, 4), (5,), None),
+    ((18, 16, 14, 13, 11, 8, 6, 1, 0), (17, 15, 13, 11, 10, 7, 0), 20),
+)
+
+VERDICT_MODES = {"n=1": lambda: SymbolicMode(1), "n=2 q=5": lambda: numeric_mode(2, 5),
+                 "n=3 q=7": lambda: numeric_mode(3, 7)}
+
+
+@pytest.mark.parametrize("kernel", ["true", "shifted"])
+@pytest.mark.parametrize("mode_name", list(VERDICT_MODES))
+def test_packed_verdicts_are_the_coefficient_verdicts(monkeypatch, mode_name, kernel):
+    # two-row and statement B decide on packed sums; on seeded random slabs
+    # and the named ones, each verdict is the one the unpacked coefficients
+    # give, under the true kernel and under one whose orders differ
+    if kernel == "shifted":
+        monkeypatch.setattr(lattice, "row_fills", shifted_kernel)
+    mode = VERDICT_MODES[mode_name]()
+    rng = random.Random(31)
+    slabs = list(NAMED_SLABS) + [random_two_row_boundary(rng) for _ in range(40)]
+    verdicts = set()
+    for top, bottom, columns in slabs:
+        columns = check_two_row_boundary(top, bottom, columns)
+        ks, sums_gd, sums_dg = slab_sums(top, bottom, mode, columns)
+        assert ks == sorted({sum(sp.mid) for sp in enumerate_short_patterns(top, bottom)})
+        z_gd, z_dg = both_orders(top, bottom, mode, columns)
+        assert two_row_check(top, bottom, mode, columns) == (z_gd == z_dg)
+        verdicts.add(z_gd == z_dg)
+        for k in ks:
+            exponents = graded_exponents(top, bottom, k)
+            assert ((graded_entries(sums_gd, exponents) == graded_entries(sums_dg, exponents))
+                    == (z_gd.coeff(exponents) == z_dg.coeff(exponents)))
+    assert verdicts == ({True} if kernel == "true" or mode.n == 1 else {True, False})
 
 
 def test_total_is_width_invariant():
