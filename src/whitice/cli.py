@@ -316,15 +316,16 @@ def verify_commute_rows(args) -> int:
 
 def verify_two_row(args) -> int:
     mode = _mode(args)
-    triples = []
+    slabs = []
     if args.l is not None or args.m is not None:
         if args.l is None or args.m is None:
             raise ValueError("two-row needs both --l and --m")
         top = _parse_parts(args.l, "--l")
         bottom = _parse_parts(args.m, "--m")
-        columns = transfer.check_two_row_boundary(top, bottom, args.columns)
-        _check_columns(columns, "--l/--m/--columns")
-        triples.append((top, bottom, args.columns))
+        _check_columns(transfer.check_two_row_boundary(top, bottom), "--l/--m")
+        slabs.append((top, bottom))
+    if args.random < 0:
+        raise ValueError(f"--random {args.random} is negative")
     if args.random:
         if args.random > MAX_RANDOM_BOUNDARIES:
             raise ValueError(f"--random {args.random} is more than the "
@@ -335,18 +336,18 @@ def verify_two_row(args) -> int:
                              f"3 columns a random two-row boundary needs")
         rng = Random(args.seed)
         for _ in range(args.random):
-            triples.append(transfer.random_two_row_boundary(rng, args.max_width))
-    if not triples:
+            slabs.append(transfer.random_two_row_boundary(rng, args.max_width))
+    if not slabs:
         raise ValueError("two-row needs --l/--m or --random N")
     counter = None
-    for top, bottom, columns in triples:  # a slab with no state is refused
-        if not transfer.two_row_check(top, bottom, mode, columns=columns):
+    for top, bottom in slabs:  # a slab with no state is refused
+        if not transfer.two_row_check(top, bottom, mode):
             # both Z are unpacked only to show how they differ
-            counter = {"l": list(top), "m": list(bottom), "columns": columns,
-                       **{order: str(transfer.two_row_partition(top, bottom, order, mode, columns))
+            counter = {"l": list(top), "m": list(bottom),
+                       **{order: str(transfer.two_row_partition(top, bottom, order, mode))
                           for order in transfer.TWO_ROW_ORDERS}}
             break
-    params = {"pairs": len(triples), "n": mode.n, "mode": mode.name,
+    params = {"pairs": len(slabs), "n": mode.n, "mode": mode.name,
               "tol": REPORTED_TOL, "seed": args.seed}
     return _finish(jsonio.report("two-row", params, counter is None, counter))
 
@@ -355,9 +356,8 @@ def verify_statement_b(args) -> int:
     top = _parse_parts(args.l, "--l")
     bot = _parse_parts(args.m, "--m")
     mode = _mode(args)
-    columns = transfer.check_two_row_boundary(top, bot, None)
-    _check_columns(columns, "--l/--m")
-    feasible, sums_gd, sums_dg = transfer.slab_sums(top, bot, mode, columns)
+    _check_columns(transfer.check_two_row_boundary(top, bot), "--l/--m")
+    feasible, sums_gd, sums_dg = transfer.slab_sums(top, bot, mode)
     ks = [k for k in feasible if args.k in (None, k)]
     if not ks:
         raise ValueError(transfer.NO_STATE + ("" if args.k is None else
@@ -550,8 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_flags(v)
     v.add_argument("--l", default=None, help="top boundary row, comma-separated")
     v.add_argument("--m", default=None, help="bottom boundary row, comma-separated")
-    v.add_argument("--columns", type=int, default=None,
-                   help="lattice width (default: largest l position + 1)")
     v.add_argument("--random", type=int, default=0, metavar="N",
                    help="also check N random boundaries")
     v.add_argument("--max-width", type=int, default=8)

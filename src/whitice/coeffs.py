@@ -50,13 +50,14 @@ Packed coefficients
 Every weight sum -- a Z by contraction (:mod:`whitice.transfer`), or the
 state profiles of a full system or a two-row slab summed by
 :func:`packed_sums` -- is one exact int computation in the reduced ring
-of the mode's n, in the format of the mode's ``packing``, a
+of the mode's n, in the format of the mode's ``packing(slots, states)``, a
 :class:`Packing` at u = num/den.  ``pack`` turns a fill's (kind, raw
 charge) factors straight into (g-part, int) pairs, storing
 sign * u^k * (1 - u)^m * g-part as
 sign * num^k * (den - num)^m * den^(d-k-m), scaled by den^d for d slots:
 the - spins below the rows packed, or the pattern entries below the top
-row.  Each u comes from a distinct g or h factor, and each takes a slot (an
+row.  A sum over all rows is scaled by den^slots, which ``unpack`` divides
+out.  Each u comes from a distinct g or h factor, and each takes a slot (an
 ice vertex of kind g or h has - below it), so k + m <= d.  The ring's
 ``g_product``, memoised in ``Ring.products``, multiplies symbol parts and
 returns the power s of u that g_a*g_{n-a} = u splits off; ``times_u``
@@ -70,8 +71,8 @@ never packed.
   :func:`pack_width` chooses K to guarantee it.
 * Numeric modes (:class:`NumericPacking`) pack the reduced ring of n at
   u = 1/q, with no width and no state count.  ``unpack`` sums, over
-  g-parts, int / q^d rounded once times the part's product of Gauss sums;
-  a nonzero int that rounds to 0 raises.
+  g-parts, int / q^slots rounded once times the part's product of Gauss
+  sums; a nonzero int that rounds to 0 raises.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ class SymCoeff:
         for (gpart, _, upow), val in terms.items():
             acc = parts.setdefault(gpart, {(): 0})
             acc[()] += val * table.q ** (slots - upow)
-        return NumericMode(table).packing(slots, 0).unpack(parts, slots).get((), 0j)
+        return NumericMode(table).packing(slots, 0).unpack(parts).get((), 0j)
 
     def reduce(self, n: int, level: str = "hg") -> "SymCoeff":
         """This coefficient in the reduced ring of n: h_a -> 0 and
@@ -434,7 +435,7 @@ class SymbolicMode:
     def packing(self, slots: int, states: int) -> Packing:
         """Packed format of a sum of at most ``states`` weights with
         ``slots`` slots each (:func:`pack_width`)."""
-        return Packing(self, 1 << pack_width(states, slots))
+        return Packing(self, slots, 1 << pack_width(states, slots))
 
     def __repr__(self):
         return f"SymbolicMode(n={self.n})"
@@ -464,14 +465,14 @@ def pack_width(states: int, slots: int) -> int:
 
 class Packing:
     """Packed coefficients of the reduced ring of a mode's n at u = num / den
-    (module docstring, "Packed coefficients"): tuples of (g-part, int)
-    pairs, the constants under the g-part ()."""
+    for sums scaled by den^slots (module docstring, "Packed coefficients"):
+    tuples of (g-part, int) pairs, the constants under the g-part ()."""
 
-    def __init__(self, mode, num: int, den: int = 1):
+    def __init__(self, mode, slots: int, num: int, den: int = 1):
         self.mode = mode
         self.ring = mode.ring
         self.n = mode.n
-        self.num, self.den = num, den
+        self.slots, self.num, self.den = slots, num, den
         #: g powers in order of appearance -> (g-part, power of u split off)
         self.monomials: dict[tuple, tuple] = {}
 
@@ -522,7 +523,7 @@ class Packing:
             value = (value - digit) >> width
         return out
 
-    def unpack(self, parts: dict[SymPart, dict], slots: int) -> dict:
+    def unpack(self, parts: dict[SymPart, dict]) -> dict:
         """{key: coefficient} from packed {g-part: {key: int}}, the
         u-coefficients read back by :meth:`digits`."""
         digits = self.digits
@@ -539,11 +540,11 @@ class NumericPacking(Packing):
     """A numeric mode's packed format: the reduced ring of n at u = 1/q,
     read back rounded once (module docstring, "Packed coefficients")."""
 
-    def unpack(self, parts: dict[SymPart, dict], slots: int) -> dict:
+    def unpack(self, parts: dict[SymPart, dict]) -> dict:
         """{key: complex} from packed {g-part: {key: int}}: per g-part, the
         int / q^slots rounded once, times the part's product of the table's
         Gauss sums (a normal g-part holds indices 1..n-1 only)."""
-        scale = self.den ** slots
+        scale = self.den ** self.slots
         out: dict[object, complex] = {}
         for part, values in parts.items():
             gauss = 1 + 0j
@@ -553,7 +554,7 @@ class NumericPacking(Packing):
                 if value:
                     ratio = value / scale
                     if not ratio:
-                        raise ArithmeticError(f"{value} / q^{slots} underflows to 0")
+                        raise ArithmeticError(f"{value} / q^{self.slots} underflows to 0")
                     out[key] = out[key] + ratio * gauss if key in out else ratio * gauss
         return out
 
@@ -573,7 +574,7 @@ class NumericMode:
 
     def packing(self, slots: int, states: int) -> NumericPacking:
         """Scaled ints need no width, so ``states`` is not read."""
-        return NumericPacking(self, 1, self.q)
+        return NumericPacking(self, slots, 1, self.q)
 
     def __repr__(self):
         return f"NumericMode(n={self.n}, q={self.q})"
@@ -598,10 +599,3 @@ def packed_sums(profiles, mode: Mode, slots: int) -> tuple[Packing, dict]:
             acc[exponents] = acc.get(exponents, 0) + value
     return packing, {part: kept for part, acc in sums.items()
                      if (kept := {key: value for key, value in acc.items() if value})}
-
-
-def weigh(profiles, mode: Mode, slots: int) -> dict:
-    """{exponents: coefficient}: the profiles' :func:`packed_sums`,
-    unpacked once."""
-    packing, sums = packed_sums(profiles, mode, slots)
-    return packing.unpack(sums, slots)

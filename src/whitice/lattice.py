@@ -31,13 +31,14 @@ The row kernel
 Every lattice weight in the package is built from one row transfer matrix.
 :func:`row_fills` walks one row below a given top layer and returns, for each
 bottom layer that admits a fill, the (kind, raw charge) of its g/h vertices
-left to right and its z-exponent.  The result does not depend on n or on the
-coefficient mode.  :func:`state_profiles` is the one walker over states: it
-stacks the kernel down any list of (family, variable) rows, a full system or
-a two-row slab, and returns each state's factors and exponents, which
-``coeffs.weigh`` sums exactly.  Contraction applies the kernel layer by
-layer instead.  :func:`fill_weight` folds the factors of one state or one
-vertex into an exact-ring coefficient, for single weights and references.
+left to right and its z-exponent.  The result depends on neither n, the
+coefficient mode nor a lattice width.  :func:`state_profiles` is the one
+walker over states: it stacks the kernel down any list of (family, variable)
+rows, a full system or a two-row slab, and returns each state's factors and
+exponents, which ``coeffs.packed_sums`` sums exactly.  Contraction applies
+the kernel layer by layer instead.  :func:`fill_weight` folds the factors of
+one state or one vertex into an exact-ring coefficient, for single weights
+and references.
 
 :func:`row_vertices` recomputes one row from both of its layers by a
 direct per-vertex count: :func:`fill_row` forces its horizontal spins once
@@ -112,19 +113,20 @@ def row_variable(family: str, row: int, rank: int) -> int:
 
 @dataclass(frozen=True)
 class Boundary:
-    """Fixed boundary data of a full system: C columns, top - positions."""
+    """Fixed boundary data of a full system: its top - positions."""
 
-    columns: int
     top_minus: tuple[int, ...]  # descending column labels carrying - on top
 
     def __post_init__(self):
         cols = tuple(self.top_minus)
         if list(cols) != sorted(cols, reverse=True) or len(set(cols)) != len(cols):
             raise ValueError("top_minus must be strictly decreasing")
-        if cols and (cols[0] >= self.columns or cols[-1] < 0):
-            raise ValueError("top_minus out of column range")
-        if not cols:
-            raise ValueError("top boundary needs at least one - spin")
+        if not cols or cols[-1] < 0:
+            raise ValueError("top_minus needs at least one - spin and no negative column")
+
+    @property
+    def columns(self) -> int:  # C = lam_r + r + 1
+        return self.top_minus[0] + 1
 
     @property
     def rank(self) -> int:
@@ -147,7 +149,7 @@ def boundary_from_lambda(lam) -> Boundary:
     r = len(lam) - 1
     # entry lam_j of the paper indexing is lam[r - j]; top - at lam_j + j
     top = tuple(sorted((lam[r - j] + j for j in range(r + 1)), reverse=True))
-    return Boundary(columns=lam[0] + r + 1, top_minus=top)
+    return Boundary(top_minus=top)
 
 
 def lambda_of(boundary: Boundary) -> tuple[int, ...]:
@@ -196,7 +198,7 @@ def _row_steps(table: dict[Config, tuple[str, int]]) -> dict[tuple, dict[int, tu
 ROW_STEPS = {family: _row_steps(weight_table(family)) for family in FAMILIES}
 
 
-def row_fills(top: tuple[int, ...], columns: int, family: str,
+def row_fills(top: tuple[int, ...], family: str,
               bottom: tuple[int, ...] | None = None) -> dict[tuple[int, ...], Fill]:
     """The row kernel: every admissible fill of one row below `top`, or,
     given a `bottom` layer, the fill that ends on it (if any).
@@ -205,6 +207,11 @@ def row_fills(top: tuple[int, ...], columns: int, family: str,
     (kind, raw charge) of the row's g/h vertices left to right.  Both layers
     force the horizontal spins, so a fill is unique once the bottom layer is
     fixed.
+
+    The walk covers the ``top[0] + 1`` columns from the leftmost top - east.
+    West of it every vertex is all +: weight 1, no z, and only + edges to
+    the west, which neither charge counts (gamma counts + edges east, delta
+    - edges west).  So a wider lattice changes no fill and adds no bottom -.
 
     The walk goes column by column, left to right from the + boundary, over
     a frontier of partial walks (west spin, marks so far, z-exponent, bottom
@@ -220,19 +227,20 @@ def row_fills(top: tuple[int, ...], columns: int, family: str,
     fills depend on it.
     """
     weight_table(family)  # rejects an unknown family
+    if not top:
+        return {}
     steps = ROW_STEPS[family]
     gamma = family == "gamma"
     mark = PLUS if gamma else MINUS  # the spin a charge counts
     top_set = frozenset(top)
     below = None if bottom is None else frozenset(bottom)
-    last_minus = columns - 1 - min(top) if top else -1  # position of the last top -
-    # (west, marks on edges 0..p-1, z-exponent, bottom, (kind, marks on edges 0..q))
-    frontier = [(PLUS, 0, 0, (), ())] if last_minus >= 0 else []
-    for p in range(columns):
-        label = columns - 1 - p
+    last = top[-1]  # label of the last top -
+    # (west, marks on the edges west of the vertex, z-exponent, bottom, (kind, marks))
+    frontier = [(PLUS, 0, 0, (), ())]
+    for label in range(top[0], -1, -1):
         north = MINUS if label in top_set else PLUS
         by_west = steps[north, None if below is None else MINUS if label in below else PLUS]
-        live_plus = p < last_minus  # an east + at p + 1 still meets a top -
+        live_plus = label > last  # an east + still meets a top - further east
         grown = []
         for west, marks, zexp, walked, factors in frontier:
             marks += west == mark
@@ -243,7 +251,7 @@ def row_fills(top: tuple[int, ...], columns: int, family: str,
                               walked + (label,) if south_minus else walked,
                               factors + ((kind, marks),) if kind else factors))
         frontier = grown
-    if bottom is not None:  # a label outside the lattice is never walked
+    if bottom is not None:  # a bottom label west of top[0] is never walked
         frontier = [walk for walk in frontier if walk[3] == tuple(bottom)]
     # every walk left ends on -; gamma: marks is now the row's + count, and
     # the charge counts the + edges east of the vertex; delta counts - edges west
@@ -253,7 +261,7 @@ def row_fills(top: tuple[int, ...], columns: int, family: str,
     return {walked: (factors, zexp) for _, _, zexp, walked, factors in frontier}
 
 
-def state_profiles(top: tuple[int, ...], rows, columns: int,
+def state_profiles(top: tuple[int, ...], rows,
                    bottom: tuple[int, ...] = ()) -> tuple[tuple[Factors, tuple[int, ...]], ...]:
     """The row kernel stacked: the (factors, exponents) profile of every state
     of the rows below `top` that ends on `bottom`.
@@ -283,9 +291,9 @@ def state_profiles(top: tuple[int, ...], rows, columns: int,
         children = memo[row].get(layer)
         if children is None:
             if row == last:
-                children = row_fills(layer, columns, rows[row][0], bottom).get(bottom)
+                children = row_fills(layer, rows[row][0], bottom).get(bottom)
             else:  # descending, so that the stack pops the least layer first
-                children = sorted(row_fills(layer, columns, rows[row][0]).items(), reverse=True)
+                children = sorted(row_fills(layer, rows[row][0]).items(), reverse=True)
             memo[row][layer] = children
         if row < last:
             stack += [(row + 1, bot, factors + row_factors, z)

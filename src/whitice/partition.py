@@ -10,7 +10,7 @@ The integer part of a state's weight -- the list of (kind, raw charge)
 factors plus the per-variable exponent vector -- is independent of n and of
 the coefficient mode, so it is computed once per boundary ("profile") by a
 depth-first walk over the row kernel and cached.  Z under any mode is then
-the sum of the profiles packed exactly (:mod:`.coeffs`), unpacked once.
+the profiles' packed sum (:func:`.coeffs.packed_sums`), unpacked once.
 Statement A compares the two families' zero-free packed sums
 (:func:`.coeffs.packed_sums`) themselves, by ``==``, and reads no digit.
 
@@ -42,7 +42,7 @@ from itertools import accumulate, zip_longest
 from operator import sub
 
 from .coeffs import (Mode, NumericMode, Packing, SymbolicMode, SymCoeff, packed_sums,
-                     symbols_text, term_text, terms_text, weigh)
+                     symbols_text, term_text, terms_text)
 from .gauss import gauss_table
 from .lattice import (FAMILIES, Boundary, IceState, boundary_from_lambda,
                       enumerate_states, fill_weight, row_variable, state_profiles)
@@ -62,7 +62,7 @@ def boundary_profiles(boundary: Boundary, family: str) -> tuple[Profile, ...]:
     """Profiles of every state of the boundary, in enumeration order
     (:func:`.lattice.state_profiles`)."""
     rows = [(family, row_variable(family, row, boundary.rank)) for row in range(boundary.rows)]
-    return state_profiles(boundary.top_minus, rows, boundary.columns)
+    return state_profiles(boundary.top_minus, rows)
 
 
 def _slots(boundary: Boundary) -> int:
@@ -71,8 +71,9 @@ def _slots(boundary: Boundary) -> int:
 
 
 def evaluate_profiles(profiles, mode: Mode, boundary: Boundary) -> LaurentPoly:
-    """Z as the sum of the state profiles' weights (:func:`.coeffs.weigh`)."""
-    return LaurentPoly(boundary.rank + 1, mode, weigh(profiles, mode, _slots(boundary)))
+    """Z as the sum of the profiles' weights: :func:`.coeffs.packed_sums`, unpacked."""
+    packing, sums = packed_sums(profiles, mode, _slots(boundary))
+    return LaurentPoly(boundary.rank + 1, mode, packing.unpack(sums))
 
 
 def partition_function(boundary: Boundary, family: str, mode: Mode,
@@ -194,7 +195,7 @@ def packed_whittaker(boundary: Boundary, family: str, mode: SymbolicMode,
         packing, parts = packed_sums(boundary_profiles(boundary, family), mode, _slots(boundary))
         return packing, parts, spin
     if strategy == "transfer":
-        packing, _, parts = transfer.contract_packed(boundary, family, mode)
+        packing, parts = transfer.contract_packed(boundary, family, mode)
         exponents = transfer.exponent_reader(boundary)
         return packing, parts, lambda z: spin(exponents(z))
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -35,8 +35,8 @@ g(box) and free by h(box); every other entry weighs 1.
 list of row families, in the row kernel's (kind, charge) format: a full
 pattern reads every row under one family, a short pattern (three rows
 l / a / m, :class:`ShortPattern`) reads its middle and bottom rows under the
-two families of a two-row order.  ``coeffs.weigh`` sums the weights of such
-factors exactly (``lattice.fill_weight`` folds one set), and
+two families of a two-row order.  ``coeffs.packed_sums`` sums the weights of
+such factors exactly (``lattice.fill_weight`` folds one set), and
 :func:`pattern_exponents` gives the monomial from the row sums.  Together
 they reproduce the weight of the corresponding ice state; the pattern side
 keeps its own box sums and row -> variable rule, so comparing the two
@@ -95,12 +95,9 @@ def pattern_from_state(state: IceState) -> GTPattern:
     return GTPattern(rows=state.layers[:-1])
 
 
-def state_from_pattern(pattern: GTPattern, boundary: Boundary | None = None) -> IceState:
-    if boundary is None:
-        boundary = Boundary(columns=pattern.top[0] + 1, top_minus=pattern.top)
-    if boundary.top_minus != pattern.top:
-        raise ValueError("pattern top row does not match the boundary")
-    return IceState(boundary=boundary, layers=pattern.rows + ((),))
+def state_from_pattern(pattern: GTPattern) -> IceState:
+    """The state whose layers are the pattern's rows, the top one its boundary."""
+    return IceState(boundary=Boundary(top_minus=pattern.top), layers=pattern.rows + ((),))
 
 
 def enumerate_patterns(top: tuple[int, ...]) -> Iterator[GTPattern]:
@@ -232,13 +229,17 @@ class ShortPattern:
         return (self.top, self.mid, self.bot)
 
 
+def middle_rows(top: tuple[int, ...], bot: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The strict interleavings of `top` that `bot` interleaves, descending:
+    the middle rows of the short patterns, or slab states, between them."""
+    return (mid for mid in strict_interleavings(top)
+            if all(a >= b >= c for a, b, c in zip(mid, bot, mid[1:])))
+
+
 def enumerate_short_patterns(top: tuple[int, ...], bot: tuple[int, ...]) -> list[ShortPattern]:
     """All short patterns with the given outer rows, in decreasing
-    lexicographic order of the middle row.  The middle rows are the strict
-    interleavings of `top` that `bot` interleaves."""
+    lexicographic order of the middle row (:func:`middle_rows`)."""
     top, bot = tuple(top), tuple(bot)
     if len(bot) != len(top) - 2:
         raise ValueError("bottom row must be two shorter than the top row")
-    return [ShortPattern(top=top, mid=mid, bot=bot)
-            for mid in strict_interleavings(top)
-            if all(a >= b >= c for a, b, c in zip(mid, bot, mid[1:]))]
+    return [ShortPattern(top=top, mid=mid, bot=bot) for mid in middle_rows(top, bot)]

@@ -30,9 +30,10 @@ Two-row systems (a gamma row above a delta row or the reverse, top boundary
 carrying two more - spins than the bottom) are slabs with explicit per-row
 (family, variable) assignments: their states are walked by
 :func:`.lattice.state_profiles`, the way a full system's are by
-enumeration.  The two-row and statement-B checks compare the packed sums
-of :func:`slab_sums`, which walks each row order once;
-:func:`two_row_partition` unpacks one order's Z for a report.
+enumeration; like the kernel, a slab has no width to pass.  The two-row
+and statement-B checks compare the packed sums of :func:`slab_sums`, which
+walks each row order once; :func:`two_row_partition` unpacks one order's Z
+for a report.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from __future__ import annotations
 import random
 from math import comb, prod
 
-from .coeffs import Mode, packed_sums, weigh
+from .coeffs import Mode, packed_sums
 from .lattice import Boundary, fill_weight, row_fills, row_variable, state_profiles
 from .laurent import LaurentPoly
+from .patterns import middle_rows
 
 Layer = tuple[int, ...]
 LayerVector = dict[Layer, LaurentPoly]
@@ -53,10 +55,11 @@ def apply_row(support: LayerVector, family: str, var_index: int,
     """One transfer step on LaurentPoly layer vectors in the exact ring of a
     :func:`.lattice.fill_weight` mode: w(beta) = sum_alpha v(alpha) *
     V(alpha, beta).  The reference of :func:`contract_packed`'s row
-    loop; no contraction calls it."""
+    loop; no contraction calls it.  ``columns`` is unread, kept in place
+    for callers that read the arguments by position (perfbench's probe)."""
     out: LayerVector = {}
     for alpha, acc in support.items():
-        for beta, (factors, zexp) in row_fills(alpha, columns, family).items():
+        for beta, (factors, zexp) in row_fills(alpha, family).items():
             shift = [0] * nvars
             shift[var_index] = zexp
             term = acc.mul_monomial(shift, fill_weight(factors, mode))
@@ -66,9 +69,10 @@ def apply_row(support: LayerVector, family: str, var_index: int,
 
 def contract_packed(boundary: Boundary, family: str, mode: Mode) -> tuple:
     """Z of a full system by top-to-bottom layer contraction with the mode's
-    packed coefficients (module docstring), left packed: (packing, slots,
-    {g-part: {packed z: int}}), zero ints dropped.  :func:`exponent_reader`
-    reads a packed z."""
+    packed coefficients (module docstring), left packed: (packing,
+    {g-part: {packed z: int}}), zero ints dropped, as
+    :func:`.coeffs.packed_sums` returns them.  :func:`exponent_reader` reads
+    a packed z."""
     r = boundary.rank
     columns = boundary.columns
     slots = r * (r + 1) // 2  # the - spins below the top row
@@ -84,7 +88,7 @@ def contract_packed(boundary: Boundary, family: str, mode: Mode) -> tuple:
         weights: dict[tuple, tuple] = {}  # fill factors -> packed weight
         out: dict[Layer, dict] = {}
         for alpha, parts in support.items():
-            for beta, (factors, zexp) in row_fills(alpha, columns, family).items():
+            for beta, (factors, zexp) in row_fills(alpha, family).items():
                 weight = weights.get(factors)
                 if weight is None:
                     weight = weights[factors] = packing.pack(factors, r - row)
@@ -109,7 +113,7 @@ def contract_packed(boundary: Boundary, family: str, mode: Mode) -> tuple:
                     kept[part] = values
             if kept:
                 support[beta] = kept
-    return packing, slots, support.get((), {})
+    return packing, support.get((), {})
 
 
 def exponent_reader(boundary: Boundary):
@@ -122,11 +126,11 @@ def exponent_reader(boundary: Boundary):
 
 
 def unpack_partition(boundary: Boundary, packed: tuple) -> LaurentPoly:
-    """Z from :func:`contract_packed`'s (packing, slots, parts), unpacked once."""
-    packing, slots, parts = packed
+    """Z from :func:`contract_packed`'s (packing, parts), unpacked once."""
+    packing, parts = packed
     exponents = exponent_reader(boundary)
     return LaurentPoly(boundary.rank + 1, packing.mode, {
-        exponents(z): coeff for z, coeff in packing.unpack(parts, slots).items()})
+        exponents(z): coeff for z, coeff in packing.unpack(parts).items()})
 
 
 def contract_partition(boundary: Boundary, family: str, mode: Mode) -> LaurentPoly:
@@ -153,41 +157,34 @@ def two_row_rows(order: str) -> tuple[tuple[str, int], tuple[str, int]]:
     raise ValueError(f"unknown two-row order {order!r}")
 
 
-def check_two_row_boundary(top: Layer, bottom: Layer, columns: int | None) -> int:
-    top = tuple(top)
-    bottom = tuple(bottom)
+def check_two_row_boundary(top: Layer, bottom: Layer) -> int:
+    """The slab's width, ``top[0] + 1``, once its rows are valid; a bottom -
+    west of the top row's leftmost - is valid and admits no state."""
     for row in (top, bottom):
         if any(a <= b for a, b in zip(row, row[1:])):
             raise ValueError("boundary - positions must be strictly decreasing")
-    if any(c < 0 for c in top + bottom):
+    if any(c < 0 for c in (*top, *bottom)):
         raise ValueError("boundary - positions must be nonnegative")
     if len(top) != len(bottom) + 2:
         raise ValueError("top boundary must carry two more - spins than the bottom")
-    columns = top[0] + 1 if columns is None else columns
-    if top[0] >= columns:
-        raise ValueError("top - position out of range")
-    if bottom and bottom[0] >= columns:
-        raise ValueError("bottom - position out of range")
-    return columns
+    return top[0] + 1
 
 
-def slab_partition(top: Layer, bottom: Layer, rows, mode: Mode,
-                   columns: int) -> LaurentPoly:
+def slab_partition(top: Layer, bottom: Layer, rows, mode: Mode) -> LaurentPoly:
     """Z of a two-row slab with explicit (family, variable) per row, in
-    (z1, z2): its state profiles weighed with a slot for each - spin below
-    the top layer."""
-    profiles = state_profiles(tuple(top), rows, columns, tuple(bottom))
-    return LaurentPoly(2, mode, weigh(profiles, mode, 2 * len(top) - 3))
+    (z1, z2): its profiles' packed sums, a slot per - below the top, unpacked."""
+    profiles = state_profiles(tuple(top), rows, tuple(bottom))
+    packing, sums = packed_sums(profiles, mode, 2 * len(top) - 3)
+    return LaurentPoly(2, mode, packing.unpack(sums))
 
 
-def two_row_partition(top: Layer, bottom: Layer, order: str, mode: Mode,
-                      columns: int | None = None) -> LaurentPoly:
+def two_row_partition(top: Layer, bottom: Layer, order: str, mode: Mode) -> LaurentPoly:
     """Z of the two-row system with the given boundary, in (z1, z2)."""
-    columns = check_two_row_boundary(top, bottom, columns)
-    return slab_partition(top, bottom, two_row_rows(order), mode, columns)
+    check_two_row_boundary(top, bottom)
+    return slab_partition(top, bottom, two_row_rows(order), mode)
 
 
-def slab_sums(top: Layer, bottom: Layer, mode: Mode, columns: int) -> tuple:
+def slab_sums(top: Layer, bottom: Layer, mode: Mode) -> tuple:
     """(ks, gamma-delta sums, delta-gamma sums) of a checked two-row boundary,
     each row order walked once: the ascending middle-row sums k of its
     states, and each order's zero-free packed {g-part: {(z1, z2) exponents:
@@ -196,7 +193,7 @@ def slab_sums(top: Layer, bottom: Layer, mode: Mode, columns: int) -> tuple:
     family: both orders admit the same states and share one packing, and
     equal maps mean equal Z.  A state with middle-row sum k carries
     z1^(sum(top) - k) in the gamma-delta order, so k is read off it there."""
-    gd, dg = (state_profiles(tuple(top), two_row_rows(order), columns, tuple(bottom))
+    gd, dg = (state_profiles(tuple(top), two_row_rows(order), tuple(bottom))
               for order in TWO_ROW_ORDERS)
     slots = 2 * len(top) - 3
     return (sorted({sum(top) - exponents[0] for _, exponents in gd}),
@@ -208,26 +205,26 @@ def graded_entries(sums: dict, exponents: tuple[int, int]) -> dict:
     return {part: values[exponents] for part, values in sums.items() if exponents in values}
 
 
-def two_row_check(top: Layer, bottom: Layer, mode: Mode, columns: int | None = None) -> bool:
+def two_row_check(top: Layer, bottom: Layer, mode: Mode) -> bool:
     """Whether Z(gamma-delta) equals Z(delta-gamma) on one boundary: their
     packed sums (:func:`slab_sums`) compared by ``==``.  A boundary that
     admits no state raises ValueError rather than passing with 0 = 0."""
-    ks, sums_gd, sums_dg = slab_sums(top, bottom, mode,
-                                     check_two_row_boundary(top, bottom, columns))
+    check_two_row_boundary(top, bottom)
+    ks, sums_gd, sums_dg = slab_sums(top, bottom, mode)
     if not ks:
         raise ValueError(NO_STATE)
     return sums_gd == sums_dg
 
 
-def random_two_row_boundary(rng: random.Random,
-                            max_width: int = 8) -> tuple[Layer, Layer, int]:
-    """A random (top, bottom, columns) with |top| = |bottom| + 2, preferring
-    boundaries whose systems are nonempty."""
+def random_two_row_boundary(rng: random.Random, max_width: int = 8) -> tuple[Layer, Layer]:
+    """A random (top, bottom) with |top| = |bottom| + 2 and positions below
+    a random width, preferring slabs that admit a state, that is, have a
+    middle row (:func:`.patterns.middle_rows`; |top| >= 2 makes each truthy)."""
     for _ in range(200):
         columns = rng.randint(3, max_width)
         size = rng.randint(2, columns // 2 + 1)
         top = tuple(sorted(rng.sample(range(columns), size), reverse=True))
         bottom = tuple(sorted(rng.sample(range(columns), size - 2), reverse=True))
-        if state_profiles(top, two_row_rows("gamma-delta"), columns, bottom):
-            return top, bottom, columns
-    return top, bottom, columns
+        if any(middle_rows(top, bottom)):
+            return top, bottom
+    return top, bottom

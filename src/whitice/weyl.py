@@ -155,7 +155,7 @@ def charge_duality_check(boundary: Boundary):
     for row in range(boundary.rows):
         below = set()
         for top in sorted(layers):
-            fills = [row_fills(top, columns, family) for family in FAMILIES]
+            fills = [row_fills(top, family) for family in FAMILIES]
             for bot in strict_interleavings(top):
                 below.add(bot)
                 for family, family_fills in zip(FAMILIES, fills):

@@ -131,9 +131,9 @@ def test_criterion_4_two_row_exchange():
             assert two_row_check((6, 4, 1, 0), (4, 3), mode) is True
         rng = random.Random(0)
         for _ in range(50):
-            top, bottom, columns = random_two_row_boundary(rng, max_width=8)
+            top, bottom = random_two_row_boundary(rng, max_width=8)
             for mode in modes:
-                assert two_row_check(top, bottom, mode, columns=columns) is True
+                assert two_row_check(top, bottom, mode) is True
 
 
 def test_criterion_5_triangle_identity():

@@ -174,8 +174,8 @@ def test_verify_prop_matching(capsys):
 def test_verify_prop_matching_fails_a_kernel_that_loses_states(capsys, monkeypatch):
     # dropping the greatest fill below the top layer loses 3 of the 41
     # states; the report fails and names the first lost state
-    def dropping(top, columns, family, bottom=None):  # every fill; callers look bottom up
-        fills = row_fills(top, columns, family)
+    def dropping(top, family, bottom=None):  # every fill; callers look bottom up
+        fills = row_fills(top, family)
         if top == (5, 3, 0):
             del fills[max(fills)]
         return fills
@@ -199,8 +199,8 @@ def test_verify_charges(capsys):
 def test_verify_charges_fails_a_kernel_that_drops_a_fill(capsys, monkeypatch):
     # the greatest fill below the top layer is lost; its row is the first
     # the walk checks, and the counterexample names that row's two layers
-    def dropping(top, columns, family):
-        fills = row_fills(top, columns, family)
+    def dropping(top, family):
+        fills = row_fills(top, family)
         if top == (5, 3, 0):
             del fills[max(fills)]
         return fills
@@ -292,10 +292,10 @@ def test_numeric_functional_eq_shows_the_exact_sides_rounded_once(capsys):
         assert shown and all(shown.values())
 
 
-def shifted_kernel(top, columns, family, bottom=None):  # every fill; callers look bottom up
+def shifted_kernel(top, family, bottom=None):  # every fill; callers look bottom up
     """The row kernel with the first charge of every fill one too large."""
     out = {}
-    for bot, (factors, zexp) in row_fills(top, columns, family).items():
+    for bot, (factors, zexp) in row_fills(top, family).items():
         if factors:
             (kind, charge), *rest = factors
             factors = ((kind, charge + 1), *rest)
@@ -337,7 +337,7 @@ def test_shifted_kernel_charge_fails_the_two_row_checks_with_both_sides(capsys, 
 
     code, obj = run_json(capsys, "verify", "two-row", "--l", "6,4,1,0", "--m", "4,3", *flags)
     assert code == 1 and obj["pass"] is False
-    assert obj["counterexample"] == {"l": list(top), "m": list(bottom), "columns": None,
+    assert obj["counterexample"] == {"l": list(top), "m": list(bottom),
                                      "gamma-delta": str(z_gd), "delta-gamma": str(z_dg)}
 
     code, obj = run_json(capsys, "verify", "statement-b", "--l", "6,4,1,0", "--m", "4,3",
@@ -530,7 +530,6 @@ def test_one_class_of_a_large_n_is_checked(capsys):
     "whittaker --lambda 1200,0",
     "verify statement-a --lambda 1200,0",
     "verify two-row --l 1200,1199,0 --m 5",
-    "verify two-row --l 3,2,0 --m 1 --columns 1200",
     "verify statement-b --l 1200,1199,0 --m 5",
     "verify two-row --random 3 --max-width 2000",
 ])
@@ -671,9 +670,9 @@ def test_statement_b_coefficient_route_contracts_once(capsys, monkeypatch):
     calls = []
     original = transfer.state_profiles
 
-    def counted(top, rows, columns, bottom=()):
+    def counted(top, rows, bottom=()):
         calls.append(rows)
-        return original(top, rows, columns, bottom)
+        return original(top, rows, bottom)
 
     monkeypatch.setattr(transfer, "state_profiles", counted)
     orders = [transfer.two_row_rows(order) for order in transfer.TWO_ROW_ORDERS]
@@ -819,6 +818,30 @@ def test_reflection_route_options_are_refused(capsys, flag):
         cli.main(["verify", "statement-b", "--l", "5,3,0", "--m", "4", *flag.split()])
     assert exc.value.code == 2
     assert flag.split()[0] in capsys.readouterr().err
+
+
+def test_columns_option_is_refused(capsys):
+    # a slab's width is its top row's leftmost - plus one; wider adds no state
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "two-row", "--l", "5,3,0", "--m", "4", "--columns", "6"])
+    assert exc.value.code == 2
+    assert "--columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-1", "-3"])
+def test_negative_random_count_is_refused(capsys, count):
+    # a negative count is refused, not read as 0 beside the explicit slab
+    code, obj = run_json(capsys, "verify", "two-row", "--l", "5,3,0", "--m", "4",
+                         "--random", count)
+    assert code == 2
+    assert obj == {"error": "config", "detail": f"--random {count} is negative"}
+
+
+@pytest.mark.parametrize("check", ["two-row", "statement-b"])
+def test_bottom_minus_west_of_the_top_admits_no_state(capsys, check):
+    code, obj = run_json(capsys, "verify", check, "--l", "3,2,0", "--m", "5")
+    assert code == 2
+    assert obj == {"error": "config", "detail": transfer.NO_STATE}
 
 
 @pytest.mark.parametrize("argv", [

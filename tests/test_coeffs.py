@@ -163,7 +163,7 @@ def test_numeric_class_zero_weights_are_exact():
     assert packing.pack((("g", 3),), 1) == (((), -1),)
     assert packing.pack((("h", -3),), 1) == (((), 6),)
     assert packing.pack((("g", 1),), 1) == ((((1, 1),), 7),) and packing.pack((("h", 2),), 1) == ()
-    assert packing.unpack({((1, 1),): {"k": 7}}, 1) == {"k": gauss_table(3, 7).g(1)}
+    assert packing.unpack({((1, 1),): {"k": 7}}) == {"k": gauss_table(3, 7).g(1)}
 
 
 def test_numeric_packing_is_exact_or_raises():
@@ -176,9 +176,20 @@ def test_numeric_packing_is_exact_or_raises():
         packing.times_u(-43, 1)  # 7 does not divide 43
     with pytest.raises(ArithmeticError):
         packing.pack((("g", 0), ("g", 0)), 1)  # u^2 in one slot
+    packing = NumericMode(gauss_table(3, 7)).packing(1000, None)
     with pytest.raises(ArithmeticError):
-        packing.unpack({(): {"k": 1}}, 1000)  # 7^-1000 underflows to 0.0
-    assert packing.unpack({(): {"k": 0}}, 1000) == {}
+        packing.unpack({(): {"k": 1}})  # 7^-1000 underflows to 0.0
+    assert packing.unpack({(): {"k": 0}}) == {}
+
+
+@pytest.mark.parametrize("slots", [0, 1, 2, 5])
+def test_numeric_packing_unpacks_at_the_scale_it_was_made_for(slots):
+    # unpack takes no slot count, so no caller can divide by the wrong q^d
+    table = gauss_table(3, 7)
+    packing = numeric_mode(3, 7).packing(slots, None)
+    assert packing.slots == slots
+    assert packing.unpack({(): {"k": 49 * 7 ** slots}}) == {"k": 49}
+    assert packing.unpack({((1, 1),): {"k": 3 * 7 ** slots}}) == {"k": 3 * table.g(1)}
 
 
 def test_symbolic_packing_keys_are_g_parts():
@@ -190,7 +201,7 @@ def test_symbolic_packing_keys_are_g_parts():
     assert packing.pack((("g", 1), ("h", 2)), 3) == ()  # h_2 = 0
     assert packing.ring.g_product(((1, 1),), ((1, 1),)) == (((1, 2),), 0)
     assert packing.ring.g_product(((1, 1),), ((2, 1),)) == ((), 1)
-    z = packing.unpack({((1, 1),): {"k": 1 - u}, (): {"k": u}}, 3)
+    z = packing.unpack({((1, 1),): {"k": 1 - u}, (): {"k": u}})
     assert z == {"k": SymCoeff.parse("u + g1 - u*g1").reduce(3)}
 
 
@@ -199,7 +210,7 @@ def test_numeric_unpack_sums_every_g_part():
     # entry are both summed
     table = gauss_table(3, 7)
     packing = NumericMode(table).packing(2, None)
-    got = packing.unpack({((1, 1),): {"k": 21}, ((2, 1),): {"k": -5}}, 2)
+    got = packing.unpack({((1, 1),): {"k": 21}, ((2, 1),): {"k": -5}})
     expected = 21 / 49 * table.g(1) - 5 / 49 * table.g(2)
     assert set(got) == {"k"} and abs(got["k"] - expected) < 1e-15
     assert abs(got["k"] - 21 / 49 * table.g(1)) > 0.01

@@ -79,12 +79,12 @@ def test_row_variables():
 
 def test_boundary_pins():
     b = boundary_from_lambda((3, 2, 0))
-    assert b == Boundary(columns=6, top_minus=(5, 3, 0))
+    assert b == Boundary(top_minus=(5, 3, 0)) and b.columns == 6
     assert lambda_of(b) == (3, 2, 0)
     b3 = boundary_from_lambda((6, 4, 2, 0))
-    assert b3 == Boundary(columns=10, top_minus=(9, 6, 3, 0))
-    assert boundary_from_lambda((0, 0)) == Boundary(columns=2, top_minus=(1, 0))
-    assert boundary_from_lambda((1, 0)) == Boundary(columns=3, top_minus=(2, 0))
+    assert b3 == Boundary(top_minus=(9, 6, 3, 0)) and b3.columns == 10
+    assert boundary_from_lambda((0, 0)) == Boundary(top_minus=(1, 0))
+    assert boundary_from_lambda((1, 0)).columns == 3
 
 
 def test_boundary_validation():
@@ -93,15 +93,17 @@ def test_boundary_validation():
     with pytest.raises(ValueError):
         boundary_from_lambda((2, 1))  # must end in 0
     with pytest.raises(ValueError):
-        Boundary(columns=3, top_minus=(3, 0))  # column index out of range
+        Boundary(top_minus=(1, 1))  # repeated column
     with pytest.raises(ValueError):
-        Boundary(columns=3, top_minus=(1, 1))  # repeated column
+        Boundary(top_minus=(2, -1))  # negative column
+    with pytest.raises(ValueError):
+        Boundary(top_minus=())
 
 
 def test_state_count_pins():
     assert count_states(boundary_from_lambda((0, 0))) == 2
     assert count_states(boundary_from_lambda((3, 2, 0))) == 41
-    assert count_states(Boundary(columns=3, top_minus=(2, 0))) == 3
+    assert count_states(Boundary(top_minus=(2, 0))) == 3
     assert count_states(boundary_from_lambda((8, 6, 4, 2, 0))) == 941_663
     assert count_states(boundary_from_lambda((10, 8, 6, 4, 2, 0))) == 891_619_506
 
@@ -140,7 +142,7 @@ def test_state_walks_leave_no_cyclic_garbage():
         for run in (lambda: count_states(boundary), lambda: enumerate_states(boundary),
                     lambda: contract_partition(boundary, "gamma", SymbolicMode(2)),
                     lambda: boundary_profiles.__wrapped__(boundary, "delta"),
-                    lambda: state_profiles((6, 4, 1, 0), two_row_rows("delta-gamma"), 7, (4, 3)),
+                    lambda: state_profiles((6, 4, 1, 0), two_row_rows("delta-gamma"), (4, 3)),
                     lambda: list(enumerate_patterns(boundary.top_minus)),
                     lambda: enumerate_short_patterns((6, 4, 1, 0), (4, 3))):
             run()
@@ -149,14 +151,14 @@ def test_state_walks_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def slab_by_lookup(top, bottom, rows, columns):
+def slab_by_lookup(top, bottom, rows):
     """Reference for :func:`state_profiles` on two rows: the fills below the
     top layer, in ascending middle-layer order, each followed by a lookup of
     the bottom layer among the fills below its middle layer."""
     (family1, var1), (family2, var2) = rows
     profiles = []
-    for mid, (factors1, zexp1) in sorted(row_fills(top, columns, family1).items()):
-        lower = row_fills(mid, columns, family2).get(bottom)
+    for mid, (factors1, zexp1) in sorted(row_fills(top, family1).items()):
+        lower = row_fills(mid, family2).get(bottom)
         if lower is not None:
             exponents = [0, 0]
             exponents[var1] += zexp1
@@ -170,25 +172,24 @@ SLAB_ROWS = (two_row_rows("gamma-delta"), two_row_rows("delta-gamma"),
 
 
 def test_state_profiles_match_the_slab_lookup():
-    # every two-row boundary of width <= 6, both mixed orders and the
+    # every two-row boundary with labels below 6, both mixed orders and the
     # two-gamma-row slab of the crossing vertex
     nonempty = 0
-    for width in range(3, 7):
-        for size in range(2, width + 1):
-            for top in itertools.combinations(range(width - 1, -1, -1), size):
-                for bot in itertools.combinations(range(width - 1, -1, -1), size - 2):
-                    for rows in SLAB_ROWS:
-                        expected = slab_by_lookup(top, bot, rows, width)
-                        assert state_profiles(top, rows, width, bot) == expected
-                        nonempty += bool(expected)
-    assert nonempty == 1488
+    for size in range(2, 7):
+        for top in itertools.combinations(range(5, -1, -1), size):
+            for bot in itertools.combinations(range(5, -1, -1), size - 2):
+                for rows in SLAB_ROWS:
+                    expected = slab_by_lookup(top, bot, rows)
+                    assert state_profiles(top, rows, bot) == expected
+                    nonempty += bool(expected)
+    assert nonempty == 1092
 
 
 def test_state_profiles_need_one_variable_per_row():
     with pytest.raises(ValueError):
-        state_profiles((2, 0), (("gamma", 0), ("delta", 0)), 3)
+        state_profiles((2, 0), (("gamma", 0), ("delta", 0)))
     with pytest.raises(ValueError):
-        state_profiles((2, 0), (("gamma", 1), ("delta", 2)), 3)
+        state_profiles((2, 0), (("gamma", 1), ("delta", 2)))
 
 
 def row_configs(top, bot, columns):
@@ -247,7 +248,7 @@ def test_charge_labels_match_direct_counts(top_cols):
     top = tuple(sorted(top_cols, reverse=True))
     for family in ("gamma", "delta"):
         table = weight_table(family)
-        fills = row_fills(top, columns, family)
+        fills = row_fills(top, family)
         fillable = set()
         for size in range(columns + 1):
             for bot in itertools.combinations(range(columns - 1, -1, -1), size):
@@ -271,16 +272,33 @@ def test_charge_labels_match_direct_counts(top_cols):
 def test_a_given_bottom_keeps_only_its_fill():
     # the kernel told the layer below returns the unconstrained fills
     # filtered to it, on every top of the test above and every bottom, a
-    # label past the lattice included
+    # label west of the top's leftmost - included
     for size in range(1, 5):
         for top in itertools.combinations(range(7, -1, -1), size):
             columns = top[0] + 1
             for family in ("gamma", "delta"):
-                fills = row_fills(top, columns, family)
+                fills = row_fills(top, family)
                 for bot_size in range(columns + 2):
                     for bot in itertools.combinations(range(columns, -1, -1), bot_size):
                         expected = {bot: fills[bot]} if bot in fills else {}
-                        assert row_fills(top, columns, family, bot) == expected
+                        assert row_fills(top, family, bot) == expected
+
+
+def test_row_fills_are_width_invariant():
+    # the kernel walks top[0] + 1 columns; the direct count, which takes a
+    # width, gives the same fills on lattices up to 3 columns wider, whose
+    # extra west vertices are all + with weight 1 and no z
+    cases = 0
+    for size in range(1, 9):
+        for top in itertools.combinations(range(7, -1, -1), size):
+            for family in ("gamma", "delta"):
+                fills = row_fills(top, family)
+                assert set(fills) == set(strict_interleavings(top))
+                for columns in (top[0] + 1, top[0] + 2, top[0] + 4):
+                    for bot, fill in fills.items():
+                        assert fill == direct_fill(row_vertices(top, bot, columns, family))
+                        cases += 1
+    assert cases == 19_680
 
 
 def row_fills_by_recursion(top, columns, family):
@@ -343,17 +361,17 @@ def row_tops(draw):
 def test_row_fills_match_the_recursive_walk(top_columns, family):
     # same fills, same factors, in the same order: numeric sums depend on it
     top, columns = top_columns
-    assert (list(row_fills(top, columns, family).items())
+    assert (list(row_fills(top, family).items())
             == list(row_fills_by_recursion(top, columns, family).items()))
 
 
 def test_row_fills_worked_example():
     # rows of the worked example (5,3,0) / (3,1) / (3,) / (), gamma family
-    assert row_fills((5, 3, 0), 6, "gamma")[(3, 1)] == ((("h", 1),), 4)
-    assert row_fills((3, 1), 6, "gamma")[(3,)] == ((("g", 2),), 1)
-    assert row_fills((3,), 6, "gamma") == {(): ((), 3)}
-    assert row_fills((3,), 6, "delta") == {(): ((), 3)}
-    assert len(row_fills((5, 3, 0), 6, "delta")) == 11
+    assert row_fills((5, 3, 0), "gamma")[(3, 1)] == ((("h", 1),), 4)
+    assert row_fills((3, 1), "gamma")[(3,)] == ((("g", 2),), 1)
+    assert row_fills((3,), "gamma") == {(): ((), 3)}
+    assert row_fills((3,), "delta") == {(): ((), 3)}
+    assert len(row_fills((5, 3, 0), "delta")) == 11
 
 
 def test_gamma_charge_counts_plus_to_the_east():

@@ -182,9 +182,9 @@ def test_matching_catches_a_shifted_kernel_charge(monkeypatch):
     # negative control: a kernel that miscounts one charge by one must fail,
     # on exactly the states the per-state reference names; the profiles walk
     # the kernel through lattice.state_profiles
-    def shifted(top, columns, family, bottom=None):  # every fill; callers look bottom up
+    def shifted(top, family, bottom=None):  # every fill; callers look bottom up
         out = {}
-        for bot, (factors, zexp) in row_fills(top, columns, family).items():
+        for bot, (factors, zexp) in row_fills(top, family).items():
             if factors:
                 (kind, charge), *rest = factors
                 factors = ((kind, charge + 1), *rest)
@@ -208,8 +208,8 @@ def test_matching_catches_a_kernel_that_loses_states(monkeypatch):
     # states under it; the lost states fail the check
     boundary = boundary_from_lambda((3, 2, 0))
 
-    def dropping(top, columns, family, bottom=None):  # every fill; callers look bottom up
-        fills = row_fills(top, columns, family)
+    def dropping(top, family, bottom=None):  # every fill; callers look bottom up
+        fills = row_fills(top, family)
         if top == boundary.top_minus:
             del fills[max(fills)]
         return fills

@@ -115,21 +115,20 @@ def test_unknown_family_rejected():
 
 
 def test_short_pattern_factors_match_the_kernel_slab():
-    # every short pattern of width <= 6, in both orders: the statistic's
-    # factors are the two-row slab's, as the row kernel lists them
+    # every short pattern with labels below 6, in both orders: the
+    # statistic's factors are the two-row slab's, as the row kernel lists them
     pairs = 0
-    for width in range(3, 7):
-        for size in range(2, width + 1):
-            for top in itertools.combinations(range(width - 1, -1, -1), size):
-                for bot in itertools.combinations(range(width - 1, -1, -1), size - 2):
-                    for sp in enumerate_short_patterns(top, bot):
-                        for order in TWO_ROW_ORDERS:
-                            upper, lower = order.split("-")
-                            slab = (row_fills(sp.top, width, upper)[sp.mid][0]
-                                    + row_fills(sp.mid, width, lower)[sp.bot][0])
-                            assert sorted(pattern_factors(sp.rows, (upper, lower))) == sorted(slab)
-                            pairs += 1
-    assert pairs == 4240
+    for size in range(2, 7):
+        for top in itertools.combinations(range(5, -1, -1), size):
+            for bot in itertools.combinations(range(5, -1, -1), size - 2):
+                for sp in enumerate_short_patterns(top, bot):
+                    for order in TWO_ROW_ORDERS:
+                        upper, lower = order.split("-")
+                        slab = (row_fills(sp.top, upper)[sp.mid][0]
+                                + row_fills(sp.mid, lower)[sp.bot][0])
+                        assert sorted(pattern_factors(sp.rows, (upper, lower))) == sorted(slab)
+                        pairs += 1
+    assert pairs == 3348
 
 
 def test_worked_example_bijection():

@@ -19,7 +19,7 @@ from whitice.lattice import (boundary_from_lambda, fill_weight, row_fills, row_v
                              state_profiles)
 from whitice.laurent import LaurentPoly
 from whitice.partition import numeric_mode, partition_function
-from whitice.patterns import enumerate_short_patterns
+from whitice.patterns import enumerate_short_patterns, middle_rows
 from whitice.transfer import (
     TWO_ROW_ORDERS,
     check_two_row_boundary,
@@ -185,7 +185,7 @@ def test_row_walk_and_contraction_leave_no_reference_cycles():
     gc.disable()
     try:
         for family in ("gamma", "delta"):
-            row_fills((5, 3, 0), 6, family)
+            row_fills((5, 3, 0), family)
             assert gc.collect() == 0
             contract_partition(boundary, family, mode)
             assert gc.collect() == 0
@@ -248,10 +248,9 @@ def test_row_loop_matches_the_folded_reference_where_settle_drops_terms(family):
     assert len(z.terms) == 8442
 
 
-def both_orders(top, bottom, mode, columns=None):
+def both_orders(top, bottom, mode):
     """(Z gamma-delta, Z delta-gamma), each unpacked."""
-    return tuple(two_row_partition(top, bottom, order, mode, columns)
-                 for order in TWO_ROW_ORDERS)
+    return tuple(two_row_partition(top, bottom, order, mode) for order in TWO_ROW_ORDERS)
 
 
 def test_two_row_exchange_reference_boundary():
@@ -269,7 +268,10 @@ def test_two_row_check_refuses_a_slab_without_states():
     # 0 == 0 would pass vacuously
     with pytest.raises(ValueError, match="admits no state"):
         two_row_check((5, 4, 3), (0,), SymbolicMode(1))
-    assert slab_sums((5, 4, 3), (0,), SymbolicMode(1), 6) == ([], {}, {})
+    assert slab_sums((5, 4, 3), (0,), SymbolicMode(1)) == ([], {}, {})
+    # a bottom - west of the top's leftmost - has no state either
+    with pytest.raises(ValueError, match="admits no state"):
+        two_row_check((3, 2, 0), (5,), SymbolicMode(1))
 
 
 def test_a_wide_slab_walks_its_last_row_toward_the_bottom():
@@ -277,20 +279,19 @@ def test_a_wide_slab_walks_its_last_row_toward_the_bottom():
     # ending on the bottom is a state: 384 states per order
     top, bottom = (18, 16, 14, 13, 11, 8, 6, 1, 0), (17, 15, 13, 11, 10, 7, 0)
     start = time.perf_counter()
-    ok = two_row_check(top, bottom, SymbolicMode(1), columns=20)
+    ok = two_row_check(top, bottom, SymbolicMode(1))
     assert time.perf_counter() - start < 2.0
     assert ok
-    assert slab_sums(top, bottom, SymbolicMode(1), 20)[1]
-    assert [len(state_profiles(top, two_row_rows(order), 20, bottom))
+    assert slab_sums(top, bottom, SymbolicMode(1))[1]
+    assert [len(state_profiles(top, two_row_rows(order), bottom))
             for order in TWO_ROW_ORDERS] == [384, 384]
 
 
 def test_two_row_orders_differ_per_state_but_not_in_sum():
     # the state decompositions differ; only the totals agree
     mode = SymbolicMode(1)
-    columns = check_two_row_boundary(PAPER_TOP, PAPER_BOT, None)
     states_gd, states_dg = (
-        state_profiles(PAPER_TOP, two_row_rows(order), columns, PAPER_BOT)
+        state_profiles(PAPER_TOP, two_row_rows(order), PAPER_BOT)
         for order in TWO_ROW_ORDERS)
     weights_gd, weights_dg = (
         [LaurentPoly.monomial(2, mode, exponents, fill_weight(factors, mode))
@@ -315,11 +316,11 @@ def test_numeric_two_row_orders_agree_bit_for_bit(n, q):
     rng = random.Random(n * 1000 + q)
     mode = numeric_mode(n, q)
     for _ in range(40):
-        top, bot, columns = random_two_row_boundary(rng)
-        assert two_row_check(top, bot, mode, columns=columns)
-        z_gd, z_dg = both_orders(top, bot, mode, columns)
+        top, bot = random_two_row_boundary(rng)
+        assert two_row_check(top, bot, mode)
+        z_gd, z_dg = both_orders(top, bot, mode)
         assert z_gd.terms == z_dg.terms
-        for z, exact in zip((z_gd, z_dg), both_orders(top, bot, SymbolicMode(n), columns)):
+        for z, exact in zip((z_gd, z_dg), both_orders(top, bot, SymbolicMode(n))):
             assert z.terms == rounded_once(exact, mode.table)
 
 
@@ -328,8 +329,7 @@ def test_numeric_graded_coefficients_agree_bit_for_bit(n, q):
     # per middle sum k, both orders' packed entries agree, and so do the
     # coefficients unpacked from them
     mode = numeric_mode(n, q)
-    columns = check_two_row_boundary(PAPER_TOP, PAPER_BOT, None)
-    ks, sums_gd, sums_dg = slab_sums(PAPER_TOP, PAPER_BOT, mode, columns)
+    ks, sums_gd, sums_dg = slab_sums(PAPER_TOP, PAPER_BOT, mode)
     z_gd, z_dg = both_orders(PAPER_TOP, PAPER_BOT, mode)
     assert any(z_gd.coeff(graded_exponents(PAPER_TOP, PAPER_BOT, k)) for k in ks)
     for k in ks:
@@ -340,15 +340,14 @@ def test_numeric_graded_coefficients_agree_bit_for_bit(n, q):
 
 def test_random_boundaries_deterministic_and_valid():
     rng = random.Random(0)
-    triples = [random_two_row_boundary(rng) for _ in range(5)]
-    assert triples == [((3, 2, 0), (3,), 6), ((4, 2, 1), (1,), 5), ((2, 0), (), 5),
-                       ((1, 0), (), 3), ((4, 2, 1), (3,), 5)]
-    for top, bot, columns in triples:
+    slabs = [random_two_row_boundary(rng) for _ in range(5)]
+    assert slabs == [((3, 2, 0), (3,)), ((4, 2, 1), (1,)), ((2, 0), ()),
+                     ((1, 0), ()), ((4, 2, 1), (3,))]
+    for top, bot in slabs:
         assert all(a > b for a, b in zip(top, top[1:]))
         assert all(a > b for a, b in zip(bot, bot[1:]))
         assert len(bot) == len(top) - 2
-        assert columns > max(top)
-        assert check_two_row_boundary(top, bot, columns) > 0
+        assert check_two_row_boundary(top, bot) == top[0] + 1
 
 
 def test_two_row_exchange_random_sample():
@@ -356,9 +355,9 @@ def test_two_row_exchange_random_sample():
     n1 = SymbolicMode(1)
     num = numeric_mode(3, 7)
     for _ in range(12):
-        top, bot, columns = random_two_row_boundary(rng)
-        assert two_row_check(top, bot, n1, columns=columns)
-        assert two_row_check(top, bot, num, columns=columns)
+        top, bot = random_two_row_boundary(rng)
+        assert two_row_check(top, bot, n1)
+        assert two_row_check(top, bot, num)
 
 
 def graded_exponents(top, bottom, k) -> tuple[int, int]:
@@ -380,11 +379,11 @@ def test_graded_coefficient_identity():
     assert z_gd.coeff((5, 2)) == z_dg.coeff((5, 2)) != 0  # both slab sums rounded once
 
 
-def shifted_kernel(top, columns, family, bottom=None):
+def shifted_kernel(top, family, bottom=None):
     """The row kernel with the first charge of every fill one too large: a
     negative control that makes the two row orders differ at n = 3."""
     out = {}
-    for bot, (factors, zexp) in row_fills(top, columns, family, bottom).items():
+    for bot, (factors, zexp) in row_fills(top, family, bottom).items():
         if factors:
             (kind, charge), *rest = factors
             factors = ((kind, charge + 1), *rest)
@@ -392,12 +391,11 @@ def shifted_kernel(top, columns, family, bottom=None):
     return out
 
 
-#: the slabs of the README and the CI steps: (top, bottom, columns)
+#: the slabs of the README and the CI steps: (top, bottom)
 NAMED_SLABS = (
-    (PAPER_TOP, PAPER_BOT, None), ((5, 3, 0), (4,), None), ((2, 1), (), None),
-    ((3, 0), (), None), ((7, 5, 3, 1, 0), (5, 3, 1), None), ((3, 1, 0), (2,), None),
-    ((6, 5, 4), (6,), None), ((6, 5, 4), (5,), None),
-    ((18, 16, 14, 13, 11, 8, 6, 1, 0), (17, 15, 13, 11, 10, 7, 0), 20),
+    (PAPER_TOP, PAPER_BOT), ((5, 3, 0), (4,)), ((2, 1), ()), ((3, 0), ()),
+    ((7, 5, 3, 1, 0), (5, 3, 1)), ((3, 1, 0), (2,)), ((6, 5, 4), (6,)), ((6, 5, 4), (5,)),
+    ((18, 16, 14, 13, 11, 8, 6, 1, 0), (17, 15, 13, 11, 10, 7, 0)),
 )
 
 VERDICT_MODES = {"n=1": lambda: SymbolicMode(1), "n=2 q=5": lambda: numeric_mode(2, 5),
@@ -416,12 +414,11 @@ def test_packed_verdicts_are_the_coefficient_verdicts(monkeypatch, mode_name, ke
     rng = random.Random(31)
     slabs = list(NAMED_SLABS) + [random_two_row_boundary(rng) for _ in range(40)]
     verdicts = set()
-    for top, bottom, columns in slabs:
-        columns = check_two_row_boundary(top, bottom, columns)
-        ks, sums_gd, sums_dg = slab_sums(top, bottom, mode, columns)
+    for top, bottom in slabs:
+        ks, sums_gd, sums_dg = slab_sums(top, bottom, mode)
         assert ks == sorted({sum(sp.mid) for sp in enumerate_short_patterns(top, bottom)})
-        z_gd, z_dg = both_orders(top, bottom, mode, columns)
-        assert two_row_check(top, bottom, mode, columns) == (z_gd == z_dg)
+        z_gd, z_dg = both_orders(top, bottom, mode)
+        assert two_row_check(top, bottom, mode) == (z_gd == z_dg)
         verdicts.add(z_gd == z_dg)
         for k in ks:
             exponents = graded_exponents(top, bottom, k)
@@ -430,15 +427,43 @@ def test_packed_verdicts_are_the_coefficient_verdicts(monkeypatch, mode_name, ke
     assert verdicts == ({True} if kernel == "true" or mode.n == 1 else {True, False})
 
 
-def test_total_is_width_invariant():
-    # columns west of the leftmost minus hold all-plus vertices of weight one,
-    # so widening the lattice adds states but never changes the total
-    mode = SymbolicMode(1)
-    narrow = two_row_partition((3, 2, 0), (3,), "gamma-delta", mode)
-    wide = two_row_partition((3, 2, 0), (3,), "gamma-delta", mode, columns=6)
-    assert narrow.nvars == wide.nvars == 2
-    assert narrow == wide
-    assert check_two_row_boundary((3, 2, 0), (3,), 6) > check_two_row_boundary((3, 2, 0), (3,), 4)
+def slabs_below(width):
+    """Every two-row boundary (top, bottom) with labels below `width`."""
+    labels = range(width - 1, -1, -1)
+    return [(top, bottom) for size in range(2, width + 1)
+            for top in itertools.combinations(labels, size)
+            for bottom in itertools.combinations(labels, size - 2)]
+
+
+def test_a_slab_has_a_state_exactly_when_it_has_a_middle_row():
+    # the random draws test a slab by the pattern rule, not by a kernel
+    # walk: the middle rows are the middle layers the kernel reaches
+    nonempty = 0
+    for top, bottom in slabs_below(7):
+        through = {mid for mid in row_fills(top, "gamma") if bottom in row_fills(mid, "delta")}
+        assert set(middle_rows(top, bottom)) == through
+        has_state = bool(state_profiles(top, two_row_rows("gamma-delta"), bottom))
+        assert any(middle_rows(top, bottom)) == has_state
+        nonempty += has_state
+    assert (len(slabs_below(7)), nonempty) == (2002, 1288)
+
+
+def test_statement_b_pairs_complementary_middle_sums():
+    # statement B compares the gamma-delta coefficient of
+    # z1^(sum l - k) z2^(k - sum m), which the states of middle sum k carry,
+    # with the delta-gamma coefficient of the same monomial, which the
+    # states of middle sum sum l + sum m - k carry; the feasible sums are
+    # symmetric under k -> sum l + sum m - k, so both sides have states
+    for top, bottom in slabs_below(8):
+        outer = sum(top) + sum(bottom)
+        mids = list(middle_rows(top, bottom))
+        ks = sorted({sum(mid) for mid in mids})
+        assert ks == sorted(outer - k for k in ks)
+        gd, dg = (sorted(exponents for _, exponents in
+                         state_profiles(top, two_row_rows(order), bottom))
+                  for order in TWO_ROW_ORDERS)
+        assert gd == sorted(graded_exponents(top, bottom, sum(mid)) for mid in mids)
+        assert dg == sorted(graded_exponents(top, bottom, outer - sum(mid)) for mid in mids)
 
 
 @pytest.mark.parametrize("lam", [(0,)] + [
@@ -450,6 +475,6 @@ def test_contract_partition_is_the_unpacked_packed_contraction(lam, family):
     b = boundary_from_lambda(lam)
     exponents = exponent_reader(b)
     for mode in [SymbolicMode(n) for n in (1, 2, 3, 4)] + [numeric_mode(3, 13)]:
-        packing, slots, parts = contract_packed(b, family, mode)
-        unpacked = {exponents(z): c for z, c in packing.unpack(parts, slots).items()}
+        packing, parts = contract_packed(b, family, mode)
+        unpacked = {exponents(z): c for z, c in packing.unpack(parts).items()}
         assert contract_partition(b, family, mode) == LaurentPoly(b.rank + 1, mode, unpacked)

@@ -180,11 +180,11 @@ def test_charge_duality_checks_each_distinct_row_once(monkeypatch):
     assert len(set(counted)) == len(counted) == 2 * 1106
 
 
-def shifted(top, columns, family):
+def shifted(top, family):
     """The row kernel with the first factor's charge of every fill one too
     high: a negative control."""
     out = {}
-    for bot, (factors, zexp) in row_fills(top, columns, family).items():
+    for bot, (factors, zexp) in row_fills(top, family).items():
         if factors:
             (kind, charge), *rest = factors
             factors = ((kind, charge + 1), *rest)
@@ -192,11 +192,11 @@ def shifted(top, columns, family):
     return out
 
 
-def raised(top, columns, family):
+def raised(top, family):
     """The row kernel with every z-exponent one too high: a negative control
     that breaks the duality as well."""
     return {bot: (factors, zexp + 1)
-            for bot, (factors, zexp) in row_fills(top, columns, family).items()}
+            for bot, (factors, zexp) in row_fills(top, family).items()}
 
 
 def failing_rows_by_state(boundary, kernel):
@@ -207,7 +207,7 @@ def failing_rows_by_state(boundary, kernel):
     for state in enumerate_states(boundary):
         for k, (top, bot) in enumerate(zip(state.layers, state.layers[1:])):
             for family in FAMILIES:
-                fill = kernel(top, columns, family).get(bot)
+                fill = kernel(top, family).get(bot)
                 if fill != direct_fill(row_vertices(top, bot, columns, family)):
                     failures.add(((top, bot), k, f"{family} kernel/direct count mismatch"))
                 if family == "gamma" and (
@@ -257,10 +257,9 @@ def test_crossing_vertex_weights():
     assert rvertex_allminus_weight(mode, d_i=3, d_i1=6) == rvertex_allminus_weight(mode)
 
 
-def two_gamma_slab(top, bot, mode, columns=None):
+def two_gamma_slab(top, bot, mode):
     """Z of the two-gamma slab, top row carrying z2 and bottom row z1."""
-    columns = columns or top[0] + 1
-    return slab_partition(top, bot, (("gamma", 1), ("gamma", 0)), mode, columns)
+    return slab_partition(top, bot, (("gamma", 1), ("gamma", 0)), mode)
 
 
 def crossing_vertex_sides(z, j):
@@ -304,12 +303,12 @@ def test_crossing_vertex_is_the_functional_equation_on_its_slab(n):
     rng = Random(n)
     checks = 0
     for _ in range(30):
-        top, bot, columns = random_two_row_boundary(rng, 7)
-        z = two_gamma_slab(top, bot, mode, columns)
+        top, bot = random_two_row_boundary(rng, 7)
+        z = two_gamma_slab(top, bot, mode)
         for j in range(n):
             ok, lhs, rhs = functional_eq_check(z, 1, j)
-            assert ok and lhs == rhs, (top, bot, columns, j)
+            assert ok and lhs == rhs, (top, bot, j)
             if n % 2:
-                assert crossing_vertex_sides(z, j) == (rhs, lhs), (top, bot, columns, j)
+                assert crossing_vertex_sides(z, j) == (rhs, lhs), (top, bot, j)
             checks += 1
     assert checks == 30 * n
