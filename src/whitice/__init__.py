@@ -40,7 +40,7 @@ from .patterns import (
 )
 from .transfer import two_row_check, two_row_partition
 from .weyl import decompose, functional_eq_check
-from .ybe import commutation_check, rmatrix_n1, ybe_check
+from .ybe import rmatrix_n1, ybe_check
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "SymCoeff",
     "SymbolicMode",
     "boundary_from_lambda",
-    "commutation_check",
     "count_states",
     "decompose",
     "dirichlet_series_string",

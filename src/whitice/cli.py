@@ -2,24 +2,24 @@
 
 Commands:
 
-    whitice enumerate  --rank R --lambda L            list lattice states
-    whitice partition  --rank R --lambda L [...]      partition function
-    whitice whittaker  --rank R --lambda L [...]      coefficient table
-    whitice gauss      --n N --q Q                    dump a Gauss-sum table
-    whitice bench      --rank R --lambda L [...]      contraction benchmark
-    whitice verify     CHECK [...]                    run one verification
+    whitice enumerate  --lambda L             list lattice states
+    whitice partition  --lambda L [...]       partition function
+    whitice whittaker  --lambda L [...]       coefficient table
+    whitice gauss      --n N --q Q            dump a Gauss-sum table
+    whitice bench      --lambda L [...]       contraction benchmark
+    whitice verify     CHECK [...]            run one verification
 
-Verification checks: statement-a, prop-matching, ybe-n1, commute-rows,
-two-row, statement-b, functional-eq, charges.  Every command prints JSON
-(or a rendered polynomial where noted) and is deterministic for a fixed
---seed.  Exit codes: 0 success/pass, 1 verification failure, 2 bad usage
-or configuration: any ValueError a command raises (an invalid weight or
-mathematical parameter, or an input past a size bound) is printed as
-{"error": "config", "detail": ...}.
+Verification checks: statement-a, prop-matching, ybe-n1, two-row,
+statement-b, functional-eq (at --n 1, the row swap), charges.  Every
+command prints JSON (or a rendered polynomial where noted) and is
+deterministic for a fixed --seed.  Exit codes: 0 success/pass, 1
+verification failure, 2 bad usage or configuration: any ValueError a
+command raises (an invalid weight or mathematical parameter, or an input
+past a size bound) is printed as {"error": "config", "detail": ...}.
 
 --lambda is the weight itself, comma-separated and including the trailing
 zero part, e.g. --lambda 3,2,0; the strictly decreasing boundary row is
-derived internally by adding (r, r-1, ..., 0).
+derived internally by adding (r, r-1, ..., 0), r = the number of parts - 1.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from random import Random
 from . import jsonio, transfer, weyl, ybe
 from .coeffs import Mode, SymbolicMode
 from .gauss import gauss_table
-from .lattice import FAMILIES, boundary_from_lambda, count_states, enumerate_states
+from .lattice import (FAMILIES, boundary_from_lambda, count_rows, count_states,
+                      enumerate_states)
 from .laurent import LaurentPoly
 from .partition import (
     dirichlet_series_string,
@@ -63,10 +64,15 @@ MAX_RANDOM_BOUNDARIES = 1000
 MAX_CLASSES = 100_000
 
 #: most states a command walks one by one (the enumerate strategy,
-#: statement-a, prop-matching; charges walks rows, but rows have no bound
-#: yet).  The enumerate strategy keeps every state's profile in a process-wide
-#: cache: 873,392 states at rank 6 took 266 MB, so this many stay near 150 MB a family.
+#: statement-a, prop-matching, functional-eq).  The enumerate strategy keeps
+#: every state's profile in a process-wide cache: 873,392 states at rank 6
+#: took 266 MB, so this many stay near 150 MB a family.
 MAX_ENUMERATED_STATES = 500_000
+
+#: most distinct rows `verify charges` checks.  The rank-6 staircase has
+#: 130,601 and passes in a few seconds; the rank-7 staircase has more, and
+#: its count stops one past this bound in under a second
+MAX_CHECKED_ROWS = 500_000
 
 #: the ``tol`` of verify reports' params, the field they always carried;
 #: every check decides by equality and none reads it
@@ -92,9 +98,6 @@ def _lambda_arg(args) -> tuple[int, ...]:
     lam = _parse_parts(args.lam, "--lambda")
     if not lam:
         raise ValueError("--lambda needs at least one part")
-    if getattr(args, "rank", None) is not None and args.rank != len(lam) - 1:
-        raise ValueError(
-            f"--rank {args.rank} inconsistent with --lambda of {len(lam)} parts")
     _check_columns(max(lam) + len(lam), "--lambda")
     return lam
 
@@ -299,21 +302,6 @@ def verify_ybe_n1(args) -> int:
     return _finish(report)
 
 
-def verify_commute_rows(args) -> int:
-    lam, boundary = _boundary(args)
-    rows = _rows_arg(args, boundary.rank)
-    _check_enumerable(boundary)
-    z = partition_function(boundary, "gamma", SymbolicMode(1))
-    counter = None
-    for i in rows:
-        ok, lhs, rhs = ybe.commutation_check(z, i)
-        if not ok:
-            counter = {"i": i, "lhs": str(lhs), "rhs": str(rhs)}
-            break
-    params = {"lambda": list(lam), "rows": rows}
-    return _finish(jsonio.report("commute-rows", params, counter is None, counter))
-
-
 def verify_two_row(args) -> int:
     mode = _mode(args)
     slabs = []
@@ -429,7 +417,9 @@ def _shown(poly: LaurentPoly, mode: Mode) -> LaurentPoly:
 
 def verify_charges(args) -> int:
     lam, boundary = _boundary(args)
-    _check_enumerable(boundary)
+    if count_rows(boundary, MAX_CHECKED_ROWS) > MAX_CHECKED_ROWS:
+        raise ValueError(f"the boundary has more than the {MAX_CHECKED_ROWS} "
+                         f"distinct rows charges checks one by one")
     ok, failures = weyl.charge_duality_check(boundary)
     counter = None
     if failures:
@@ -444,7 +434,6 @@ VERIFY_COMMANDS = {
     "statement-a": verify_statement_a,
     "prop-matching": verify_prop_matching,
     "ybe-n1": verify_ybe_n1,
-    "commute-rows": verify_commute_rows,
     "two-row": verify_two_row,
     "statement-b": verify_statement_b,
     "functional-eq": verify_functional_eq,
@@ -456,11 +445,9 @@ VERIFY_COMMANDS = {
 #  Parser
 # ---------------------------------------------------------------------------
 
-def _add_lambda_flags(p, required: bool = True) -> None:
-    p.add_argument("--lambda", dest="lam", required=required,
+def _add_lambda_flag(p) -> None:
+    p.add_argument("--lambda", dest="lam", required=True,
                    help="comma-separated weight parts incl. trailing 0, e.g. 3,2,0")
-    p.add_argument("--rank", type=int, default=None,
-                   help="optional consistency check: number of parts - 1")
 
 
 def _add_mode_flags(p, default_n: int = 1) -> None:
@@ -480,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the admissible states of a boundary")
-    _add_lambda_flags(p)
+    _add_lambda_flag(p)
     p.add_argument("--ice", choices=("gamma", "delta"), default="gamma",
                    help="row order recorded in the JSON dump")
     p.add_argument("--count-only", action="store_true",
@@ -488,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("partition", help="partition function of a boundary")
-    _add_lambda_flags(p)
+    _add_lambda_flag(p)
     _add_mode_flags(p)
     p.add_argument("--ice", choices=("gamma", "delta"), default="gamma")
     p.add_argument("--strategy", choices=("enumerate", "transfer"),
@@ -498,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("whittaker", help="Whittaker coefficient table")
-    _add_lambda_flags(p)
+    _add_lambda_flag(p)
     _add_mode_flags(p)
     p.add_argument("--ice", choices=("gamma", "delta"), default="gamma")
     p.add_argument("--strategy", choices=("enumerate", "transfer"),
@@ -513,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gauss)
 
     p = sub.add_parser("bench", help="time the transfer contraction")
-    _add_lambda_flags(p)
+    _add_lambda_flag(p)
     _add_mode_flags(p, default_n=3)
     p.add_argument("--ice", choices=("gamma", "delta"), default="gamma")
     p.add_argument("--compare", action="store_true",
@@ -524,13 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="check", required=True)
 
     v = vsub.add_parser("statement-a", help="gamma and delta tables agree")
-    _add_lambda_flags(v)
+    _add_lambda_flag(v)
     _add_mode_flags(v)
     v.set_defaults(func=verify_statement_a)
 
     v = vsub.add_parser("prop-matching",
                         help="state weights match pattern weights exactly")
-    _add_lambda_flags(v)
+    _add_lambda_flag(v)
     v.add_argument("--ice", choices=("gamma", "delta", "both"), default="both")
     v.set_defaults(func=verify_prop_matching)
 
@@ -539,12 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--perturb", action="store_true",
                    help="also run the shifted-entry negative control")
     v.set_defaults(func=verify_ybe_n1)
-
-    v = vsub.add_parser("commute-rows",
-                        help="row-swap endpoint identity (n=1, symbolic)")
-    _add_lambda_flags(v)
-    v.add_argument("--i", type=int, default=None, help="row pair index (default all)")
-    v.set_defaults(func=verify_commute_rows)
 
     v = vsub.add_parser("two-row", help="mixed-row partition functions agree")
     _add_mode_flags(v)
@@ -566,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=verify_statement_b)
 
     v = vsub.add_parser("functional-eq",
-                        help="exchange functional equation, cleared form")
-    _add_lambda_flags(v)
+                        help="exchange functional equation, cleared form; --n 1 is the row swap")
+    _add_lambda_flag(v)
     _add_mode_flags(v)
     v.add_argument("--i", type=int, default=None, help="row pair (default all)")
     v.add_argument("--j", type=int, default=None, help="class mod n (default all)")
@@ -575,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=verify_functional_eq)
 
     v = vsub.add_parser("charges", help="charge labels match z-exponent duality")
-    _add_lambda_flags(v)
+    _add_lambda_flag(v)
     v.set_defaults(func=verify_charges)
 
     return parser

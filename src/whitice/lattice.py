@@ -401,6 +401,35 @@ def strict_interleavings(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return (y for y in product(*ranges) if len(set(y)) == len(y))
 
 
+def layer_rows(boundary: Boundary) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Each distinct row of the boundary once, as (depth, top layer, bottom
+    layer): depth by depth from the top, the distinct layers of a depth in
+    ascending order, and below each layer its :func:`strict_interleavings`.
+    The rows below one layer come together, and a one-entry layer has only
+    the bottom ``()``, so the last row is not special.  The walk holds one
+    depth's layers, never a state."""
+    layers = {boundary.top_minus}
+    for depth in range(boundary.rows):
+        below = set()
+        for top in sorted(layers):
+            for bottom in strict_interleavings(top):
+                below.add(bottom)
+                yield depth, top, bottom
+        layers = below
+
+
+def count_rows(boundary: Boundary, limit: int) -> int:
+    """Number of rows :func:`layer_rows` walks, or limit + 1 once the count
+    passes `limit`: the walk stops there, so it never holds more layers
+    than the rows it counted."""
+    rows = 0
+    for _ in layer_rows(boundary):
+        rows += 1
+        if rows > limit:
+            return limit + 1
+    return rows
+
+
 def enumerate_states(boundary: Boundary) -> list[IceState]:
     """All admissible states, sorted lexicographically by their layers.
 

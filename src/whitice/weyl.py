@@ -12,8 +12,11 @@ g(0) = -u.  :func:`functional_eq_check` checks it on a polynomial the
 caller computed once in the reduced ring, n read off its mode, by ``==``
 (products of rounded values differ in the last bits, so a numeric Z is
 refused); nothing here computes a full system's Z.  At n = 1 there is a
-single class and the identity collapses to the row-swap endpoint identity
-of the ybe module.
+single class, and ``functional_eq_check(z, i, 0)`` is the row-swap
+endpoint identity that sliding the crossing vertex of the ybe module
+through two rows gives:
+
+    (z_{i+1} - u*z_i) * Z(sigma_i z)  =  (z_i - u*z_{i+1}) * Z(z).
 
 The same exchange is realized locally by a partial crossing vertex that is
 only defined on the all-+ and all-- spin configurations, with entries graded
@@ -44,9 +47,9 @@ from .lattice import (
     FAMILIES,
     Boundary,
     direct_fill,
+    layer_rows,
     row_fills,
     row_vertices,
-    strict_interleavings,
 )
 from .laurent import LaurentPoly
 
@@ -60,12 +63,7 @@ def decompose(z: LaurentPoly, i: int) -> dict[int, LaurentPoly]:
     monomial.  ``i`` is 1-based: variables i-1 and i of the polynomial.
     Every class 0..n-1 is present in the result (possibly zero)."""
     _check_pair(z, i)
-    n = z.mode.n
-    buckets: dict[int, dict] = {j: {} for j in range(n)}
-    for exps, coeff in z.terms.items():
-        j = (exps[i - 1] - exps[i]) % n
-        buckets[j][exps] = coeff
-    return {j: LaurentPoly(z.nvars, z.mode, terms) for j, terms in buckets.items()}
+    return {j: _class_part(z, i, j) for j in range(z.mode.n)}
 
 
 def _check_pair(z: LaurentPoly, i: int) -> None:
@@ -74,7 +72,8 @@ def _check_pair(z: LaurentPoly, i: int) -> None:
 
 
 def _class_part(z: LaurentPoly, i: int, j: int) -> LaurentPoly:
-    """Class j of :func:`decompose`, built alone: one pass over z, not n."""
+    """The monomials of z in class j mod n for the pair (i, i+1), the one
+    class rule: a single pass over z, whatever n is."""
     n = z.mode.n
     return LaurentPoly(z.nvars, z.mode, {exps: coeff for exps, coeff in z.terms.items()
                                          if (exps[i - 1] - exps[i]) % n == j % n})
@@ -138,10 +137,10 @@ def charge_duality_check(boundary: Boundary):
     """Check of the row kernel against a direct count, and of the
     charge/monomial duality, on each distinct row of the boundary once.
 
-    A row's verdict depends only on its two layers, so the check walks the
-    boundary's layer graph depth by depth: below each distinct layer, in
-    ascending order, it asks the kernel once per family for its fills and
-    checks every strict interleaving.  For both families the kernel's fill
+    A row's verdict depends only on its two layers, so the check walks each
+    distinct row once (:func:`.lattice.layer_rows`): below each distinct
+    layer it asks the kernel once per family for its fills and checks every
+    strict interleaving.  For both families the kernel's fill
     (factors and z-exponent) must equal the one counted vertex by vertex from
     both layers; and in each gamma row, the kernel's z-exponent plus the
     left-edge label (the number of + horizontal edges) must equal the number
@@ -151,24 +150,20 @@ def charge_duality_check(boundary: Boundary):
     """
     columns = boundary.columns
     failures = []
-    layers = {boundary.top_minus}
-    for row in range(boundary.rows):
-        below = set()
-        for top in sorted(layers):
-            fills = [row_fills(top, family) for family in FAMILIES]
-            for bot in strict_interleavings(top):
-                below.add(bot)
-                for family, family_fills in zip(FAMILIES, fills):
-                    fill = family_fills.get(bot)
-                    vertices = row_vertices(top, bot, columns, family)
-                    if fill != direct_fill(vertices):
-                        failures.append(((top, bot), row, f"{family} kernel/direct count mismatch"))
-                    # the label: the + boundary edge and the + edges east of
-                    # the first vertex, which that vertex's gamma charge counts
-                    if family == "gamma" and (fill is None
-                                              or fill[1] + 1 + vertices[0][2] != columns):
-                        failures.append(((top, bot), row, "gamma exponent/label duality"))
-        layers = below
+    kernel_top = None
+    for row, top, bot in layer_rows(boundary):
+        if top != kernel_top:  # the rows below one layer come together
+            kernel_top, fills = top, [row_fills(top, family) for family in FAMILIES]
+        for family, family_fills in zip(FAMILIES, fills):
+            fill = family_fills.get(bot)
+            vertices = row_vertices(top, bot, columns, family)
+            if fill != direct_fill(vertices):
+                failures.append(((top, bot), row, f"{family} kernel/direct count mismatch"))
+            # the label: the + boundary edge and the + edges east of
+            # the first vertex, which that vertex's gamma charge counts
+            if family == "gamma" and (fill is None
+                                      or fill[1] + 1 + vertices[0][2] != columns):
+                failures.append(((top, bot), row, "gamma exponent/label duality"))
     return not failures, failures
 
 

@@ -1,4 +1,4 @@
-"""Yang-Baxter equation at n = 1, and the row-swap identities it implies.
+"""Yang-Baxter equation at n = 1.
 
 The crossing vertex R acts on two horizontal lines.  Its table is keyed by
 the four adjacent edge spins as (west_top, west_bot, east_top, east_bot) and
@@ -31,13 +31,13 @@ for all boundary spins (sigma, tau, alpha, beta, rho, theta).
 Sliding R through two stacked rows of a full system turns this local
 equation into the global endpoint identity
 
-    (z_i - u*z_{i+1}) * Z(z)  =  (z_{i+1} - u*z_i) * Z(sigma_i z),
+    (z_{i+1} - u*z_i) * Z(sigma_i z)  =  (z_i - u*z_{i+1}) * Z(z),
 
-the n = 1 case of the functional equation of the weyl module, which
-:func:`commutation_check` checks on a Z its caller computed.  Every check
-here multiplies polynomials, so it runs in that exact ring and decides by
-``==``; in complex arithmetic the two sides of some boundaries differ in
-the last bits.
+the n = 1 case of the functional equation: ``weyl.functional_eq_check(z,
+i, 0)`` on a Z of n = 1 checks it, with the left side above as its lhs.
+Every check here multiplies polynomials, so it runs in that exact ring and
+decides by ``==``; in complex arithmetic the two sides of some boundaries
+differ in the last bits.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from itertools import product
 from .coeffs import SymbolicMode
 from .lattice import MINUS, PLUS, fill_weight, weight_table
 from .laurent import LaurentPoly
-from .weyl import functional_eq_check
 
 #: the exact ring of n = 1 every entry and check of this module lives in
 MODE = SymbolicMode(1)
@@ -176,19 +175,3 @@ def solve_mixed_assignment(s_row=("gamma", 1), t_row=("gamma", 0)) -> list[dict[
             found.append(assignment)
     return found
 
-
-# ---------------------------------------------------------------------------
-#  Global endpoint identities (n = 1)
-# ---------------------------------------------------------------------------
-
-def commutation_check(z: LaurentPoly, i: int):
-    """(z_i - u*z_{i+1}) * Z(z) = (z_{i+1} - u*z_i) * Z(sigma_i z) on a
-    polynomial z of the reduced ring of n = 1.
-
-    This is the class-0 functional equation at n = 1, with its sides
-    exchanged.  Returns (ok, lhs, rhs); ValueError on a z at another n or
-    a numeric z."""
-    if z.mode.n != 1:
-        raise ValueError(f"the row-swap identity needs n = 1, not the mode's n = {z.mode.n}")
-    ok, rhs, lhs = functional_eq_check(z, i, 0)
-    return ok, lhs, rhs

@@ -31,8 +31,7 @@ def run_json(capsys, *argv):
 
 
 def test_enumerate_count(capsys):
-    code, obj = run_json(capsys, "enumerate", "--rank", "2", "--lambda", "3,2,0",
-                         "--count-only")
+    code, obj = run_json(capsys, "enumerate", "--lambda", "3,2,0", "--count-only")
     assert code == 0
     assert obj == {"columns": 6, "count": 41}
 
@@ -60,7 +59,7 @@ def test_enumerate_states_listing(capsys):
 
 
 def test_partition_rendered(capsys):
-    code, out = run(capsys, "partition", "--rank", "1", "--lambda", "0,0",
+    code, out = run(capsys, "partition", "--lambda", "0,0",
                     "--ice", "gamma", "--n", "1")
     assert code == 0
     assert out.strip() == "-u*z1 + z2"
@@ -110,8 +109,8 @@ def test_bench_compare(capsys):
 
 
 def test_verify_statement_a(capsys):
-    code, obj = run_json(capsys, "verify", "statement-a", "--rank", "2",
-                         "--lambda", "3,2,0", "--coeff", "numeric", "--n", "2", "--q", "5")
+    code, obj = run_json(capsys, "verify", "statement-a", "--lambda", "3,2,0",
+                         "--coeff", "numeric", "--n", "2", "--q", "5")
     assert code == 0
     assert obj["check"] == "statement-a"
     assert obj["pass"] is True
@@ -212,6 +211,25 @@ def test_verify_charges_fails_a_kernel_that_drops_a_fill(capsys, monkeypatch):
                                      "reason": "gamma kernel/direct count mismatch"}
 
 
+def test_verify_charges_checks_the_rank5_staircase(capsys):
+    # 9,304,650 states, but 16,570 distinct rows: the bound is on rows
+    code, obj = run_json(capsys, "verify", "charges", "--lambda", "5,4,3,2,1,0")
+    assert code == 0 and obj["pass"] is True
+
+
+def test_verify_charges_refuses_too_many_rows(capsys, monkeypatch):
+    # the rank-7 staircase has more rows than the bound: the count decides
+    # before the kernel walks any row
+    def refused(*args):
+        raise AssertionError("a row was walked")
+
+    monkeypatch.setattr(weyl, "row_fills", refused)
+    code, obj = run_json(capsys, "verify", "charges", "--lambda", "7,6,5,4,3,2,1,0")
+    assert code == 2
+    assert obj["error"] == "config"
+    assert str(cli.MAX_CHECKED_ROWS) in obj["detail"] and "rows" in obj["detail"]
+
+
 def test_a_value_error_inside_a_command_is_a_config_error(capsys, monkeypatch):
     def failing(boundary):
         raise ValueError("no such row")
@@ -222,9 +240,13 @@ def test_a_value_error_inside_a_command_is_a_config_error(capsys, monkeypatch):
     assert obj == {"error": "config", "detail": "no such row"}
 
 
-def test_verify_commute_rows(capsys):
-    code, obj = run_json(capsys, "verify", "commute-rows", "--lambda", "2,1,0")
+@pytest.mark.parametrize("family", ["gamma", "delta"])
+def test_verify_functional_eq_at_n1_is_the_row_swap(capsys, family):
+    # at n = 1 the one class is the row-swap identity, on every row pair
+    code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "2,1,0",
+                         "--n", "1", "--ice", family)
     assert code == 0 and obj["pass"] is True
+    assert obj["params"]["rows"] == [1, 2] and obj["params"]["classes"] == [0]
 
 
 def test_verify_ybe(capsys):
@@ -354,6 +376,44 @@ def test_shifted_kernel_charge_fails_the_two_row_checks_with_both_sides(capsys, 
         assert result["pass"] == (z_gd.coeff(exponents) == z_dg.coeff(exponents))
 
 
+def swapped_kernel(top, family, bottom=None):  # every fill; callers look bottom up
+    """The row kernel with the first factor of every fill of the other kind,
+    g for h and h for g."""
+    out = {}
+    for bot, (factors, zexp) in row_fills(top, family).items():
+        if factors:
+            (kind, charge), *rest = factors
+            factors = (({"g": "h", "h": "g"}[kind], charge), *rest)
+        out[bot] = (factors, zexp)
+    return out
+
+
+@pytest.mark.parametrize("kernel, failing, passing", [
+    # every charge vanishes mod 1, so a charge off by one changes no weight
+    # at n = 1: there the row swap cannot see it
+    (shifted_kernel, ["2", "3"], ["1"]),
+    (swapped_kernel, ["1", "2", "3"], []),
+], ids=["shifted", "swapped"])
+def test_a_wrong_kernel_fails_the_exchange_check(capsys, monkeypatch, kernel, failing,
+                                                 passing):
+    # negative control: Z from a miscounting kernel breaks the identity, and
+    # the report names the row pair and class with both sides
+    partition.boundary_profiles.cache_clear()
+    monkeypatch.setattr(lattice, "row_fills", kernel)
+    try:
+        for n in failing + passing:
+            code, obj = run_json(capsys, "verify", "functional-eq", "--lambda", "2,1,0",
+                                 "--n", n)
+            assert obj["pass"] is (n in passing), n
+            assert code == (0 if n in passing else 1)
+            if n in failing:
+                counter = obj["counterexample"]
+                assert counter["i"] in (1, 2) and 0 <= counter["j"] < int(n)
+                assert counter["lhs"] != counter["rhs"]
+    finally:
+        partition.boundary_profiles.cache_clear()
+
+
 @pytest.mark.parametrize("argv", [
     "statement-a --lambda 2,1,0 --n 2",
     "functional-eq --lambda 2,1,0 --n 2",
@@ -418,12 +478,16 @@ def test_error_bad_lambda(capsys):
     assert obj["error"] == "config"
 
 
-def test_error_rank_mismatch(capsys):
-    code, obj = run_json(capsys, "verify", "statement-a", "--rank", "1",
-                         "--lambda", "3,2,0", "--n", "1")
-    assert code == 2
-    assert obj["error"] == "config"
-    assert "rank" in obj["detail"]
+def test_removed_command_and_rank_option_are_usage_errors(capsys):
+    # functional-eq --n 1 checks the row swap, and the rank is the number
+    # of --lambda parts less one
+    for argv in ("verify commute-rows --lambda 2,1,0",
+                 "enumerate --rank 2 --lambda 3,2,0",
+                 "verify functional-eq --rank 1 --lambda 2,0"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        assert exc.value.code == 2, argv
+        assert not capsys.readouterr().out
 
 
 def test_error_numeric_without_q(capsys):
@@ -440,8 +504,7 @@ def test_error_incompatible_modulus(capsys):
 
 
 LAMBDA_COMMANDS = ["enumerate", "partition", "whittaker", "bench", "verify statement-a",
-                   "verify prop-matching", "verify commute-rows", "verify functional-eq",
-                   "verify charges"]
+                   "verify prop-matching", "verify functional-eq", "verify charges"]
 
 
 @pytest.mark.parametrize("lam", ["3,1", "1,3,0"])
@@ -500,6 +563,9 @@ def test_oversized_gauss_table_is_refused_before_allocating(argv):
     ("verify statement-a --lambda 24,22,20,18,16,14,12,10,8,6,4,2,0", "MAX_ENUMERATED_STATES"),
     # a class list of 10^9 entries
     ("verify functional-eq --lambda 2,0 --n 1000000000", "MAX_CLASSES"),
+    # more than 500,000 distinct rows, counted only up to the bound
+    ("verify charges --lambda 7,6,5,4,3,2,1,0", "MAX_CHECKED_ROWS"),
+    ("verify charges --lambda 24,22,20,18,16,14,12,10,8,6,4,2,0", "MAX_CHECKED_ROWS"),
 ])
 def test_oversized_checks_are_refused_within_a_memory_cap(argv, bound):
     obj, elapsed = capped_refusal(argv)
@@ -610,9 +676,9 @@ def test_functional_eq_class_out_of_range_is_refused(capsys, j):
     (("functional-eq", "--lambda", "2,0", "--n", "2", "--q", "5"), "0"),
     (("functional-eq", "--lambda", "2,0", "--n", "2", "--q", "5"), "2"),
     (("functional-eq", "--lambda", "3,1,0", "--n", "2", "--q", "5"), "3"),
-    (("commute-rows", "--lambda", "2,1,0"), "0"),
-    (("commute-rows", "--lambda", "2,1,0"), "3"),
-    (("commute-rows", "--lambda", "2,1,0"), "7"),
+    (("functional-eq", "--lambda", "2,1,0", "--n", "1"), "0"),
+    (("functional-eq", "--lambda", "2,1,0", "--n", "1"), "3"),
+    (("functional-eq", "--lambda", "2,1,0", "--n", "1"), "7"),
 ])
 def test_row_pair_out_of_range_is_refused(capsys, monkeypatch, argv, i):
     # --i must name a row pair 1..rank; it is checked before Z or any check
@@ -622,14 +688,13 @@ def test_row_pair_out_of_range_is_refused(capsys, monkeypatch, argv, i):
 
     monkeypatch.setattr(cli, "partition_function", reached)
     monkeypatch.setattr(weyl, "functional_eq_check", reached)
-    monkeypatch.setattr(cli.ybe, "commutation_check", reached)
     code, obj = run_json(capsys, "verify", *argv, "--i", i)
     assert code == 2
     assert obj["error"] == "config"
     assert f"--i {i}" in obj["detail"]
 
 
-@pytest.mark.parametrize("check", ["functional-eq", "commute-rows"])
+@pytest.mark.parametrize("check", ["functional-eq"])
 def test_rank_zero_lambda_is_refused(capsys, monkeypatch, check):
     # a rank-0 lambda has no row pair, so the check would pass having
     # checked nothing
@@ -638,16 +703,16 @@ def test_rank_zero_lambda_is_refused(capsys, monkeypatch, check):
 
     monkeypatch.setattr(cli, "partition_function", reached)
     monkeypatch.setattr(weyl, "functional_eq_check", reached)
-    monkeypatch.setattr(cli.ybe, "commutation_check", reached)
-    code, obj = run_json(capsys, "verify", check, "--lambda", "0")
-    assert code == 2
-    assert obj["error"] == "config"
-    assert "rank 0" in obj["detail"]
+    for n in ("1", "3"):  # at n = 1, the row swap
+        code, obj = run_json(capsys, "verify", check, "--lambda", "0", "--n", n)
+        assert code == 2
+        assert obj["error"] == "config"
+        assert "rank 0" in obj["detail"]
 
 
 @pytest.mark.parametrize("argv", [
     ("functional-eq", "--lambda", "3,1,0", "--n", "2", "--q", "5"),
-    ("commute-rows", "--lambda", "2,1,0"),
+    ("functional-eq", "--lambda", "2,1,0", "--n", "1"),
 ])
 def test_row_pair_in_range_is_reported(capsys, argv):
     for i in (1, 2):
@@ -695,7 +760,7 @@ def test_statement_b_coefficient_route_contracts_once(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, checks", [
     ("functional-eq --lambda 3,2,0 --n 3", 6),
     ("functional-eq --lambda 3,2,0 --coeff numeric --n 3 --q 7", 6),
-    ("commute-rows --lambda 3,1,0", 2),
+    ("functional-eq --lambda 3,1,0 --n 1", 2),
 ])
 def test_exchange_checks_compute_z_once(capsys, monkeypatch, argv, checks):
     # every (i, j) is checked against one Z, computed after the config checks
@@ -712,7 +777,6 @@ def test_exchange_checks_compute_z_once(capsys, monkeypatch, argv, checks):
 
     monkeypatch.setattr(cli, "partition_function", counted)
     monkeypatch.setattr(cli.weyl, "functional_eq_check", counted_check)
-    monkeypatch.setattr(cli.ybe, "functional_eq_check", counted_check)
     code, obj = run_json(capsys, "verify", *argv.split())
     assert code == 0 and obj["pass"] is True
     assert len(calls) == 1
@@ -729,7 +793,7 @@ def test_empty_bottom_row_is_accepted(capsys, argv):
     assert code == 0 and obj["pass"] is True
 
 
-@pytest.mark.parametrize("check", ["functional-eq", "commute-rows", "statement-a"])
+@pytest.mark.parametrize("check", ["functional-eq", "statement-a"])
 def test_empty_lambda_is_a_config_error(capsys, check):
     code, obj = run_json(capsys, "verify", check, "--lambda", "")
     assert code == 2
@@ -767,9 +831,7 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     "bench --lambda 6,5,4,2,1,0 --n 1 --compare",
     "verify statement-a --lambda 6,5,4,2,1,0 --n 1",
     "verify prop-matching --lambda 6,5,4,2,1,0",
-    "verify charges --lambda 6,5,4,2,1,0",
     "verify functional-eq --lambda 6,5,4,2,1,0 --n 1",
-    "verify commute-rows --lambda 6,5,4,2,1,0",
 ])
 def test_state_by_state_commands_refuse_huge_boundaries(capsys, monkeypatch, argv):
     # 31,406,156 states: the count decides before any state or profile is built
@@ -777,7 +839,7 @@ def test_state_by_state_commands_refuse_huge_boundaries(capsys, monkeypatch, arg
         raise AssertionError("states were walked")
 
     for module, attr in ((partition, "boundary_profiles"), (partition, "enumerate_states"),
-                         (weyl, "row_fills"), (cli.transfer, "contract_partition"),
+                         (cli.transfer, "contract_partition"),
                          (cli.transfer, "contract_packed")):
         monkeypatch.setattr(module, attr, refused)
     code, obj = run_json(capsys, *argv.split())

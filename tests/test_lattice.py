@@ -17,11 +17,13 @@ from whitice.lattice import (
     PLUS,
     Boundary,
     boundary_from_lambda,
+    count_rows,
     count_states,
     direct_fill,
     enumerate_states,
     fill_row,
     lambda_of,
+    layer_rows,
     row_charges,
     row_fills,
     row_variable,
@@ -130,6 +132,24 @@ def test_capped_count_agrees_below_the_cap_and_passes_it_with_the_count():
                 assert capped == cap + 1, (lam, cap)
                 hits["past"] += 1
     assert min(hits.values()) > 100
+
+
+def test_layer_rows_are_the_distinct_rows_of_the_states():
+    # each (depth, top, bottom) once: depth by depth, tops ascending, the
+    # bottoms below a top descending; the count walks the same rows and
+    # stops one past its limit
+    for lam in small_weights():
+        boundary = boundary_from_lambda(lam)
+        walked = list(layer_rows(boundary))
+        rows = {(depth, top, bot) for state in enumerate_states(boundary)
+                for depth, (top, bot) in enumerate(zip(state.layers, state.layers[1:]))}
+        order = sorted(rows, key=lambda row: (row[0], row[1], [-c for c in row[2]]))
+        assert walked == order, lam
+        assert count_rows(boundary, len(rows)) == len(rows)
+        assert count_rows(boundary, len(rows) - 1) == len(rows)
+    assert count_rows(boundary_from_lambda((5, 4, 3, 2, 1, 0)), 10 ** 6) == 16_570
+    assert count_rows(boundary_from_lambda((6, 5, 4, 3, 2, 1, 0)), 10 ** 6) == 130_601
+    assert count_rows(boundary_from_lambda((7, 6, 5, 4, 3, 2, 1, 0)), 1000) == 1001
 
 
 def test_state_walks_leave_no_cyclic_garbage():

@@ -25,7 +25,6 @@ from whitice.weyl import (
     rvertex_allminus_weight,
     rvertex_allplus_weight,
 )
-from whitice.ybe import commutation_check
 
 HAND_TOL = 1e-10
 
@@ -82,18 +81,6 @@ def test_pq_factor_pins():
 
 def z_of(lam, mode, family="gamma"):
     return partition_function(boundary_from_lambda(lam), family, mode)
-
-
-def test_functional_equation_reduces_to_commutation_at_n1():
-    mode = SymbolicMode(1)
-    for lam in ((0, 0), (2, 0), (2, 1, 0)):
-        rank = len(lam) - 1
-        z = z_of(lam, mode)
-        for i in range(1, rank + 1):
-            ok, lhs, rhs = functional_eq_check(z, i, 0)
-            assert ok and lhs == rhs
-            ok_c, lhs_c, rhs_c = commutation_check(z, i)
-            assert ok_c and lhs == lhs_c and rhs == rhs_c
 
 
 def test_functional_equation_is_linear_in_n():

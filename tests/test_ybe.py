@@ -1,4 +1,5 @@
-"""Rank-one exchange matrix, the triangle identity, and row commutation."""
+"""Rank-one exchange matrix, the triangle identity, and the row commutation
+it gives: ``weyl.functional_eq_check(z, i, 0)`` on a Z of n = 1."""
 from __future__ import annotations
 
 import itertools
@@ -9,14 +10,14 @@ from whitice.coeffs import SymbolicMode
 from whitice.gauss import gauss_table
 from whitice.lattice import boundary_from_lambda
 from whitice.laurent import LaurentPoly
-from whitice.partition import numeric_mode, partition_function
+from whitice.partition import partition_function
+from whitice.weyl import functional_eq_check
 from whitice.ybe import (
     MINUS,
     MIXED_ASSIGNMENT,
     MODE,
     PLUS,
     SPINS,
-    commutation_check,
     perturbed,
     rmatrix_n1,
     solve_mixed_assignment,
@@ -90,45 +91,31 @@ def test_sides_balance_on_sample_boundary():
     assert left == right
 
 
-def z_of(lam, family="gamma", mode=None):
-    return partition_function(boundary_from_lambda(lam), family, mode or SymbolicMode(1))
+def z_of(lam, family="gamma"):
+    return partition_function(boundary_from_lambda(lam), family, SymbolicMode(1))
 
 
 def test_commutation_pin():
-    ok, lhs, rhs = commutation_check(z_of((0, 0)), 1)
+    # (z2 - u*z1) * Z(sigma_1 z) = (z1 - u*z2) * Z(z) on the two-state system
+    ok, lhs, rhs = functional_eq_check(z_of((0, 0)), 1, 0)
     assert ok
-    assert str(lhs) == "-u*z1^2 + (1 + u^2)*z1*z2 - u*z2^2"
+    assert str(rhs) == "-u*z1^2 + (1 + u^2)*z1*z2 - u*z2^2"
     assert lhs == rhs
 
 
 def test_commutation_across_grid():
     # exact at n = 1, and so at u = 1/5 the sides rounded once are equal
-    n1 = SymbolicMode(1)
     for lam in ((0, 0), (2, 0), (2, 1, 0), (3, 2, 0)):
         rank = len(lam) - 1
         for i in range(1, rank + 1):
             for family in ("gamma", "delta"):
-                ok, lhs, rhs = commutation_check(z_of(lam, family, n1), i)
+                ok, lhs, rhs = functional_eq_check(z_of(lam, family), i, 0)
                 assert ok and lhs == rhs
                 assert rounded_once(lhs, 5) == rounded_once(rhs, 5)
 
 
 def test_commutation_rejects_bad_row_index():
     with pytest.raises(ValueError):
-        commutation_check(z_of((2, 0)), 0)
+        functional_eq_check(z_of((2, 0)), 0, 0)
     with pytest.raises(ValueError):
-        commutation_check(z_of((2, 0)), 2)
-
-
-@pytest.mark.parametrize("mode", [SymbolicMode(2), numeric_mode(2, 5)])
-def test_commutation_refuses_a_z_at_n2(mode):
-    # the row-swap identity is the n = 1 case; at n = 2 the class-0 equation
-    # has other factors, so a Z at n = 2 is refused rather than checked
-    with pytest.raises(ValueError, match="n = 2"):
-        commutation_check(z_of((2, 0), "gamma", mode), 1)
-
-
-def test_commutation_refuses_a_numeric_z():
-    # a check that multiplies polynomials runs in the reduced ring only
-    with pytest.raises(ValueError, match="numeric"):
-        commutation_check(z_of((2, 0), "gamma", numeric_mode(1, 5)), 1)
+        functional_eq_check(z_of((2, 0)), 2, 0)
