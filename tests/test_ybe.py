@@ -10,7 +10,7 @@ from whitice.coeffs import SymbolicMode
 from whitice.gauss import gauss_table
 from whitice.lattice import boundary_from_lambda
 from whitice.laurent import LaurentPoly
-from whitice.partition import partition_function
+from whitice.partition import numeric_mode, partition_function
 from whitice.weyl import functional_eq_check
 from whitice.ybe import (
     MINUS,
@@ -112,6 +112,13 @@ def test_commutation_across_grid():
                 ok, lhs, rhs = functional_eq_check(z_of(lam, family), i, 0)
                 assert ok and lhs == rhs
                 assert rounded_once(lhs, 5) == rounded_once(rhs, 5)
+
+
+def test_commutation_refuses_a_numeric_z():
+    # a check that multiplies polynomials runs in the reduced ring only
+    z = partition_function(boundary_from_lambda((2, 0)), "gamma", numeric_mode(1, 5))
+    with pytest.raises(ValueError, match="numeric"):
+        functional_eq_check(z, 1, 0)
 
 
 def test_commutation_rejects_bad_row_index():
